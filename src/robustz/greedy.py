@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,9 +48,6 @@ class SortedEffectList:
     n_treated: int
     n_control: int
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     @property
     def entries(self) -> list[tuple[float, int, int]]:
         return [
@@ -73,23 +70,10 @@ class GreedySolution:
 
 
 def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
-    """Ascending stable sort of all eligible effects (zeros included)."""
-    nnz = em.nnz
-    values = np.empty(nnz, dtype=np.float64)
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    for k, ((i, j), v) in enumerate(em.effect.items()):
-        rows[k] = i
-        cols[k] = j
-        values[k] = v
-    order = np.lexsort((cols, rows, values))
-    return SortedEffectList(
-        values=values[order],
-        rows=rows[order],
-        cols=cols[order],
-        n_treated=em.n_treated,
-        n_control=em.n_control,
-    )
+    """All eligible effects (zeros included) in the matrix's value order."""
+    order = em.order
+    return SortedEffectList(em.values[order], em.rows[order], em.cols[order],
+                            em.n_treated, em.n_control)
 
 
 class _ListState:
@@ -290,15 +274,11 @@ def greedy_min(ylist: SortedEffectList, n: int, case: str):
 
 
 def _reflected(ylist: SortedEffectList) -> SortedEffectList:
-    neg = -ylist.values
-    order = np.lexsort((ylist.cols, ylist.rows, neg))
-    return SortedEffectList(
-        values=neg[order],
-        rows=ylist.rows[order],
-        cols=ylist.cols[order],
-        n_treated=ylist.n_treated,
-        n_control=ylist.n_control,
-    )
+    # a stable sort keeps the list's (i, j) order among ties; reversing
+    # the list would put tied entries in descending (i, j) order
+    order = np.argsort(-ylist.values, kind="stable")
+    return replace(ylist, values=-ylist.values[order], rows=ylist.rows[order],
+                   cols=ylist.cols[order])
 
 
 _MIRROR = {"case1": "case2", "case2": "case1"}

@@ -21,7 +21,7 @@ import numpy as np
 
 from .greedy import GreedySolution, Infeasible
 from .matching import EffectMatrix
-from .statistic import Assignment, stats_from_values
+from .statistic import Assignment
 
 
 @dataclass(frozen=True)
@@ -31,20 +31,6 @@ class CostMatching:
     pairs: tuple[tuple[int, int, float], ...]
     total_cost: float
     cardinality: int
-
-
-def _row_adjacency(em: EffectMatrix, negate: bool):
-    per_row: dict[int, list[tuple[int, float]]] = {}
-    for (i, j), v in em.effect.items():
-        per_row.setdefault(i, []).append((j, -v if negate else v))
-    rows = sorted(per_row)
-    cols_arr = {}
-    costs_arr = {}
-    for i in rows:
-        entries = sorted(per_row[i])
-        cols_arr[i] = np.array([j for j, _ in entries], dtype=np.int64)
-        costs_arr[i] = np.array([c for _, c in entries], dtype=np.float64)
-    return rows, cols_arr, costs_arr
 
 
 def _solve_assignment(em: EffectMatrix, negate: bool):
@@ -57,8 +43,14 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     Initial duals are zero on rows and the column minima on columns,
     which makes every reduced cost nonnegative without shifting costs.
     """
+    if em.nnz == 0:
+        raise ValueError("empty eligibility: no pairs to assign")
     n_cols = em.n_control
-    rows, adj_cols, adj_costs = _row_adjacency(em, negate)
+    costs = -em.values if negate else em.values
+    spans = em.row_spans()
+    rows = list(spans)
+    adj_cols = {i: em.cols[span] for i, span in spans.items()}
+    adj_costs = {i: costs[span] for i, span in spans.items()}
 
     v = np.full(n_cols, math.inf)
     for i in rows:
@@ -129,26 +121,21 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
         free.remove(i)
 
     pairs = []
-    for i in rows:
-        j = match_row[i]
+    for i in rows:  # ascending, so pairs come out in (i, j) order
+        j = int(match_row[i])
         if j >= 0:
-            pairs.append((i, int(j), em.effect[(i, int(j))]))
-    pairs.sort()
+            pairs.append((i, j, em.values[em.position(i, j)].item()))
     total = math.fsum(c for _, _, c in pairs)
     return CostMatching(pairs=tuple(pairs), total_cost=total, cardinality=len(pairs))
 
 
 def hungarian_min(em: EffectMatrix) -> CostMatching:
     """Minimum total-effect matching of maximum cardinality."""
-    if em.nnz == 0:
-        raise ValueError("empty eligibility: no pairs to assign")
     return _solve_assignment(em, negate=False)
 
 
 def hungarian_max(em: EffectMatrix) -> CostMatching:
     """Maximum total-effect matching of maximum cardinality."""
-    if em.nnz == 0:
-        raise ValueError("empty eligibility: no pairs to assign")
     return _solve_assignment(em, negate=True)
 
 
@@ -165,10 +152,8 @@ def case3_selection(em: EffectMatrix, n: int, direction: str):
     matching = hungarian_min(em) if direction == "min" else hungarian_max(em)
     if matching.cardinality < n:
         return None
-    if direction == "min":
-        ranked = sorted(matching.pairs, key=lambda p: (p[2], p[0], p[1]))
-    else:
-        ranked = sorted(matching.pairs, key=lambda p: (-p[2], p[0], p[1]))
+    sign = 1.0 if direction == "min" else -1.0
+    ranked = sorted(matching.pairs, key=lambda p: sign * p[2])  # stable: pairs are (i, j)-ordered
     return Assignment(pairs=frozenset((i, j) for i, j, _ in ranked[:n]))
 
 
@@ -176,7 +161,7 @@ def case3_verdict(selection, em: EffectMatrix, direction: str):
     """Apply the sign test to a case-3 selection; level is 0 when feasible."""
     if selection is None:
         return Infeasible("maximum matching has fewer than n pairs")
-    stats = stats_from_values(em.effect[p] for p in selection.sorted_pairs())
+    stats = em.pair_stats(selection.pairs)
     if direction == "min" and stats.S > 0.0:
         return Infeasible("selected effect sum is positive")
     if direction == "max" and stats.S < 0.0:

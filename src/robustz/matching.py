@@ -2,17 +2,23 @@
 
 A matched-pair study starts from a bipartite eligibility structure over
 (treated, control) units: pair (i, j) is eligible when every covariate
-rule holds. Eligibility is kept sparse (a set of index pairs) and the
-per-pair treatment effects ``y_t[i] - y_c[j]`` are keyed by that same
-set, so a zero-valued effect stays distinguishable from "not a match".
+rule holds. Eligibility is kept sparse (a set of index pairs); the finite
+per-pair treatment effects ``y_t[i] - y_c[j]`` are columns over the same
+pairs, built once for every later layer, so a zero-valued effect stays
+distinguishable from "not a match".
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
 
 from .data_types import Dataset
+from .statistic import PairStats, stats_from_values
 
 
 class MatchingError(ValueError):
@@ -83,54 +89,86 @@ class MatchMatrix:
         """Number of distinct control columns with at least one eligible pair."""
         return len({j for _, j in self.eligible})
 
-    def pairs_sorted(self) -> list[tuple[int, int]]:
-        return sorted(self.eligible)
 
-
-@dataclass(frozen=True)
 class EffectMatrix:
-    """Treatment effects keyed by the eligible pairs of a MatchMatrix."""
+    """Treatment effects of the eligible pairs of a MatchMatrix, as columns.
 
-    match: MatchMatrix
-    effect: Mapping[tuple[int, int], float]
+    ``rows``, ``cols`` and ``values`` hold the pairs in (i, j) order, those
+    of row i at ``row_start[i]:row_start[i + 1]``; ``order`` lists them by
+    ascending value, ties by (i, j). Both are built here, once; a non-finite
+    effect raises MatchingError.
+    """
 
-    def __post_init__(self):
-        if set(self.effect.keys()) != self.match.eligible:
-            raise MatchingError("effect map domain must equal the eligible set exactly")
+    def __init__(self, match: MatchMatrix, rows, cols, values):
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        ij = np.argsort(rows * match.n_control + cols)  # distinct pairs: (i, j) order
+        self.match = match
+        self.rows, self.cols = rows[ij], cols[ij]
+        self.values = np.asarray(values, dtype=np.float64)[ij]
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if len(bad):
+            k = bad[0]
+            raise MatchingError(f"effect of pair ({self.rows[k]}, {self.cols[k]}) "
+                                f"is not finite: {self.values[k].item()!r}")
+        self.order = np.argsort(self.values, kind="stable")
+        self.row_start = np.searchsorted(self.rows, np.arange(match.n_treated + 1))
+        self.nnz, self.n_treated, self.n_control = match.nnz, match.n_treated, match.n_control
 
     @property
-    def nnz(self) -> int:
-        return self.match.nnz
+    def effect(self) -> Mapping[tuple[int, int], float]:
+        """Read-only (i, j) -> effect view over the arrays."""
+        return _EffectView(self)
 
-    @property
-    def n_treated(self) -> int:
-        return self.match.n_treated
+    def position(self, i: int, j: int) -> int:
+        """Index of eligible pair (i, j) in the arrays; KeyError for any other pair."""
+        if 0 <= i < self.n_treated:
+            lo, hi = self.row_start[i], self.row_start[i + 1]
+            k = lo + int(np.searchsorted(self.cols[lo:hi], j))
+            if k < hi and self.cols[k] == j:
+                return int(k)
+        raise KeyError((i, j))
 
-    @property
-    def n_control(self) -> int:
-        return self.match.n_control
+    def row_spans(self) -> dict[int, slice]:
+        """Array slice of each treated row with eligible pairs, rows ascending."""
+        start = self.row_start.tolist()
+        return {i: slice(start[i], start[i + 1])
+                for i in range(self.n_treated) if start[i] < start[i + 1]}
 
-    def items_sorted(self) -> list[tuple[tuple[int, int], float]]:
-        return sorted(self.effect.items())
+    def pair_stats(self, pairs: Iterable[tuple[int, int]]) -> PairStats:
+        """S, Q, n and sigma_hat of the effects of eligible pairs, in (i, j) order."""
+        positions = sorted(self.position(i, j) for i, j in pairs)
+        return stats_from_values(self.values[positions].tolist())
 
     @classmethod
     def from_effects(cls, effects: Mapping[tuple[int, int], float],
                      n_treated: int | None = None,
                      n_control: int | None = None) -> "EffectMatrix":
         """Build a standalone matrix from an index->effect map (synthetic ids)."""
-        if effects:
-            max_i = max(i for i, _ in effects)
-            max_j = max(j for _, j in effects)
-        else:
-            max_i = max_j = -1
-        nt = n_treated if n_treated is not None else max_i + 1
-        nc = n_control if n_control is not None else max_j + 1
-        mm = MatchMatrix(
-            treated_ids=tuple(f"t{i}" for i in range(nt)),
-            control_ids=tuple(f"c{j}" for j in range(nc)),
-            eligible=frozenset(effects.keys()),
-        )
-        return cls(match=mm, effect=dict(effects))
+        nnz = len(effects)
+        ij = np.fromiter(chain.from_iterable(effects), dtype=np.int64, count=2 * nnz)
+        rows, cols = ij[0::2], ij[1::2]
+        nt = n_treated if n_treated is not None else int(rows.max(initial=-1)) + 1
+        nc = n_control if n_control is not None else int(cols.max(initial=-1)) + 1
+        mm = MatchMatrix(treated_ids=tuple(f"t{i}" for i in range(nt)),
+                         control_ids=tuple(f"c{j}" for j in range(nc)),
+                         eligible=frozenset(effects))
+        return cls(mm, rows, cols, np.fromiter(effects.values(), dtype=np.float64, count=nnz))
+
+
+class _EffectView(Mapping):
+    """(i, j) -> effect lookups on an EffectMatrix, without building a dict."""
+
+    def __init__(self, em: EffectMatrix):
+        self._em = em
+
+    def __getitem__(self, pair: tuple[int, int]) -> float:
+        return self._em.values[self._em.position(*pair)].item()
+
+    def __iter__(self):
+        return zip(self._em.rows.tolist(), self._em.cols.tolist())
+
+    def __len__(self) -> int:
+        return self._em.nnz
 
 
 @dataclass(frozen=True)
@@ -227,12 +265,15 @@ def build_effect_matrix(match: MatchMatrix, dataset: Dataset) -> EffectMatrix:
     """Attach the effect y_t[i] - y_c[j] to every eligible pair."""
     by_id = {u.id: u for u in dataset.units}
     try:
-        t_out = [by_id[tid].outcome for tid in match.treated_ids]
-        c_out = [by_id[cid].outcome for cid in match.control_ids]
+        t_out = np.array([by_id[tid].outcome for tid in match.treated_ids], dtype=np.float64)
+        c_out = np.array([by_id[cid].outcome for cid in match.control_ids], dtype=np.float64)
     except KeyError as exc:
         raise MatchingError(f"match matrix id {exc.args[0]!r} not found in dataset") from exc
-    effect = {(i, j): t_out[i] - c_out[j] for i, j in match.eligible}
-    return EffectMatrix(match=match, effect=effect)
+    ij = np.fromiter(chain.from_iterable(match.eligible), dtype=np.int64, count=2 * match.nnz)
+    rows, cols = ij[0::2], ij[1::2]
+    with np.errstate(over="ignore"):  # an overflow to inf is rejected as not finite
+        values = t_out[rows] - c_out[cols]
+    return EffectMatrix(match=match, rows=rows, cols=cols, values=values)
 
 
 class _UnionFind:
@@ -286,5 +327,5 @@ def partition_blocks(match: MatchMatrix) -> BlockPartition:
 def write_coordinate_list(em: EffectMatrix, path) -> None:
     """Dump the eligibility structure as ``i,j,effect`` lines sorted by (i, j)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for (i, j), v in em.items_sorted():
+        for i, j, v in zip(em.rows.tolist(), em.cols.tolist(), em.values.tolist()):
             fh.write(f"{i},{j},{v!r}\n")

@@ -38,12 +38,10 @@ def enumerate_extrema(em: EffectMatrix, n: int,
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
 
-    row_options: dict[int, list[int]] = {}
-    for i, j in em.match.eligible:
-        row_options.setdefault(i, []).append(j)
-    rows = sorted(row_options)
-    for i in rows:
-        row_options[i].sort()
+    # (j, effect) per treated row, read off the matrix's row slices once
+    row_options = {i: list(zip(em.cols[span].tolist(), em.values[span].tolist()))
+                   for i, span in em.row_spans().items()}
+    rows = list(row_options)
 
     best = {
         "count": 0,
@@ -54,7 +52,7 @@ def enumerate_extrema(em: EffectMatrix, n: int,
         "degenerate": False,
     }
     used_cols: set[int] = set()
-    picked: list[tuple[int, int]] = []
+    picked: list[tuple[int, int, float]] = []
 
     def evaluate() -> None:
         best["count"] += 1
@@ -62,17 +60,17 @@ def enumerate_extrema(em: EffectMatrix, n: int,
             raise BudgetExceededError(
                 f"enumeration exceeded the budget of {budget} assignments"
             )
-        pairs = sorted(picked)
-        stats = stats_from_values(em.effect[p] for p in pairs)
+        pairs = frozenset((i, j) for i, j, _ in picked)
+        stats = stats_from_values(v for _, _, v in picked)
         z = z_statistic(stats)
         if stats.degenerate:
             best["degenerate"] = True
         if best["z_max"] is None or z > best["z_max"]:
             best["z_max"] = z
-            best["argmax"] = frozenset(pairs)
+            best["argmax"] = pairs
         if best["z_min"] is None or z < best["z_min"]:
             best["z_min"] = z
-            best["argmin"] = frozenset(pairs)
+            best["argmin"] = pairs
 
     def backtrack(idx: int, needed: int) -> None:
         if needed == 0:
@@ -81,11 +79,11 @@ def enumerate_extrema(em: EffectMatrix, n: int,
         if len(rows) - idx < needed:
             return
         i = rows[idx]
-        for j in row_options[i]:
+        for j, v in row_options[i]:
             if j in used_cols:
                 continue
             used_cols.add(j)
-            picked.append((i, j))
+            picked.append((i, j, v))
             backtrack(idx + 1, needed - 1)
             picked.pop()
             used_cols.remove(j)

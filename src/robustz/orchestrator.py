@@ -24,7 +24,6 @@ from .statistic import (
     TestResult,
     classify_robustness,
     p_values,
-    stats_from_values,
     z_statistic,
 )
 
@@ -51,11 +50,11 @@ def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None):
         raise ValueError(f"unknown direction {direction!r}")
 
     ylist = build_sorted_list(em)
-    selection_cache: dict[str, object] = {}
+    selection = None
 
     def case3_attempt():
+        nonlocal selection
         selection = case3_selection(em, n, direction)
-        selection_cache["selection"] = selection
         return case3_verdict(selection, em, direction)
 
     if direction == "min":
@@ -78,14 +77,12 @@ def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None):
         if not isinstance(result, Infeasible):
             return result
 
-    if "selection" not in selection_cache:
-        selection_cache["selection"] = case3_selection(em, n, direction)
-    selection = selection_cache["selection"]
+    # every ladder runs the linear case, so its selection is known here
     if selection is None:
         return NoPairsPossible(f"no assignment of {n} disjoint eligible pairs exists")
     if trace is not None:
         trace.append(FALLBACK)
-    stats = stats_from_values(em.effect[p] for p in selection.sorted_pairs())
+    stats = em.pair_stats(selection.pairs)
     return GreedySolution(
         assignment=selection,
         stats=stats,

@@ -207,8 +207,10 @@ def _wrap(terms: list[str], per_line: int = 6, sep: str = " ") -> str:
     return ("\n  ").join(chunks)
 
 
-def _ordered_variables(em: EffectMatrix) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(em.match.eligible))
+def _variables(em: EffectMatrix):
+    """One variable per eligible pair, in (i, j) order, and the effect of each."""
+    variables = tuple(zip(em.rows.tolist(), em.cols.tolist()))
+    return variables, dict(zip(variables, em.values.tolist()))
 
 
 def export_qip(em: EffectMatrix, n: int, direction: str, case: str) -> ModelSpec:
@@ -220,8 +222,7 @@ def export_qip(em: EffectMatrix, n: int, direction: str, case: str) -> ModelSpec
     if (direction, case) not in _OBJECTIVE_SIGN:
         raise ValueError(f"unknown direction/case combination ({direction!r}, {case!r})")
     sq = _OBJECTIVE_SIGN[(direction, case)]
-    variables = _ordered_variables(em)
-    eff = em.effect
+    variables, eff = _variables(em)
     linear = {p: sq * eff[p] ** 2 for p in variables}
     quad_diag = {p: -sq * eff[p] ** 2 for p in variables}
     quad_cross = {}
@@ -237,7 +238,7 @@ def export_qip(em: EffectMatrix, n: int, direction: str, case: str) -> ModelSpec
         case=case,
         n=n,
         variables=variables,
-        effects=dict(eff),
+        effects=eff,
         linear=linear,
         quad_diag=quad_diag,
         quad_cross=quad_cross,
@@ -258,8 +259,7 @@ def export_ilp(em: EffectMatrix, n: int, direction: str, b_l: float,
         raise ValueError(f"unknown direction {direction!r}")
     if not b_l > 0:
         raise ValueError(f"b_l must be positive, got {b_l!r}")
-    variables = _ordered_variables(em)
-    eff = em.effect
+    variables, eff = _variables(em)
     return ModelSpec(
         kind="ilp",
         sense="maximize" if direction == "max" else "minimize",
@@ -267,8 +267,8 @@ def export_ilp(em: EffectMatrix, n: int, direction: str, b_l: float,
         case=None,
         n=n,
         variables=variables,
-        effects=dict(eff),
-        linear={p: eff[p] for p in variables},
+        effects=eff,
+        linear=dict(eff),
         sign_op=None,
         b_l=float(b_l),
         bl_range_note=bl_range_note,

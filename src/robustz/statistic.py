@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .matching import EffectMatrix
+if TYPE_CHECKING:
+    from .matching import EffectMatrix
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -41,9 +42,6 @@ class Assignment:
     @property
     def n(self) -> int:
         return len(self.pairs)
-
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ def stats_from_values(values: Iterable[float], n: int | None = None) -> PairStat
 def assignment_stats(a: Assignment, em: EffectMatrix) -> PairStats:
     """S, Q, n and sigma_hat of an assignment, in canonical pair order."""
     validate_assignment(a, em)
-    return stats_from_values(em.effect[p] for p in a.sorted_pairs())
+    return em.pair_stats(a.pairs)
 
 
 def z_statistic(stats: PairStats) -> float:

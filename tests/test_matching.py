@@ -126,6 +126,17 @@ class TestBuildEffectMatrix:
         em = build_effect_matrix(mm, ds)
         assert em.effect[(0, 0)] == 0.0
 
+    def test_overflowing_effect_rejected(self):
+        ds = dataset_from([({"g": "a"}, True, 1e308), ({"g": "a"}, False, -1e308)])
+        mm = build_match_matrix(ds, [CovariateRule("g", "exact")])
+        with pytest.raises(MatchingError, match="not finite"):
+            build_effect_matrix(mm, ds)
+
+    def test_non_finite_effect_map_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(MatchingError, match="not finite"):
+                make_em({(0, 0): bad, (1, 1): 1.0})
+
 
 class TestPartitionBlocks:
     def test_two_components(self):

@@ -94,7 +94,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--binary-search", metavar="MIN:MAX",
                          help="search the largest feasible n and report that row only")
     p_sweep.add_argument("--alpha", type=float)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out")
 
     p_oracle = sub.add_parser("oracle", help="exhaustive extrema (desk scale)")
@@ -188,8 +187,8 @@ def _cmd_test(args) -> int:
         "alpha": alpha,
         "z_min": _jsonify(result.z_min),
         "z_max": _jsonify(result.z_max),
-        "gamma_min": _jsonify(result.gamma_min),
-        "gamma_max": _jsonify(result.gamma_max),
+        "gamma_min": _jsonify(result.z_min),
+        "gamma_max": _jsonify(result.z_max),
         "case_min": result.case_used_min,
         "case_max": result.case_used_max,
         "p_min": _jsonify(result.p_min),
@@ -255,7 +254,6 @@ def _cmd_sweep(args) -> int:
     else:
         raise UsageError("configuration fixes n; use 'test' or pass --sweep/--binary-search")
 
-    jobs = 1
     if mode == "binary_search":
         best = find_max_feasible_n(em, n_min, n_max)
         if best is None:
@@ -266,11 +264,10 @@ def _cmd_sweep(args) -> int:
         if n_min < 2 or n_min > n_max or step < 1:
             raise UsageError(f"invalid sweep range {n_min}:{n_max}:{step}")
         ns = list(range(n_min, n_max + 1, step))
-        jobs = max(1, args.jobs)
 
     lines = [SWEEP_HEADER]
     print(SWEEP_HEADER, flush=True)
-    for row in iter_sweep(em, ns, alpha, jobs):
+    for row in iter_sweep(em, ns, alpha):
         line = _sweep_csv_line(row)
         print(line, flush=True)
         lines.append(line)

@@ -72,7 +72,7 @@ class GreedySolution:
 def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
     """All eligible effects (zeros included) in the matrix's value order."""
     order = em.order
-    return SortedEffectList(em.values[order], em.rows[order], em.cols[order],
+    return SortedEffectList(em.values[order], em.match.rows[order], em.match.cols[order],
                             em.n_treated, em.n_control)
 
 

@@ -47,9 +47,9 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
         raise ValueError("empty eligibility: no pairs to assign")
     n_cols = em.n_control
     costs = -em.values if negate else em.values
-    spans = em.row_spans()
+    spans = em.match.row_spans()
     rows = list(spans)
-    adj_cols = {i: em.cols[span] for i, span in spans.items()}
+    adj_cols = {i: em.match.cols[span] for i, span in spans.items()}
     adj_costs = {i: costs[span] for i, span in spans.items()}
 
     v = np.full(n_cols, math.inf)
@@ -124,7 +124,7 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     for i in rows:  # ascending, so pairs come out in (i, j) order
         j = int(match_row[i])
         if j >= 0:
-            pairs.append((i, j, em.values[em.position(i, j)].item()))
+            pairs.append((i, j, em.values[em.match.position(i, j)].item()))
     total = math.fsum(c for _, _, c in pairs)
     return CostMatching(pairs=tuple(pairs), total_cost=total, cardinality=len(pairs))
 

@@ -2,14 +2,16 @@
 
 A matched-pair study starts from a bipartite eligibility structure over
 (treated, control) units: pair (i, j) is eligible when every covariate
-rule holds. Eligibility is kept sparse (a set of index pairs); the finite
-per-pair treatment effects ``y_t[i] - y_c[j]`` are columns over the same
-pairs, built once for every later layer, so a zero-valued effect stays
+rule holds. Eligibility is kept sparse, as two index arrays ``rows`` and
+``cols`` in (i, j) order that the MatchMatrix owns; the finite per-pair
+treatment effects ``y_t[i] - y_c[j]`` are a column aligned with them,
+built once for every later layer, so a zero-valued effect stays
 distinguishable from "not a match".
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -53,23 +55,34 @@ class CovariateRule:
             raise MatchingError(f"exact rule for {self.column!r} does not take a tolerance")
 
 
-@dataclass(frozen=True)
 class MatchMatrix:
-    """Sparse bipartite eligibility over treated rows x control columns."""
+    """Sparse bipartite eligibility over treated rows x control columns.
 
-    treated_ids: tuple[str, ...]
-    control_ids: tuple[str, ...]
-    eligible: frozenset[tuple[int, int]]
+    The eligible pairs are the int64 arrays ``rows`` and ``cols`` in strictly
+    increasing (i, j) order, those of row i at ``row_start[i]:row_start[i + 1]``.
+    This class owns that format: every later layer indexes these arrays.
+    """
 
-    def __post_init__(self):
-        nt, nc = len(self.treated_ids), len(self.control_ids)
-        for i, j in self.eligible:
-            if not (0 <= i < nt and 0 <= j < nc):
-                raise MatchingError(f"eligible pair ({i}, {j}) out of range {nt}x{nc}")
+    def __init__(self, treated_ids: tuple[str, ...], control_ids: tuple[str, ...], rows, cols):
+        nt, nc = len(treated_ids), len(control_ids)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        out = np.flatnonzero((rows < 0) | (rows >= nt) | (cols < 0) | (cols >= nc))
+        if len(out):
+            k = out[0]
+            raise MatchingError(f"eligible pair ({rows[k]}, {cols[k]}) out of range {nt}x{nc}")
+        code = rows * nc + cols
+        bad = np.flatnonzero(np.diff(code) <= 0)  # neither distinct nor in (i, j) order
+        if len(bad):
+            k = bad[0] + 1
+            what = "repeated" if code[k] == code[k - 1] else "out of (i, j) order"
+            raise MatchingError(f"eligible pair ({rows[k]}, {cols[k]}) {what}")
+        self.treated_ids, self.control_ids = treated_ids, control_ids
+        self.rows, self.cols = rows, cols
+        self.row_start = np.searchsorted(rows, np.arange(nt + 1))
 
     @property
     def nnz(self) -> int:
-        return len(self.eligible)
+        return len(self.rows)
 
     @property
     def n_treated(self) -> int:
@@ -80,44 +93,19 @@ class MatchMatrix:
         return len(self.control_ids)
 
     @property
+    def eligible(self) -> frozenset[tuple[int, int]]:
+        """The eligible pairs as a set of (i, j) tuples, built on each call."""
+        return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
+
+    @property
     def matched_treated(self) -> int:
         """Number of distinct treated rows with at least one eligible pair."""
-        return len({i for i, _ in self.eligible})
+        return int(np.count_nonzero(np.diff(self.row_start)))
 
     @property
     def matched_control(self) -> int:
         """Number of distinct control columns with at least one eligible pair."""
-        return len({j for _, j in self.eligible})
-
-
-class EffectMatrix:
-    """Treatment effects of the eligible pairs of a MatchMatrix, as columns.
-
-    ``rows``, ``cols`` and ``values`` hold the pairs in (i, j) order, those
-    of row i at ``row_start[i]:row_start[i + 1]``; ``order`` lists them by
-    ascending value, ties by (i, j). Both are built here, once; a non-finite
-    effect raises MatchingError.
-    """
-
-    def __init__(self, match: MatchMatrix, rows, cols, values):
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        ij = np.argsort(rows * match.n_control + cols)  # distinct pairs: (i, j) order
-        self.match = match
-        self.rows, self.cols = rows[ij], cols[ij]
-        self.values = np.asarray(values, dtype=np.float64)[ij]
-        bad = np.flatnonzero(~np.isfinite(self.values))
-        if len(bad):
-            k = bad[0]
-            raise MatchingError(f"effect of pair ({self.rows[k]}, {self.cols[k]}) "
-                                f"is not finite: {self.values[k].item()!r}")
-        self.order = np.argsort(self.values, kind="stable")
-        self.row_start = np.searchsorted(self.rows, np.arange(match.n_treated + 1))
-        self.nnz, self.n_treated, self.n_control = match.nnz, match.n_treated, match.n_control
-
-    @property
-    def effect(self) -> Mapping[tuple[int, int], float]:
-        """Read-only (i, j) -> effect view over the arrays."""
-        return _EffectView(self)
+        return len(np.unique(self.cols))
 
     def position(self, i: int, j: int) -> int:
         """Index of eligible pair (i, j) in the arrays; KeyError for any other pair."""
@@ -134,9 +122,34 @@ class EffectMatrix:
         return {i: slice(start[i], start[i + 1])
                 for i in range(self.n_treated) if start[i] < start[i + 1]}
 
+
+class EffectMatrix:
+    """Treatment effects of the eligible pairs of a MatchMatrix, as a column.
+
+    ``values[k]`` is the effect of pair ``(match.rows[k], match.cols[k])``;
+    ``order`` lists the pairs by ascending value, ties by (i, j). It is
+    built here, once; a non-finite effect raises MatchingError.
+    """
+
+    def __init__(self, match: MatchMatrix, values):
+        values = np.asarray(values, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            k = bad[0]
+            raise MatchingError(f"effect of pair ({match.rows[k]}, {match.cols[k]}) "
+                                f"is not finite: {values[k].item()!r}")
+        self.match, self.values = match, values
+        self.order = np.argsort(values, kind="stable")
+        self.nnz, self.n_treated, self.n_control = match.nnz, match.n_treated, match.n_control
+
+    @property
+    def effect(self) -> Mapping[tuple[int, int], float]:
+        """Read-only (i, j) -> effect view over the arrays."""
+        return _EffectView(self)
+
     def pair_stats(self, pairs: Iterable[tuple[int, int]]) -> PairStats:
         """S, Q, n and sigma_hat of the effects of eligible pairs, in (i, j) order."""
-        positions = sorted(self.position(i, j) for i, j in pairs)
+        positions = sorted(self.match.position(i, j) for i, j in pairs)
         return stats_from_values(self.values[positions].tolist())
 
     @classmethod
@@ -149,10 +162,10 @@ class EffectMatrix:
         rows, cols = ij[0::2], ij[1::2]
         nt = n_treated if n_treated is not None else int(rows.max(initial=-1)) + 1
         nc = n_control if n_control is not None else int(cols.max(initial=-1)) + 1
-        mm = MatchMatrix(treated_ids=tuple(f"t{i}" for i in range(nt)),
-                         control_ids=tuple(f"c{j}" for j in range(nc)),
-                         eligible=frozenset(effects))
-        return cls(mm, rows, cols, np.fromiter(effects.values(), dtype=np.float64, count=nnz))
+        by_ij = np.argsort(rows * nc + cols)  # the map's keys are distinct
+        mm = MatchMatrix(tuple(f"t{i}" for i in range(nt)), tuple(f"c{j}" for j in range(nc)),
+                         rows[by_ij], cols[by_ij])
+        return cls(mm, np.fromiter(effects.values(), dtype=np.float64, count=nnz)[by_ij])
 
 
 class _EffectView(Mapping):
@@ -162,10 +175,10 @@ class _EffectView(Mapping):
         self._em = em
 
     def __getitem__(self, pair: tuple[int, int]) -> float:
-        return self._em.values[self._em.position(*pair)].item()
+        return self._em.values[self._em.match.position(*pair)].item()
 
     def __iter__(self):
-        return zip(self._em.rows.tolist(), self._em.cols.tolist())
+        return zip(self._em.match.rows.tolist(), self._em.match.cols.tolist())
 
     def __len__(self) -> int:
         return self._em.nnz
@@ -200,23 +213,32 @@ def _value_key(v):
 
 
 def _check_rule_columns(dataset: Dataset, rules: Iterable[CovariateRule]) -> None:
+    # NaN compares unequal to everything and passes no `> tol` test, so a NaN
+    # caliper value would match every control; inf - inf is NaN as well
     for rule in rules:
         for unit in dataset.units:
             if rule.column not in unit.covariates:
                 raise MatchingError(f"unit {unit.id!r} has no value for column {rule.column!r}")
-            if rule.kind == "caliper" and not isinstance(unit.covariates[rule.column], _NUMERIC):
+            value = unit.covariates[rule.column]
+            if rule.kind == "caliper" and not isinstance(value, _NUMERIC):
                 raise MatchingError(
                     f"caliper rule on categorical column {rule.column!r} "
                     f"(unit {unit.id!r} has non-numeric value)"
                 )
+            if isinstance(value, float) and (
+                    math.isnan(value) or rule.kind == "caliper" and math.isinf(value)):
+                raise MatchingError(
+                    f"unit {unit.id!r} has non-finite value {value!r} in column {rule.column!r}")
 
 
 def build_match_matrix(dataset: Dataset, rules: list[CovariateRule]) -> MatchMatrix:
     """Evaluate covariate rules over the treated x control grid.
 
     Pair (i, j) is eligible iff every rule holds. Exact rules are applied
-    first by hashing units into groups, so the pairwise caliper checks run
-    only within groups that already agree on all exact columns.
+    first by hashing control units into groups, so the pairwise caliper
+    checks run only within the group that agrees with treated row i on all
+    exact columns. Rows are visited in order and each group lists its
+    controls ascending, so the pairs come out in (i, j) order.
     """
     if not rules:
         raise MatchingError("at least one covariate rule is required")
@@ -230,35 +252,23 @@ def build_match_matrix(dataset: Dataset, rules: list[CovariateRule]) -> MatchMat
     def exact_key(unit):
         return tuple(_value_key(unit.covariates[c]) for c in exact_cols)
 
-    groups_t: dict[tuple, list[int]] = {}
-    for i, u in enumerate(treated):
-        groups_t.setdefault(exact_key(u), []).append(i)
     groups_c: dict[tuple, list[int]] = {}
     for j, u in enumerate(control):
         groups_c.setdefault(exact_key(u), []).append(j)
 
-    eligible = set()
-    for key, t_idx in groups_t.items():
-        c_idx = groups_c.get(key)
-        if not c_idx:
-            continue
-        for i in t_idx:
-            t_cov = treated[i].covariates
-            for j in c_idx:
-                c_cov = control[j].covariates
-                ok = True
-                for col, tol in calipers:
-                    if abs(t_cov[col] - c_cov[col]) > tol:
-                        ok = False
-                        break
-                if ok:
-                    eligible.add((i, j))
+    rows, cols = [], []
+    for i, u in enumerate(treated):
+        t_cov = u.covariates
+        for j in groups_c.get(exact_key(u), ()):
+            c_cov = control[j].covariates
+            for col, tol in calipers:
+                if abs(t_cov[col] - c_cov[col]) > tol:
+                    break
+            else:
+                rows.append(i)
+                cols.append(j)
 
-    return MatchMatrix(
-        treated_ids=tuple(u.id for u in treated),
-        control_ids=tuple(u.id for u in control),
-        eligible=frozenset(eligible),
-    )
+    return MatchMatrix(tuple(u.id for u in treated), tuple(u.id for u in control), rows, cols)
 
 
 def build_effect_matrix(match: MatchMatrix, dataset: Dataset) -> EffectMatrix:
@@ -269,11 +279,9 @@ def build_effect_matrix(match: MatchMatrix, dataset: Dataset) -> EffectMatrix:
         c_out = np.array([by_id[cid].outcome for cid in match.control_ids], dtype=np.float64)
     except KeyError as exc:
         raise MatchingError(f"match matrix id {exc.args[0]!r} not found in dataset") from exc
-    ij = np.fromiter(chain.from_iterable(match.eligible), dtype=np.int64, count=2 * match.nnz)
-    rows, cols = ij[0::2], ij[1::2]
     with np.errstate(over="ignore"):  # an overflow to inf is rejected as not finite
-        values = t_out[rows] - c_out[cols]
-    return EffectMatrix(match=match, rows=rows, cols=cols, values=values)
+        values = t_out[match.rows] - c_out[match.cols]
+    return EffectMatrix(match, values)
 
 
 class _UnionFind:
@@ -303,29 +311,30 @@ def partition_blocks(match: MatchMatrix) -> BlockPartition:
     """
     nt = match.n_treated
     uf = _UnionFind(nt + match.n_control)
-    row_cols: dict[int, set[int]] = {}
-    for i, j in match.eligible:
+    cols = match.cols.tolist()
+    for i, j in zip(match.rows.tolist(), cols):
         uf.union(i, nt + j)
-        row_cols.setdefault(i, set()).add(j)
 
+    # rows and columns are visited ascending, so every component lists its
+    # members ascending and the components come out by smallest treated row
+    spans = match.row_spans()
     comp_t: dict[int, list[int]] = {}
     comp_c: dict[int, list[int]] = {}
-    for i in row_cols:
+    for i in spans:
         comp_t.setdefault(uf.find(i), []).append(i)
-    for j in {j for _, j in match.eligible}:
+    for j in np.unique(match.cols).tolist():
         comp_c.setdefault(uf.find(nt + j), []).append(j)
 
     blocks = []
-    for root in sorted(comp_t, key=lambda r: min(comp_t[r])):
-        t_idx = tuple(sorted(comp_t[root]))
-        c_idx = tuple(sorted(comp_c.get(root, [])))
-        col_sets = {frozenset(row_cols[i]) for i in t_idx}
-        blocks.append(Block(treated=t_idx, control=c_idx, identical_rows=len(col_sets) == 1))
+    for root, t_idx in comp_t.items():
+        col_sets = {tuple(cols[spans[i]]) for i in t_idx}
+        blocks.append(Block(treated=tuple(t_idx), control=tuple(comp_c[root]),
+                            identical_rows=len(col_sets) == 1))
     return BlockPartition(blocks=tuple(blocks))
 
 
 def write_coordinate_list(em: EffectMatrix, path) -> None:
     """Dump the eligibility structure as ``i,j,effect`` lines sorted by (i, j)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j, v in zip(em.rows.tolist(), em.cols.tolist(), em.values.tolist()):
+        for i, j, v in zip(em.match.rows.tolist(), em.match.cols.tolist(), em.values.tolist()):
             fh.write(f"{i},{j},{v!r}\n")

@@ -39,8 +39,8 @@ def enumerate_extrema(em: EffectMatrix, n: int,
         raise ValueError(f"budget must be positive, got {budget}")
 
     # (j, effect) per treated row, read off the matrix's row slices once
-    row_options = {i: list(zip(em.cols[span].tolist(), em.values[span].tolist()))
-                   for i, span in em.row_spans().items()}
+    row_options = {i: list(zip(em.match.cols[span].tolist(), em.values[span].tolist()))
+                   for i, span in em.match.row_spans().items()}
     rows = list(row_options)
 
     best = {

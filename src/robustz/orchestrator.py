@@ -14,7 +14,6 @@ cardinality constraint is satisfiable.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .greedy import GreedySolution, Infeasible, build_sorted_list, greedy_max, greedy_min
@@ -122,8 +121,6 @@ def run_test(em: EffectMatrix, n: int, alpha: float) -> TestResult:
         n=n,
         z_min=z_min,
         z_max=z_max,
-        gamma_min=z_min,
-        gamma_max=z_max,
         case_used_min=src_min.case,
         case_used_max=src_max.case,
         p_min=p_min,
@@ -157,25 +154,21 @@ def _timed_test(em: EffectMatrix, n: int, alpha: float) -> SweepRow:
     return SweepRow(n=n, result=result, elapsed_ms=elapsed)
 
 
-def iter_sweep(em: EffectMatrix, ns, alpha: float = 0.05, jobs: int = 1):
+def iter_sweep(em: EffectMatrix, ns, alpha: float = 0.05):
     """Yield one SweepRow per n, in input order (rows stream as computed)."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(lambda n: _timed_test(em, n, alpha), ns)
-    else:
-        for n in ns:
-            yield _timed_test(em, n, alpha)
+    for n in ns:
+        yield _timed_test(em, n, alpha)
 
 
 def sweep(em: EffectMatrix, n_min: int, n_max: int, step: int = 1,
-          alpha: float = 0.05, jobs: int = 1) -> list[SweepRow]:
+          alpha: float = 0.05) -> list[SweepRow]:
     """One test per n over the range; rows come back ordered by n."""
     if n_min < 2 or n_min > n_max:
         raise ValueError(f"invalid sweep range [{n_min}, {n_max}]")
     if step < 1:
         raise ValueError(f"sweep step must be >= 1, got {step}")
     ns = list(range(n_min, n_max + 1, step))
-    return sorted(iter_sweep(em, ns, alpha, jobs), key=lambda r: r.n)
+    return list(iter_sweep(em, ns, alpha))
 
 
 def find_max_feasible_n(em: EffectMatrix, n_min: int = 2,

@@ -209,7 +209,7 @@ def _wrap(terms: list[str], per_line: int = 6, sep: str = " ") -> str:
 
 def _variables(em: EffectMatrix):
     """One variable per eligible pair, in (i, j) order, and the effect of each."""
-    variables = tuple(zip(em.rows.tolist(), em.cols.tolist()))
+    variables = tuple(zip(em.match.rows.tolist(), em.match.cols.tolist()))
     return variables, dict(zip(variables, em.values.tolist()))
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -60,8 +61,6 @@ class TestResult:
     n: int
     z_min: float
     z_max: float
-    gamma_min: float
-    gamma_max: float
     case_used_min: str
     case_used_max: str
     p_min: float
@@ -78,8 +77,10 @@ def validate_assignment(a: Assignment, em: EffectMatrix) -> None:
     rows = set()
     cols = set()
     for i, j in a.pairs:
-        if (i, j) not in em.match.eligible:
-            raise ValueError(f"pair ({i}, {j}) is not eligible")
+        try:
+            em.match.position(i, j)
+        except KeyError:
+            raise ValueError(f"pair ({i}, {j}) is not eligible") from None
         if i in rows:
             raise ValueError(f"treated index {i} used twice")
         if j in cols:
@@ -141,18 +142,11 @@ def normal_upper_tail(z: float) -> float:
     return 0.5 * math.erfc(z / _SQRT2)
 
 
-def normal_upper_tail_inverse(p: float, tol: float = 1e-10) -> float:
-    """z with normal_upper_tail(z) = p, by bisection on [-40, 40]."""
+def normal_upper_tail_inverse(p: float) -> float:
+    """z with normal_upper_tail(z) = p."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"tail probability must be in (0, 1), got {p!r}")
-    lo, hi = -40.0, 40.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if normal_upper_tail(mid) > p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return -NormalDist().inv_cdf(p)
 
 
 def p_values(z_max: float, z_min: float) -> tuple[float, float]:

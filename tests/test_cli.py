@@ -96,6 +96,15 @@ class TestMatch:
         path.write_text("{oops")
         assert main(["match", "--config", str(path)]) == 1
 
+    def test_non_finite_caliper_covariate_exit_1(self, tmp_path, capsys):
+        caliper = {"covariate_rules": [{"column": "blk", "kind": "caliper", "tolerance": 1}]}
+        for bad in ("nan", "inf"):
+            config = write_fixture(tmp_path, [(1.0, bad, True), (2.0, "0", False),
+                                              (3.0, "100", False), (4.0, "inf", False)], caliper)
+            assert main(["match", "--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert "non-finite" in err and "'blk'" in err
+
 
 class TestTest:
     def test_golden_report(self, negative_fixture, capsys):
@@ -152,18 +161,6 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("2,")
-
-    def test_jobs_match_sequential(self, negative_fixture, capsys):
-        assert main(["sweep", "--config", str(negative_fixture), "--sweep", "2:3"]) == 0
-        seq = capsys.readouterr().out
-        assert main(["sweep", "--config", str(negative_fixture), "--sweep", "2:3",
-                     "--jobs", "3"]) == 0
-        par = capsys.readouterr().out
-
-        def strip_ms(text):
-            return [line.rsplit(",", 1)[0] for line in text.strip().splitlines()]
-
-        assert strip_ms(seq) == strip_ms(par)
 
     def test_conflicting_modes_usage_error(self, negative_fixture, capsys):
         assert main(["sweep", "--config", str(negative_fixture),

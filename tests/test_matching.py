@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from robustz.data_types import Dataset, Unit
 from robustz.matching import (
     CovariateRule,
+    MatchMatrix,
     MatchingError,
     build_effect_matrix,
     build_match_matrix,
@@ -88,6 +89,75 @@ class TestBuildMatchMatrix:
         rules = [CovariateRule("g", "exact"), CovariateRule("x", "caliper", tolerance=2)]
         mm = build_match_matrix(ds, rules)
         assert mm.eligible == {(0, 0)}
+
+    def test_non_finite_covariates_rejected(self):
+        # NaN is rejected under any rule, +-inf only under a caliper
+        cases = [("exact", None, float("nan")), ("caliper", 1, float("nan")),
+                 ("caliper", 1, float("inf")), ("caliper", 1, float("-inf"))]
+        for kind, tol, bad in cases:
+            ds = dataset_from([({"x": 0.0}, True, 1.0), ({"x": bad}, False, 2.0)])
+            with pytest.raises(MatchingError, match=r"unit '2' .*non-finite.*'x'"):
+                build_match_matrix(ds, [CovariateRule("x", kind, tolerance=tol)])
+        ds = dataset_from([({"x": float("inf")}, True, 1.0), ({"x": float("inf")}, False, 2.0)])
+        assert build_match_matrix(ds, [CovariateRule("x", "exact")]).eligible == {(0, 0)}
+
+    def test_matches_all_pairs_reference(self):
+        # every (i, j) checked against every rule, with no grouping: the
+        # pairs, and their (i, j) order, must be what the library builds
+        rng = random.Random(41)
+        for trial in range(150):
+            n_units = rng.randint(2, 24)
+            rules = []
+            for c in range(rng.randint(1, 3)):
+                if rng.random() < 0.4:
+                    rules.append(CovariateRule(f"x{c}", "exact"))
+                else:
+                    rules.append(CovariateRule(f"x{c}", "caliper",
+                                               tolerance=rng.choice([0, 0.5, 1, 2, 3, 1.25])))
+            units = []
+            for k in range(n_units):
+                cov = {}
+                for r in rules:
+                    if r.kind == "exact":
+                        cov[r.column] = rng.choice(["a", "b", 1, 1.0, 2.5])
+                    elif rng.random() < 0.5:
+                        cov[r.column] = rng.randint(-3, 3)  # many gaps equal to the bound
+                    else:
+                        cov[r.column] = rng.choice([0.0, 0.5, 1.25, 2.5, rng.uniform(-3, 3)])
+                units.append((cov, k % 2 == 0 or rng.random() < 0.3, float(k)))
+            units[1] = (units[1][0], False, 1.0)
+            ds = dataset_from(units)
+            treated, control = ds.treated_units(), ds.control_units()
+            expected = [
+                (i, j) for i, t in enumerate(treated) for j, c in enumerate(control)
+                if all(t.covariates[r.column] == c.covariates[r.column] if r.kind == "exact"
+                       else abs(t.covariates[r.column] - c.covariates[r.column]) <= r.tolerance
+                       for r in rules)
+            ]
+            mm = build_match_matrix(ds, rules)
+            assert list(zip(mm.rows.tolist(), mm.cols.tolist())) == expected, trial
+            assert mm.treated_ids == tuple(u.id for u in treated)
+            assert mm.control_ids == tuple(u.id for u in control)
+
+    def test_constructor_rejects_bad_pair_arrays(self):
+        ids_t, ids_c = ("t0", "t1"), ("c0", "c1", "c2")
+        bad = [
+            ([0, 2], [0, 0], "out of range"),
+            ([0, 1], [0, 3], "out of range"),
+            ([-1, 0], [0, 0], "out of range"),
+            ([0, 1, 1], [1, 2, 2], r"\(1, 2\) repeated"),
+            ([0, 1, 0], [1, 0, 2], r"\(0, 2\) out of \(i, j\) order"),
+            ([0, 0], [2, 1], r"\(0, 1\) out of \(i, j\) order"),
+        ]
+        for rows, cols, message in bad:
+            with pytest.raises(MatchingError, match=message):
+                MatchMatrix(ids_t, ids_c, rows, cols)
+        mm = MatchMatrix(ids_t, ids_c, [0, 0, 1], [0, 2, 1])
+        assert mm.row_start.tolist() == [0, 2, 3]
+        assert (mm.matched_treated, mm.matched_control) == (2, 3)
+        assert mm.position(0, 2) == 1
+        with pytest.raises(KeyError):
+            mm.position(1, 0)
 
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 10))
     @settings(max_examples=200)

@@ -181,18 +181,6 @@ class TestSweep:
         rows = sweep(em, 2, 4, 2, 0.05)
         assert [r.n for r in rows] == [2, 4]
 
-    def test_jobs_do_not_change_results(self):
-        em = make_em({(i, j): float((i * 7 + j * 3) % 11 - 5)
-                      for i in range(5) for j in range(5)})
-        seq = sweep(em, 2, 5, 1, 0.05, jobs=1)
-        par = sweep(em, 2, 5, 1, 0.05, jobs=4)
-        for a, b in zip(seq, par):
-            assert a.n == b.n
-            assert a.no_pairs == b.no_pairs
-            if not a.no_pairs:
-                assert a.result.z_min == b.result.z_min
-                assert a.result.z_max == b.result.z_max
-
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             sweep(make_em(POSITIVE), 3, 2)

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``match`` (build and report the eligibility structure),
-``test`` (one robust test), ``sweep`` (a range or binary search over n,
-emitted as CSV), ``oracle`` (exhaustive desk-scale extrema) and
-``export`` (solver model files).
+``test`` (one robust test), ``sweep`` (a range of n, or the largest n
+with n disjoint eligible pairs, emitted as CSV), ``oracle`` (exhaustive
+desk-scale extrema) and ``export`` (solver model files). The largest
+feasible n is found with one ladder and at most one assignment-solver
+pass; ``--binary-search`` keeps its name for compatibility.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 matching
 produced an empty eligibility structure, 3 no n-pair assignment exists.
@@ -18,10 +20,8 @@ import sys
 import time
 
 from . import __version__
-from .data_io import ConfigError, RunConfig, load_config, load_dataset
-from .data_types import DataError
+from .data_io import RunConfig, load_config, load_dataset
 from .matching import (
-    MatchingError,
     build_effect_matrix,
     build_match_matrix,
     partition_blocks,
@@ -92,7 +92,9 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--sweep", metavar="MIN:MAX[:STEP]",
                          help="override the configured range")
     p_sweep.add_argument("--binary-search", metavar="MIN:MAX",
-                         help="search the largest feasible n and report that row only")
+                         help="report only the row of the largest n in range with n "
+                              "disjoint eligible pairs (one ladder, at most one "
+                              "assignment-solver pass; name kept for compatibility)")
     p_sweep.add_argument("--alpha", type=float)
     p_sweep.add_argument("--out")
 
@@ -208,12 +210,6 @@ def _cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _csv_num(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
-
-
 SWEEP_HEADER = "n,z_min,z_max,p_min,p_max,classification,ms"
 
 
@@ -221,8 +217,8 @@ def _sweep_csv_line(row) -> str:
     if row.no_pairs:
         return f"{row.n},,,,,no_pairs,{row.elapsed_ms:.3f}"
     r = row.result
-    return (f"{row.n},{_csv_num(r.z_min)},{_csv_num(r.z_max)},"
-            f"{_csv_num(r.p_min)},{_csv_num(r.p_max)},"
+    return (f"{row.n},{_jsonify(r.z_min)},{_jsonify(r.z_max)},"
+            f"{_jsonify(r.p_min)},{_jsonify(r.p_max)},"
             f"{r.classification},{row.elapsed_ms:.3f}")
 
 
@@ -357,18 +353,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, DataError, MatchingError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceededError as exc:
+    except (ValueError, BudgetExceededError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoPairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PAIRS
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entrypoint() -> None:

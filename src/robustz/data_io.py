@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 from .data_types import DataError, Dataset, Unit
 from .matching import CovariateRule, MatchingError
+from .oracle import DEFAULT_BUDGET as DEFAULT_ORACLE_BUDGET
 
 DEFAULT_ALPHA = 0.05
-DEFAULT_ORACLE_BUDGET = 10_000_000
 
 _OPS = ("==", "!=", "<=", ">=", "<", ">")
 
@@ -84,7 +84,12 @@ class TreatmentRule:
 
 @dataclass(frozen=True)
 class NSpec:
-    """Pair-count selection: a fixed n, a sweep range, or a binary search."""
+    """Pair-count selection: a fixed n, a sweep range, or the largest feasible n.
+
+``binary_search`` (the name is kept for compatibility) reports the
+largest n with n disjoint eligible pairs, found with one ladder and at
+most one assignment-solver pass.
+"""
 
     mode: str                 # "fixed", "sweep", "binary_search"
     n: int | None = None

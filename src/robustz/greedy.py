@@ -35,6 +35,7 @@ from .statistic import (
     PairStats,
     gamma_roots,
     stats_from_values,
+    z_statistic,
 )
 
 
@@ -113,44 +114,30 @@ class _ListState:
         self.col_used[self.cols[k]] = 1
         self.unlink(k)
 
+    def _seek(self, k: int, links: list, end: int):
+        """First assignable index from k along ``links`` (stop at ``end``), else None.
+
+        Entries passed over are unlinked and path-compressed to the stop.
+        """
+        trail = []
+        while k != end:
+            if not self.removed[k]:
+                if not (self.row_used[self.rows[k]] or self.col_used[self.cols[k]]):
+                    break
+                self.unlink(k)
+            trail.append(k)
+            k = links[k]
+        for t in trail:
+            links[t] = k
+        return None if k == end else k
+
     def forward(self, k: int):
         """Smallest assignable index >= k in sort order, else None."""
-        m = self.m
-        trail = []
-        while 0 <= k < m:
-            if self.removed[k]:
-                trail.append(k)
-                k = self.nxt[k]
-                continue
-            if self.row_used[self.rows[k]] or self.col_used[self.cols[k]]:
-                self.unlink(k)
-                trail.append(k)
-                k = self.nxt[k]
-                continue
-            break
-        target = k if 0 <= k < m else m
-        for t in trail:
-            self.nxt[t] = target
-        return k if 0 <= k < m else None
+        return self._seek(k, self.nxt, self.m)
 
     def backward(self, k: int):
         """Largest assignable index <= k in sort order, else None."""
-        trail = []
-        while k >= 0:
-            if self.removed[k]:
-                trail.append(k)
-                k = self.prv[k]
-                continue
-            if self.row_used[self.rows[k]] or self.col_used[self.cols[k]]:
-                self.unlink(k)
-                trail.append(k)
-                k = self.prv[k]
-                continue
-            break
-        target = k if k >= 0 else -1
-        for t in trail:
-            self.prv[t] = target
-        return k if k >= 0 else None
+        return self._seek(k, self.prv, -1)
 
 
 def _partner(state: _ListState, threshold: float, anchor: int | None):
@@ -187,13 +174,8 @@ def _solution_from(state: _ListState, chosen: list[int], case: str) -> GreedySol
     try:
         g_min, g_max = gamma_roots(stats.S, stats.Q, stats.n)
         gamma = g_max if case.endswith("case1") else g_min
-    except DegenerateStatisticError:
-        if stats.S > 0.0:
-            gamma = math.inf
-        elif stats.S < 0.0:
-            gamma = -math.inf
-        else:
-            gamma = 0.0
+    except DegenerateStatisticError:  # stats are degenerate: signed-infinity limit
+        gamma = z_statistic(stats)
     return GreedySolution(
         assignment=Assignment(pairs=frozenset(pairs)),
         stats=stats,

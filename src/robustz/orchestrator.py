@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .greedy import GreedySolution, Infeasible, build_sorted_list, greedy_max, greedy_min
-from .hungarian import case3_selection, case3_verdict
+from .hungarian import case3_selection, case3_verdict, hungarian_min
 from .matching import EffectMatrix
 from .statistic import (
     TestResult,
@@ -173,37 +173,27 @@ def sweep(em: EffectMatrix, n_min: int, n_max: int, step: int = 1,
 
 def find_max_feasible_n(em: EffectMatrix, n_min: int = 2,
                         n_max: int | None = None) -> int | None:
-    """Largest n in [n_min, n_max] solvable in both directions, by bisection.
+    """Largest n in [n_min, n_max] with n disjoint eligible pairs, else None.
 
-    Solvability is monotone in n (it reduces to matchability thanks to the
-    fallback), so bisection is exact; a linear descent double-checks the
-    returned n anyway.
+    Feasibility is matchability, so the answer is the maximum matching
+    size capped by the range, and one direction's ladder decides it:
+    ``solve`` returns NoPairsPossible only after case 3 has found fewer
+    than n disjoint pairs, any other outcome is an assignment of n
+    disjoint pairs (found by some case or by the fallback), and the min
+    and max solves reach the same maximum cardinality. ``n_max`` defaults
+    to the smaller matched side.
     """
-    if n_max is None:
-        n_max = min(em.match.matched_treated, em.match.matched_control)
-    if n_min > n_max:
+    if n_max is not None and n_min > n_max:
         raise ValueError(f"invalid search range [{n_min}, {n_max}]")
-    n_min = max(n_min, 2)
-    if n_min > n_max:
+    top = min(em.match.matched_treated, em.match.matched_control)
+    if n_max is not None:
+        top = min(top, n_max)
+    low = max(n_min, 2)
+    if top < low:
         return None
-
-    cache: dict[int, bool] = {}
-
-    def feasible(n: int) -> bool:
-        if n not in cache:
-            cache[n] = not isinstance(solve(em, n, "min"), NoPairsPossible) and \
-                not isinstance(solve(em, n, "max"), NoPairsPossible)
-        return cache[n]
-
-    lo, hi = n_min, n_max
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    while best is not None and not feasible(best):
-        best = best - 1 if best > n_min else None
-    return best
+    if not isinstance(solve(em, top, "min"), NoPairsPossible):
+        return top
+    if top == low:
+        return None
+    cardinality = hungarian_min(em).cardinality
+    return cardinality if cardinality >= low else None

@@ -186,6 +186,18 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
 
+    def test_default_search_with_one_matched_treated_exit_3(self, tmp_path, capsys):
+        # no n_spec: the largest-feasible-n search over the default range;
+        # block b has no control, so only one treated unit matches
+        config = write_fixture(
+            tmp_path,
+            [(0.0, "a", True), (1.0, "a", False), (2.0, "a", False), (0.5, "b", True)],
+        )
+        assert main(["sweep", "--config", str(config)]) == 3
+        captured = capsys.readouterr()
+        assert "no n in range is feasible" in captured.err
+        assert captured.out == ""
+
 
 class TestOracle:
     def test_golden_report(self, negative_fixture, capsys):

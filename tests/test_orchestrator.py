@@ -2,6 +2,7 @@
 
 import pytest
 
+import robustz.orchestrator as orchestrator
 from robustz.orchestrator import (
     FALLBACK,
     NoPairsError,
@@ -221,3 +222,50 @@ class TestFindMaxFeasibleN:
                 assert found == expected
             else:
                 assert found is None
+
+    def test_default_range_below_two_matched_units(self):
+        em = make_em({(0, 0): 1.0, (0, 1): 2.0}, 1, 2)
+        assert find_max_feasible_n(em) is None
+        assert find_max_feasible_n(em, 3) is None
+
+    def test_explicit_inverted_range_rejected(self):
+        with pytest.raises(ValueError):
+            find_max_feasible_n(make_em(POSITIVE), 3, 2)
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"solve": 0, "hungarian_min": 0}
+        for name in calls:
+            original = getattr(orchestrator, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(orchestrator, name, counted)
+        return calls
+
+    def test_range_above_matching_skips_cardinality_pass(self, monkeypatch):
+        # three matched units per side, but rows 0 and 1 share column 0 only
+        em = make_em({(0, 0): 1.0, (1, 0): 2.0, (2, 0): 3.0, (2, 1): 4.0, (2, 2): 5.0})
+        assert max_matching_size(em) == 2
+        calls = self._count_calls(monkeypatch)
+        assert find_max_feasible_n(em, 3, 3) is None
+        assert calls == {"solve": 1, "hungarian_min": 0}
+        assert find_max_feasible_n(em) == 2
+        assert calls == {"solve": 2, "hungarian_min": 1}
+
+    def test_one_ladder_and_one_cardinality_pass(self, rng, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        for _ in range(60):
+            em, _ = random_instance(rng, max_side=6, density=rng.uniform(0.2, 0.9))
+            cap = min(em.match.matched_treated, em.match.matched_control)
+            size = max_matching_size(em)
+            for n_min, n_max in ((2, None), (2, cap), (2, cap + 3), (3, 4), (size, size)):
+                if n_max is not None and n_min > n_max:
+                    continue
+                calls.update(solve=0, hungarian_min=0)
+                found = find_max_feasible_n(em, n_min, n_max)
+                assert calls["solve"] <= 1 and calls["hungarian_min"] <= 1
+                top = size if n_max is None else min(size, n_max)
+                assert found == (top if top >= max(n_min, 2) else None)

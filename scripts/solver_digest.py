@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest over the solver outputs on seeded random instances.
+
+A refactor that must not change results runs this before and after the
+change and compares the two lines it prints. The instances are fixed by
+the seed: 1-8 treated and control units, eligibility density U(0.1, 1),
+and effects drawn, one kind per instance, as U(-10, 10) floats, integers
+in [-3, 3] or values in {-1, 0, 1, 2} (the last two are tie-heavy). Per
+instance the digest covers the reprs of ``hungarian_min``/``hungarian_max``,
+``greedy_min``/``greedy_max`` in both cases, ``solve`` with its trace in
+both directions and ``run_test`` at n = 2..5, and
+``find_max_feasible_n``; assignments enter as sorted pair lists and
+errors as their type and message.
+
+Usage: python3 scripts/solver_digest.py   (takes no options)
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import random
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from robustz.greedy import GreedySolution, build_sorted_list, greedy_max, greedy_min  # noqa: E402
+from robustz.hungarian import hungarian_max, hungarian_min  # noqa: E402
+from robustz.matching import EffectMatrix  # noqa: E402
+from robustz.orchestrator import find_max_feasible_n, run_test, solve  # noqa: E402
+from robustz.statistic import TestResult  # noqa: E402
+
+SEED = 20261018
+INSTANCES = 1500
+NS = (2, 3, 4, 5)
+
+
+def _instance(rng: random.Random) -> EffectMatrix:
+    nt, nc = rng.randint(1, 8), rng.randint(1, 8)
+    density = rng.uniform(0.1, 1.0)
+    kind = rng.randrange(3)
+    effects = {}
+    for i in range(nt):
+        for j in range(nc):
+            if rng.random() < density:
+                if kind == 0:
+                    effects[(i, j)] = rng.uniform(-10.0, 10.0)
+                elif kind == 1:
+                    effects[(i, j)] = float(rng.randint(-3, 3))
+                else:
+                    effects[(i, j)] = float(rng.choice((-1, 0, 1, 2)))
+    return EffectMatrix.from_effects(effects, nt, nc)
+
+
+def _canon(result) -> str:
+    if isinstance(result, GreedySolution):
+        return repr((result.case, sorted(result.assignment.pairs), result.stats, result.gamma))
+    if isinstance(result, TestResult):
+        fields = dict(vars(result))
+        fields["assignment_min"] = sorted(result.assignment_min.pairs)
+        fields["assignment_max"] = sorted(result.assignment_max.pairs)
+        return repr(sorted(fields.items()))
+    return repr(result)
+
+
+def _call(fn, *args) -> str:
+    try:
+        return _canon(fn(*args))
+    except Exception as exc:  # the error itself is part of the compared output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _solve_traced(em: EffectMatrix, n: int, direction: str) -> str:
+    trace: list = []
+    return _call(solve, em, n, direction, trace) + repr(trace)
+
+
+def digest() -> tuple[int, str]:
+    rng = random.Random(SEED)
+    h = hashlib.sha256()
+    for _ in range(INSTANCES):
+        em = _instance(rng)
+        out = [_call(hungarian_min, em), _call(hungarian_max, em)]
+        ylist = build_sorted_list(em)
+        for n in NS:
+            for fn in (greedy_min, greedy_max):
+                out += [_call(fn, ylist, n, "case1"), _call(fn, ylist, n, "case2")]
+            out += [_solve_traced(em, n, "min"), _solve_traced(em, n, "max"),
+                    _call(run_test, em, n, 0.05)]
+        out.append(_call(find_max_feasible_n, em))
+        h.update("\n".join(out).encode())
+        h.update(b"\0")
+    return INSTANCES, h.hexdigest()
+
+
+if __name__ == "__main__":
+    count, hexdigest = digest()
+    print(f"instances {count} sha256 {hexdigest}")

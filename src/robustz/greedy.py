@@ -82,19 +82,22 @@ class _ListState:
 
     Entries whose row or column is already used are unlinked the first
     time a walk touches them, so repeated scans stay near-linear overall.
+    The list's arrays and the links are read through memoryviews: an index
+    returns a Python float or int as fast as a list does, without copying
+    the whole list per call (numpy scalar access would slow the walk).
     """
 
     __slots__ = ("values", "rows", "cols", "m", "nxt", "prv", "removed",
                  "row_used", "col_used")
 
     def __init__(self, ylist: SortedEffectList):
-        self.values = ylist.values.tolist()
-        self.rows = ylist.rows.tolist()
-        self.cols = ylist.cols.tolist()
+        self.values = memoryview(ylist.values)
+        self.rows = memoryview(ylist.rows)
+        self.cols = memoryview(ylist.cols)
         m = len(self.values)
         self.m = m
-        self.nxt = list(range(1, m + 1))
-        self.prv = list(range(-1, m - 1))
+        self.nxt = memoryview(np.arange(1, m + 1))
+        self.prv = memoryview(np.arange(-1, m - 1))
         self.removed = bytearray(m)
         self.row_used = bytearray(ylist.n_treated)
         self.col_used = bytearray(ylist.n_control)
@@ -114,7 +117,7 @@ class _ListState:
         self.col_used[self.cols[k]] = 1
         self.unlink(k)
 
-    def _seek(self, k: int, links: list, end: int):
+    def _seek(self, k: int, links: memoryview, end: int):
         """First assignable index from k along ``links`` (stop at ``end``), else None.
 
         Entries passed over are unlinked and path-compressed to the stop.
@@ -168,9 +171,9 @@ def _last_candidate(state: _ListState, barred: set):
 
 
 def _solution_from(state: _ListState, chosen: list[int], case: str) -> GreedySolution:
-    pairs = sorted((state.rows[k], state.cols[k]) for k in chosen)
-    index = {(state.rows[k], state.cols[k]): k for k in chosen}
-    stats = stats_from_values(state.values[index[p]] for p in pairs)
+    chosen = sorted(chosen, key=lambda k: (state.rows[k], state.cols[k]))
+    pairs = [(state.rows[k], state.cols[k]) for k in chosen]
+    stats = stats_from_values(state.values[k] for k in chosen)
     try:
         g_min, g_max = gamma_roots(stats.S, stats.Q, stats.n)
         gamma = g_max if case.endswith("case1") else g_min
@@ -275,17 +278,9 @@ def greedy_max(ylist: SortedEffectList, n: int, case: str):
     mirrored = greedy_min(_reflected(ylist), n, _MIRROR[case])
     if isinstance(mirrored, Infeasible):
         return mirrored
-    stats = mirrored.stats
-    original = PairStats(
-        S=-stats.S + 0.0,
-        Q=stats.Q,
-        n=stats.n,
-        sigma_hat=stats.sigma_hat,
-        degenerate=stats.degenerate,
-    )
     return GreedySolution(
         assignment=mirrored.assignment,
-        stats=original,
+        stats=replace(mirrored.stats, S=-mirrored.stats.S + 0.0),
         gamma=-mirrored.gamma + 0.0,
         case=f"max_{case}",
     )

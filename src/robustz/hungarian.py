@@ -46,20 +46,17 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     if em.nnz == 0:
         raise ValueError("empty eligibility: no pairs to assign")
     n_cols = em.n_control
+    start = em.match.row_start.tolist()  # Python ints: numpy scalar indexing slows the loops
+    cols = em.match.cols
     costs = -em.values if negate else em.values
-    spans = em.match.row_spans()
-    rows = list(spans)
-    adj_cols = {i: em.match.cols[span] for i, span in spans.items()}
-    adj_costs = {i: costs[span] for i, span in spans.items()}
 
     v = np.full(n_cols, math.inf)
-    for i in rows:
-        np.minimum.at(v, adj_cols[i], adj_costs[i])
+    np.minimum.at(v, cols, costs)
     v[~np.isfinite(v)] = 0.0
-    u = {i: 0.0 for i in rows}
-    match_row = {i: -1 for i in rows}
+    u = np.zeros(em.n_treated)
+    match_row = np.full(em.n_treated, -1, dtype=np.int64)
     match_col = np.full(n_cols, -1, dtype=np.int64)
-    free = list(rows)
+    free = np.flatnonzero(np.diff(em.match.row_start)).tolist()  # rows with pairs, ascending
 
     while free:
         dist = np.full(n_cols, math.inf)
@@ -68,26 +65,28 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
         visited = np.zeros(n_cols, dtype=bool)
 
         for i in free:
-            cols_i = adj_cols[i]
-            nd = adj_costs[i] - u[i] - v[cols_i]
+            lo, hi = start[i], start[i + 1]
+            cols_i = cols[lo:hi]
+            nd = costs[lo:hi] - u[i] - v[cols_i]
             better = nd < dist[cols_i]
             sel = cols_i[better]
             dist[sel] = nd[better]
             pred[sel] = i
 
         while True:
-            j = int(np.argmin(dist))
+            j = int(dist.argmin())
             dj = dist[j]
             if not math.isfinite(dj):
                 break
             final_dist[j] = dj
             visited[j] = True
             dist[j] = math.inf
-            if match_col[j] < 0:
-                continue
             i = int(match_col[j])
-            cols_i = adj_cols[i]
-            nd = dj + adj_costs[i] - u[i] - v[cols_i]
+            if i < 0:
+                continue
+            lo, hi = start[i], start[i + 1]
+            cols_i = cols[lo:hi]
+            nd = dj + costs[lo:hi] - u[i] - v[cols_i]
             better = (nd < dist[cols_i]) & ~visited[cols_i]
             sel = cols_i[better]
             dist[sel] = nd[better]
@@ -103,13 +102,10 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
         delta = final_dist[found]
         visited[found] = False
         upd = np.flatnonzero(visited & (final_dist <= delta))
-        for j in upd:
-            mc = int(match_col[j])
-            if mc >= 0:
-                u[mc] += delta - final_dist[j]
+        matched = upd[match_col[upd] >= 0]  # distinct rows, so the fancy += adds once each
+        u[match_col[matched]] += delta - final_dist[matched]
         v[upd] -= delta - final_dist[upd]
-        for i in free:
-            u[i] += delta
+        u[free] += delta
 
         j = found
         while True:
@@ -120,11 +116,9 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
                 break
         free.remove(i)
 
-    pairs = []
-    for i in rows:  # ascending, so pairs come out in (i, j) order
-        j = int(match_row[i])
-        if j >= 0:
-            pairs.append((i, j, em.values[em.match.position(i, j)].item()))
+    rows = np.flatnonzero(match_row >= 0).tolist()  # ascending: pairs in (i, j) order
+    pairs = [(i, j, em.values[em.match.position(i, j)].item())
+             for i, j in zip(rows, match_row[rows].tolist())]
     total = math.fsum(c for _, _, c in pairs)
     return CostMatching(pairs=tuple(pairs), total_cost=total, cardinality=len(pairs))
 

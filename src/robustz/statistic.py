@@ -89,14 +89,14 @@ def validate_assignment(a: Assignment, em: EffectMatrix) -> None:
         cols.add(j)
 
 
-def stats_from_values(values: Iterable[float], n: int | None = None) -> PairStats:
+def stats_from_values(values: Iterable[float]) -> PairStats:
     """Canonical S/Q/sigma computation (exactly-rounded sums)."""
     vals = list(values)
-    count = n if n is not None else len(vals)
+    count = len(vals)
     S = math.fsum(vals)
     Q = math.fsum(v * v for v in vals)
     disc = count * Q - S * S
-    if disc <= 0.0 or count == 0:
+    if disc <= 0.0:
         return PairStats(S=S, Q=Q, n=count, sigma_hat=0.0, degenerate=True)
     variance = Q / count - (S / count) ** 2
     sigma = math.sqrt(variance) if variance > 0.0 else 0.0

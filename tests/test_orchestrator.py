@@ -1,8 +1,12 @@
 """Case ladder, robust test assembly, sweeps and the feasible-n search."""
 
+import json
+
 import pytest
 
 import robustz.orchestrator as orchestrator
+from robustz.greedy import GreedySolution, build_sorted_list, greedy_max, greedy_min
+from robustz.hungarian import hungarian_min
 from robustz.orchestrator import (
     FALLBACK,
     NoPairsError,
@@ -168,6 +172,51 @@ class TestOrderingInvariants:
                 assert isinstance(lo, NoPairsPossible)
             else:
                 assert hi.gamma == -lo.gamma or hi.gamma == lo.gamma == 0.0
+
+
+class TestPythonScalars:
+    """The solvers walk numpy arrays, but what they return is plain Python."""
+
+    @staticmethod
+    def _check_pairs(pairs):
+        for pair in pairs:
+            assert type(pair) is tuple and len(pair) == 2
+            assert all(type(x) is int for x in pair), pair
+        json.dumps(sorted(pairs))
+
+    @staticmethod
+    def _check_stats(stats):
+        assert type(stats.S) is float and type(stats.Q) is float
+        assert type(stats.sigma_hat) is float and type(stats.n) is int
+
+    def test_solver_outputs_are_python_scalars(self, rng):
+        checked = 0
+        for trial in range(300):
+            em, n = random_instance(rng, max_side=6)
+            if trial % 2:  # integer-valued effects in [-3, 3], so ties are common
+                em = make_em({k: round(v / 3) for k, v in em.effect.items()},
+                             em.n_treated, em.n_control)
+            if em.nnz == 0:
+                continue
+            for i, j, cost in hungarian_min(em).pairs:
+                assert (type(i), type(j), type(cost)) == (int, int, float)
+            ylist = build_sorted_list(em)
+            for solver in (greedy_min, greedy_max):
+                for case in ("case1", "case2"):
+                    sol = solver(ylist, n, case)
+                    if isinstance(sol, GreedySolution):
+                        self._check_pairs(sol.assignment.pairs)
+                        self._check_stats(sol.stats)
+                        assert type(sol.gamma) is float
+                        checked += 1
+            try:
+                result = run_test(em, n, 0.05)
+            except NoPairsError:
+                continue
+            self._check_pairs(result.assignment_min.pairs)
+            self._check_pairs(result.assignment_max.pairs)
+            assert type(result.z_min) is float and type(result.z_max) is float
+        assert checked > 200
 
 
 class TestSweep:

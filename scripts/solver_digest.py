@@ -3,14 +3,28 @@
 
 A refactor that must not change results runs this before and after the
 change and compares the two lines it prints. The instances are fixed by
-the seed: 1-8 treated and control units, eligibility density U(0.1, 1),
-and effects drawn, one kind per instance, as U(-10, 10) floats, integers
-in [-3, 3] or values in {-1, 0, 1, 2} (the last two are tie-heavy). Per
-instance the digest covers the reprs of ``hungarian_min``/``hungarian_max``,
-``greedy_min``/``greedy_max`` in both cases, ``solve`` with its trace in
-both directions and ``run_test`` at n = 2..5, and
-``find_max_feasible_n``; assignments enter as sorted pair lists and
-errors as their type and message.
+the seed, in two tiers:
+
+* 1,500 small instances: 1-8 treated and control units, eligibility
+  density U(0.1, 1), and effects drawn, one kind per instance, as
+  U(-10, 10) floats, integers in [-3, 3] or values in {-1, 0, 1, 2} (the
+  last two are tie-heavy). Per instance the digest covers the reprs of
+  ``hungarian_min``/``hungarian_max``, ``greedy_min``/``greedy_max`` in
+  both cases, ``solve`` with its trace in both directions and
+  ``run_test`` at n = 2..5, and ``find_max_feasible_n``.
+* 40 medium instances: 30-150 treated units and within 10 of that many
+  controls, 2 to k eligible controls per treated unit with k drawn from
+  2-8 per instance (11 of the maps are deficient: the maximum matching
+  is smaller than both matched sides), in every fourth instance a few
+  rows of 80-140 pairs (wider than the assignment solver's per-row
+  relaxation crossover), and effects drawn as U(-100, 100), integers in
+  [-3, 3] or U(-10, 10) rounded to 3 decimals. These have long
+  alternating paths; the digest covers ``hungarian_min``/
+  ``hungarian_max`` and ``run_test`` at n = maximum matching - {0, 2},
+  which reaches case 3 in both directions and, twice, the fallback.
+
+Assignments enter as sorted pair lists and errors as their type and
+message.
 
 Usage: python3 scripts/solver_digest.py   (takes no options)
 """
@@ -34,6 +48,8 @@ from robustz.statistic import TestResult  # noqa: E402
 SEED = 20261018
 INSTANCES = 1500
 NS = (2, 3, 4, 5)
+MEDIUM_SEED = 20261019
+MEDIUM_INSTANCES = 40
 
 
 def _instance(rng: random.Random) -> EffectMatrix:
@@ -50,6 +66,26 @@ def _instance(rng: random.Random) -> EffectMatrix:
                     effects[(i, j)] = float(rng.randint(-3, 3))
                 else:
                     effects[(i, j)] = float(rng.choice((-1, 0, 1, 2)))
+    return EffectMatrix.from_effects(effects, nt, nc)
+
+
+def _medium_instance(rng: random.Random, index: int) -> EffectMatrix:
+    nt = rng.randint(30, 150)
+    nc = min(150, max(30, nt + rng.randint(-10, 10)))
+    top = rng.randint(2, 8)
+    kind = index % 3
+    effects = {}
+    for i in range(nt):
+        degree = rng.randint(2, top)
+        if index % 4 == 3 and i % 25 == 0:
+            degree = rng.randint(80, 140)
+        for j in rng.sample(range(nc), min(degree, nc)):
+            if kind == 0:
+                effects[(i, j)] = rng.uniform(-100.0, 100.0)
+            elif kind == 1:
+                effects[(i, j)] = float(rng.randint(-3, 3))
+            else:
+                effects[(i, j)] = round(rng.uniform(-10.0, 10.0), 3)
     return EffectMatrix.from_effects(effects, nt, nc)
 
 
@@ -91,7 +127,15 @@ def digest() -> tuple[int, str]:
         out.append(_call(find_max_feasible_n, em))
         h.update("\n".join(out).encode())
         h.update(b"\0")
-    return INSTANCES, h.hexdigest()
+    rng = random.Random(MEDIUM_SEED)
+    for index in range(MEDIUM_INSTANCES):
+        em = _medium_instance(rng, index)
+        top = hungarian_min(em).cardinality
+        out = [_call(hungarian_min, em), _call(hungarian_max, em)]
+        out += [_call(run_test, em, n, 0.05) for n in (top, top - 2)]
+        h.update("\n".join(out).encode())
+        h.update(b"\0")
+    return INSTANCES + MEDIUM_INSTANCES, h.hexdigest()
 
 
 if __name__ == "__main__":

@@ -9,19 +9,50 @@ sum; the attainable level is then exactly 0.
 The matching itself is found with successive shortest augmenting paths
 under dual potentials, which tolerates negative costs directly (no
 big-M padding, no cost shifting) and extends to rectangular or
-deficient instances by stopping at maximum cardinality.
+deficient instances by stopping at maximum cardinality. Each path comes
+from a heap-ordered Dijkstra over the columns:
+
+* Every free row starts at potential 0 and each augmentation raises all
+  of them by the same amount, so the free rows share one scalar
+  potential; a row gets its own entry when it is matched.
+* Columns leave the heap by smallest distance, ties to the lowest
+  column, and the path ends at the free column with the smallest
+  distance plus column potential, ties to the lowest column.
+* A popped row's pairs are relaxed in a Python loop when it has at most
+  ``WIDE_ROW`` of them and with one numpy slice otherwise.
+* The Dijkstra runs until the heap is empty; it does not stop once no
+  unvisited free column can beat the best one found. Which of several
+  equal-cost matchings is returned depends on reduced costs a few ulps
+  below zero, and stopping early changes that choice (on a 2,000 x
+  2,000 map it returned another matching of the same total, and
+  ``run_test`` then reported a different ``z_min``).
+
+Neither direction's matching depends on n, so each is solved once per
+effect matrix and shared by every test on it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .greedy import GreedySolution, Infeasible
 from .matching import EffectMatrix
 from .statistic import Assignment
+
+# Widest row whose pairs are relaxed in a Python loop rather than one numpy
+# slice. Degree ladder on random square maps (every row the same width,
+# U(-100, 100) effects), the full solve with the loop alone over the solve
+# with numpy alone, best of 3 each, two runs on a 2-core Intel Xeon: at
+# side 300, widths 16-32 read 0.42-0.64, 48 0.57-0.94, 64 0.91-1.00, 96
+# 1.03-1.20, 128 1.24-1.26, 192 1.12-1.43; at side 600, 32 read 0.51-0.96,
+# 64 0.90-1.10, 96 1.20-1.22, 128 1.05-1.24. The loop wins below 64 and
+# numpy from 96 up.
+WIDE_ROW = 64
 
 
 @dataclass(frozen=True)
@@ -33,6 +64,11 @@ class CostMatching:
     cardinality: int
 
 
+# solved matchings by effect matrix, then by negate; no strong reference to the matrix
+_SOLVED: weakref.WeakKeyDictionary[EffectMatrix, dict[bool, CostMatching]] = (
+    weakref.WeakKeyDictionary())
+
+
 def _solve_assignment(em: EffectMatrix, negate: bool):
     """Match rows to columns minimizing total (possibly negated) cost.
 
@@ -42,95 +78,145 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     cardinality even when the final matching cannot cover all rows.
     Initial duals are zero on rows and the column minima on columns,
     which makes every reduced cost nonnegative without shifting costs.
+
+    The free rows share the potential ``free_u``. Each Dijkstra is seeded
+    from their pairs in a few numpy calls: per column the smallest reduced
+    cost, with the lowest row attaining it as predecessor. Columns pop by
+    (distance, column), the path ends at the free column of least
+    distance plus potential (ties to the lowest column), and the search
+    runs until the heap is empty, never stopping early: the module
+    docstring says why. The state (``dist``, ``pred``, the matches) is
+    held in Python lists, and a popped column's distance becomes -inf,
+    which marks it visited. Rows wider than ``WIDE_ROW`` (a measured
+    crossover; see its comment) relax with numpy against ``dist_a``, a
+    copy of ``dist`` kept only when such a row exists. After each path
+    only the popped columns' potentials change.
     """
     if em.nnz == 0:
         raise ValueError("empty eligibility: no pairs to assign")
-    n_cols = em.n_control
+    n_rows, n_cols = em.n_treated, em.n_control
     start = em.match.row_start.tolist()  # Python ints: numpy scalar indexing slows the loops
     cols = em.match.cols
     costs = -em.values if negate else em.values
+    cols_l, costs_l = cols.tolist(), costs.tolist()
+    row_pairs = [list(zip(cols_l[lo:hi], costs_l[lo:hi])) for lo, hi in zip(start, start[1:])]
+    wide = max(map(len, row_pairs)) > WIDE_ROW
+    inf = math.inf
 
-    v = np.full(n_cols, math.inf)
-    np.minimum.at(v, cols, costs)
-    v[~np.isfinite(v)] = 0.0
-    u = np.zeros(em.n_treated)
-    match_row = np.full(em.n_treated, -1, dtype=np.int64)
-    match_col = np.full(n_cols, -1, dtype=np.int64)
-    free = np.flatnonzero(np.diff(em.match.row_start)).tolist()  # rows with pairs, ascending
+    v_a = np.full(n_cols, inf)
+    np.minimum.at(v_a, cols, costs)
+    v_a[~np.isfinite(v_a)] = 0.0
+    v = v_a.tolist()
+    u = [0.0] * n_rows  # matched rows; every free row is at free_u
+    free_u = 0.0
+    match_row = [-1] * n_rows
+    match_col = [-1] * n_cols
+    # the pairs of the free rows, in (i, j) order; a matched row's are cut out
+    free_rows, free_cols, free_costs = em.match.rows, cols, costs
 
-    while free:
-        dist = np.full(n_cols, math.inf)
-        final_dist = np.full(n_cols, math.inf)
-        pred = np.full(n_cols, -1, dtype=np.int64)
-        visited = np.zeros(n_cols, dtype=bool)
+    while len(free_rows):
+        reduced = (free_costs - free_u) - v_a[free_cols]
+        dist_a = np.full(n_cols, inf)
+        np.minimum.at(dist_a, free_cols, reduced)
+        lowest = reduced == dist_a[free_cols]
+        seed_pred = np.full(n_cols, n_rows)
+        np.minimum.at(seed_pred, free_cols[lowest], free_rows[lowest])
+        reached = np.flatnonzero(np.isfinite(dist_a))
+        heap = list(zip(dist_a[reached].tolist(), reached.tolist()))
+        heapify(heap)
+        dist = dist_a.tolist()
+        pred = seed_pred.tolist()
 
-        for i in free:
-            lo, hi = start[i], start[i + 1]
-            cols_i = cols[lo:hi]
-            nd = costs[lo:hi] - u[i] - v[cols_i]
-            better = nd < dist[cols_i]
-            sel = cols_i[better]
-            dist[sel] = nd[better]
-            pred[sel] = i
-
-        while True:
-            j = int(dist.argmin())
-            dj = dist[j]
-            if not math.isfinite(dj):
-                break
-            final_dist[j] = dj
-            visited[j] = True
-            dist[j] = math.inf
-            i = int(match_col[j])
+        popped = []  # (column, final distance) in pop order
+        found = -1
+        while heap:
+            dj, j = heappop(heap)
+            if dj > dist[j]:
+                continue  # stale entry, or the column was popped already
+            dist[j] = -inf
+            if wide:
+                dist_a[j] = -inf
+            popped.append((j, dj))
+            i = match_col[j]
             if i < 0:
+                # reduced distances hide the endpoint duals, so the cheapest
+                # augmenting path is the free column minimizing dist + v
+                key = dj + v[j]
+                if found < 0 or key < best or (key == best and j < found):
+                    found, found_d, best = j, dj, key
                 continue
-            lo, hi = start[i], start[i + 1]
-            cols_i = cols[lo:hi]
-            nd = dj + costs[lo:hi] - u[i] - v[cols_i]
-            better = (nd < dist[cols_i]) & ~visited[cols_i]
-            sel = cols_i[better]
-            dist[sel] = nd[better]
-            pred[sel] = i
+            ui = u[i]
+            if len(row_pairs[i]) <= WIDE_ROW:
+                for c, cost in row_pairs[i]:
+                    d = dj + cost - ui - v[c]
+                    if d < dist[c]:
+                        dist[c] = d
+                        pred[c] = i
+                        heappush(heap, (d, c))
+                        if wide:
+                            dist_a[c] = d
+            else:
+                cols_i = cols[start[i]:start[i + 1]]
+                nd = dj + costs[start[i]:start[i + 1]] - ui - v_a[cols_i]
+                better = nd < dist_a[cols_i]
+                cols_i, nd = cols_i[better], nd[better]
+                dist_a[cols_i] = nd
+                for c, d in zip(cols_i.tolist(), nd.tolist()):
+                    dist[c] = d
+                    pred[c] = i
+                    heappush(heap, (d, c))
 
-        # reduced distances hide the endpoint duals, so the cheapest
-        # augmenting path is the free column minimizing dist + v
-        reachable_free = np.flatnonzero(visited & (match_col < 0))
-        if len(reachable_free) == 0:
+        if found < 0:
             break  # no augmenting path from any free row: cardinality is maximal
-        found = int(reachable_free[int(np.argmin(final_dist[reachable_free]
-                                                 + v[reachable_free]))])
-        delta = final_dist[found]
-        visited[found] = False
-        upd = np.flatnonzero(visited & (final_dist <= delta))
-        matched = upd[match_col[upd] >= 0]  # distinct rows, so the fancy += adds once each
-        u[match_col[matched]] += delta - final_dist[matched]
-        v[upd] -= delta - final_dist[upd]
-        u[free] += delta
+        for j, d in popped:
+            if d <= found_d and j != found:
+                i = match_col[j]
+                if i >= 0:
+                    u[i] += found_d - d
+                v[j] -= found_d - d
+        free_u += found_d
+        v_a = np.array(v)
 
         j = found
         while True:
-            i = int(pred[j])
+            i = pred[j]
             match_col[j] = i
             match_row[i], j = j, match_row[i]
             if j < 0:
                 break
-        free.remove(i)
+        u[i] = free_u
+        lo = int(np.searchsorted(free_rows, i))
+        cut = slice(lo, lo + len(row_pairs[i]))
+        free_rows, free_cols, free_costs = (np.delete(a, cut)
+                                            for a in (free_rows, free_cols, free_costs))
 
-    rows = np.flatnonzero(match_row >= 0).tolist()  # ascending: pairs in (i, j) order
     pairs = [(i, j, em.values[em.match.position(i, j)].item())
-             for i, j in zip(rows, match_row[rows].tolist())]
+             for i, j in enumerate(match_row) if j >= 0]
     total = math.fsum(c for _, _, c in pairs)
     return CostMatching(pairs=tuple(pairs), total_cost=total, cardinality=len(pairs))
 
 
+def _matching(em: EffectMatrix, negate: bool) -> CostMatching:
+    """The direction's matching, solved once per effect matrix.
+
+    Neither direction's matching depends on n, so the feasible-n search,
+    the reported test and every n of a sweep share one pass each. The
+    cache holds the matrix weakly; a matrix is not modified once built.
+    """
+    by_direction = _SOLVED.setdefault(em, {})
+    if negate not in by_direction:
+        by_direction[negate] = _solve_assignment(em, negate)
+    return by_direction[negate]
+
+
 def hungarian_min(em: EffectMatrix) -> CostMatching:
     """Minimum total-effect matching of maximum cardinality."""
-    return _solve_assignment(em, negate=False)
+    return _matching(em, negate=False)
 
 
 def hungarian_max(em: EffectMatrix) -> CostMatching:
     """Maximum total-effect matching of maximum cardinality."""
-    return _solve_assignment(em, negate=True)
+    return _matching(em, negate=True)
 
 
 def case3_selection(em: EffectMatrix, n: int, direction: str):

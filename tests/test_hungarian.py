@@ -1,13 +1,15 @@
 """Assignment solver tests: exactness, deficiency handling, case 3."""
 
 import itertools
+import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from robustz.greedy import GreedySolution, Infeasible
-from robustz.hungarian import case3_test, hungarian_max, hungarian_min
+from robustz.hungarian import WIDE_ROW, case3_test, hungarian_max, hungarian_min
 from robustz.statistic import validate_assignment
 
 from conftest import make_em, max_matching_size
@@ -164,3 +166,57 @@ class TestCase3:
                         assert sol.stats.S <= 0.0
                     else:
                         assert sol.stats.S >= 0.0
+
+
+class TestScipyOracle:
+    """Optimality at medium size against scipy's dense assignment solver."""
+
+    @staticmethod
+    def _instance(rng, k):
+        nt = int(rng.integers(20, 151))
+        nc = int(rng.integers(20, 151)) if k % 2 else max(20, nt + int(rng.integers(-5, 6)))
+        top = int(rng.integers(2, 9))
+        kind = k % 3
+        effects = {}
+        for i in range(nt):
+            degree = int(rng.integers(2, top + 1))
+            if k % 6 == 5 and i % 10 == 0:
+                degree = min(nc, int(rng.integers(WIDE_ROW + 1, 2 * WIDE_ROW)))
+            for j in rng.choice(nc, size=min(degree, nc), replace=False).tolist():
+                if kind == 0:
+                    effects[(i, j)] = rng.uniform(-100.0, 100.0)
+                elif kind == 1:
+                    effects[(i, j)] = float(rng.integers(-3, 4))
+                else:
+                    effects[(i, j)] = round(rng.uniform(-10.0, 10.0), 3)
+        return make_em(effects, nt, nc), effects
+
+    @staticmethod
+    def _reference(effects, nt, nc, sign):
+        """Cardinality and cost of a max-cardinality min-cost matching, big-M padded."""
+        from scipy.optimize import linear_sum_assignment
+
+        big = math.fsum(abs(c) for c in effects.values()) + 2.0
+        matrix = np.zeros((nt, nc))
+        for (i, j), c in effects.items():
+            matrix[i, j] = sign * c - big
+        rows, cols = linear_sum_assignment(matrix)
+        chosen = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if (i, j) in effects]
+        return len(chosen), math.fsum(effects[p] for p in chosen)
+
+    def test_matches_linear_sum_assignment(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(20261018)
+        deficient = wide = 0
+        for k in range(60):
+            em, effects = self._instance(rng, k)
+            wide += int(np.diff(em.match.row_start).max() > WIDE_ROW)
+            for solver, sign in ((hungarian_min, 1.0), (hungarian_max, -1.0)):
+                m = solver(em)
+                card, total = self._reference(effects, em.n_treated, em.n_control, sign)
+                assert m.cardinality == card
+                assert m.total_cost == pytest.approx(total, rel=1e-9, abs=1e-9)
+                assert all((i, j) in effects and effects[(i, j)] == c for i, j, c in m.pairs)
+                assert len({i for i, _, _ in m.pairs}) == len({j for _, j, _ in m.pairs}) == card
+            deficient += card < min(em.match.matched_treated, em.match.matched_control)
+        assert deficient >= 10 and wide >= 8  # 15 and 9 at this seed

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import robustz.hungarian as hungarian
 import robustz.orchestrator as orchestrator
 from robustz.greedy import GreedySolution, build_sorted_list, greedy_max, greedy_min
 from robustz.hungarian import hungarian_min
@@ -318,3 +319,59 @@ class TestFindMaxFeasibleN:
                 assert calls["solve"] <= 1 and calls["hungarian_min"] <= 1
                 top = size if n_max is None else min(size, n_max)
                 assert found == (top if top >= max(n_min, 2) else None)
+
+
+class TestSharedAssignmentPasses:
+    """Each direction's matching is solved once per effect matrix."""
+
+    # max matching 3 of 4 matched units per side (rows 0 and 3 share
+    # column 0 only); the greedy cases take the trap pairs (2, 0) and
+    # (2, 1) first and fail, so both ladders reach case 3 at n = 3
+    TRAPS = {(0, 0): 1.0, (1, 1): 1.0, (2, 0): -10.0, (2, 1): 10.0, (2, 2): 1.0,
+             (2, 3): 1.0, (3, 0): 1.0}
+    # max matching 4; both ladders reach case 3 at every n = 2..4
+    CASE3_EVERY_N = {(0, 2): 2.0, (1, 1): -2.0, (1, 3): -3.0, (2, 0): 2.0, (2, 2): 3.0,
+                     (3, 3): -1.0}
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        calls = []
+        original = hungarian._solve_assignment
+
+        def counted(em, negate):
+            calls.append(negate)
+            return original(em, negate)
+
+        monkeypatch.setattr(hungarian, "_solve_assignment", counted)
+        return calls
+
+    @staticmethod
+    def _reaches_case3(em, n):
+        traces = {d: [] for d in ("min", "max")}
+        for direction, trace in traces.items():
+            solve(em, n, direction, trace)
+        return "min_case3" in traces["min"] and "max_case3" in traces["max"]
+
+    def test_search_and_reported_test_share_two_passes(self, monkeypatch):
+        em = make_em(self.TRAPS)
+        assert self._reaches_case3(make_em(self.TRAPS), 3)  # on its own matrix: em stays unsolved
+        calls = self._count_passes(monkeypatch)
+        n = find_max_feasible_n(em)
+        assert n == 3
+        run_test(em, n, 0.05)
+        assert sorted(calls) == [False, True]
+
+    def test_sweep_reaching_case3_costs_two_passes(self, monkeypatch):
+        em = make_em(self.CASE3_EVERY_N)
+        assert all(self._reaches_case3(make_em(self.CASE3_EVERY_N), n) for n in (2, 3, 4))
+        calls = self._count_passes(monkeypatch)
+        rows = sweep(em, 2, 4)
+        assert [r.no_pairs for r in rows] == [False, False, False]
+        assert sorted(calls) == [False, True]
+
+    def test_a_new_matrix_is_solved_again(self, monkeypatch):
+        calls = self._count_passes(monkeypatch)
+        first = hungarian_min(make_em(POSITIVE))
+        second = hungarian_min(make_em(POSITIVE))
+        assert first == second
+        assert calls == [False, False]

@@ -9,9 +9,12 @@ the seed, in two tiers:
   density U(0.1, 1), and effects drawn, one kind per instance, as
   U(-10, 10) floats, integers in [-3, 3] or values in {-1, 0, 1, 2} (the
   last two are tie-heavy). Per instance the digest covers the reprs of
-  ``hungarian_min``/``hungarian_max``, ``greedy_min``/``greedy_max`` in
-  both cases, ``solve`` with its trace in both directions and
-  ``run_test`` at n = 2..5, and ``find_max_feasible_n``.
+  ``hungarian_min``/``hungarian_max``, ``partition_blocks`` (blocks and
+  ``identical_rows`` flags), ``enumerate_extrema`` at n = 2,
+  ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
+  in both cases (with ``pair_stats`` of each greedy assignment's pairs in
+  a seeded shuffled order), ``case3_test``, ``solve`` with its trace in
+  both directions and ``run_test``.
 * 40 medium instances: 30-150 treated units and within 10 of that many
   controls, 2 to k eligible controls per treated unit with k drawn from
   2-8 per instance (11 of the maps are deficient: the maximum matching
@@ -40,8 +43,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from robustz.greedy import GreedySolution, build_sorted_list, greedy_max, greedy_min  # noqa: E402
-from robustz.hungarian import hungarian_max, hungarian_min  # noqa: E402
-from robustz.matching import EffectMatrix  # noqa: E402
+from robustz.hungarian import case3_test, hungarian_max, hungarian_min  # noqa: E402
+from robustz.matching import EffectMatrix, partition_blocks  # noqa: E402
+from robustz.oracle import enumerate_extrema  # noqa: E402
 from robustz.orchestrator import find_max_feasible_n, run_test, solve  # noqa: E402
 from robustz.statistic import TestResult  # noqa: E402
 
@@ -49,6 +53,7 @@ SEED = 20261018
 INSTANCES = 1500
 NS = (2, 3, 4, 5)
 MEDIUM_SEED = 20261019
+SHUFFLE_SEED = 20261020
 MEDIUM_INSTANCES = 40
 
 
@@ -112,17 +117,30 @@ def _solve_traced(em: EffectMatrix, n: int, direction: str) -> str:
     return _call(solve, em, n, direction, trace) + repr(trace)
 
 
+def _shuffled_pair_stats(em: EffectMatrix, result, rng: random.Random) -> str:
+    if not isinstance(result, GreedySolution):
+        return "-"
+    pairs = sorted(result.assignment.pairs)
+    rng.shuffle(pairs)
+    return _call(em.pair_stats, pairs)
+
+
 def digest() -> tuple[int, str]:
     rng = random.Random(SEED)
+    shuffle_rng = random.Random(SHUFFLE_SEED)
     h = hashlib.sha256()
     for _ in range(INSTANCES):
         em = _instance(rng)
-        out = [_call(hungarian_min, em), _call(hungarian_max, em)]
+        out = [_call(hungarian_min, em), _call(hungarian_max, em),
+               _call(partition_blocks, em.match), _call(enumerate_extrema, em, 2)]
         ylist = build_sorted_list(em)
         for n in NS:
             for fn in (greedy_min, greedy_max):
-                out += [_call(fn, ylist, n, "case1"), _call(fn, ylist, n, "case2")]
-            out += [_solve_traced(em, n, "min"), _solve_traced(em, n, "max"),
+                for case in ("case1", "case2"):
+                    result = fn(ylist, n, case)
+                    out += [_canon(result), _shuffled_pair_stats(em, result, shuffle_rng)]
+            out += [_call(case3_test, em, n, "min"), _call(case3_test, em, n, "max"),
+                    _solve_traced(em, n, "min"), _solve_traced(em, n, "max"),
                     _call(run_test, em, n, 0.05)]
         out.append(_call(find_max_feasible_n, em))
         h.update("\n".join(out).encode())

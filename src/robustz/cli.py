@@ -44,6 +44,10 @@ class UsageError(ValueError):
     pass
 
 
+class _EmptyMatch(Exception):
+    """The covariate rules left no eligible pair."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -67,9 +71,13 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 
 def _load_matrices(config: RunConfig):
+    """The effect matrix of the configured study; _EmptyMatch if no pair is eligible."""
     dataset = load_dataset(config.data_path, config)
     match = build_match_matrix(dataset, list(config.covariate_rules))
-    return build_effect_matrix(match, dataset), dataset
+    em = build_effect_matrix(match, dataset)
+    if em.nnz == 0:
+        raise _EmptyMatch
+    return em
 
 
 def _build_parser() -> _Parser:
@@ -143,7 +151,9 @@ def _parse_range(text: str, want_step: bool):
 
 def _cmd_match(args) -> int:
     config = load_config(args.config)
-    em, dataset = _load_matrices(config)
+    dataset = load_dataset(config.data_path, config)
+    match = build_match_matrix(dataset, list(config.covariate_rules))
+    em = build_effect_matrix(match, dataset)
     blocks = partition_blocks(em.match)
     doc = {
         "schema": SCHEMA,
@@ -159,8 +169,7 @@ def _cmd_match(args) -> int:
     }
     if em.nnz == 0:
         print(json.dumps(doc, indent=2))
-        print("no good matches", file=sys.stderr)
-        return EXIT_EMPTY_MATCH
+        raise _EmptyMatch
     if args.out:
         write_coordinate_list(em, args.out)
         doc["dump"] = args.out
@@ -172,10 +181,7 @@ def _cmd_test(args) -> int:
     config = load_config(args.config)
     n = _resolve_n(args, config)
     alpha = args.alpha if args.alpha is not None else config.alpha
-    em, _ = _load_matrices(config)
-    if em.nnz == 0:
-        print("no good matches", file=sys.stderr)
-        return EXIT_EMPTY_MATCH
+    em = _load_matrices(config)
     start = time.perf_counter()
     result = run_test(em, n, alpha)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -225,10 +231,7 @@ def _sweep_csv_line(row) -> str:
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     alpha = args.alpha if args.alpha is not None else config.alpha
-    em, _ = _load_matrices(config)
-    if em.nnz == 0:
-        print("no good matches", file=sys.stderr)
-        return EXIT_EMPTY_MATCH
+    em = _load_matrices(config)
 
     spec = config.n_spec
     if args.sweep and args.binary_search:
@@ -279,10 +282,7 @@ def _cmd_oracle(args) -> int:
     budget = args.oracle_budget if args.oracle_budget is not None else config.oracle_budget
     if budget < 1:
         raise UsageError(f"oracle budget must be positive, got {budget}")
-    em, _ = _load_matrices(config)
-    if em.nnz == 0:
-        print("no good matches", file=sys.stderr)
-        return EXIT_EMPTY_MATCH
+    em = _load_matrices(config)
     try:
         result = enumerate_extrema(em, n, budget)
     except ValueError as exc:
@@ -306,10 +306,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_export(args) -> int:
     config = load_config(args.config)
     n = _resolve_n(args, config)
-    em, _ = _load_matrices(config)
-    if em.nnz == 0:
-        print("no good matches", file=sys.stderr)
-        return EXIT_EMPTY_MATCH
+    em = _load_matrices(config)
     if args.kind == "qip":
         if not args.case:
             raise UsageError("--case is required for qip export")
@@ -356,6 +353,9 @@ def main(argv=None) -> int:
     except (ValueError, BudgetExceededError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _EmptyMatch:
+        print("no good matches", file=sys.stderr)
+        return EXIT_EMPTY_MATCH
     except NoPairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_PAIRS

@@ -138,16 +138,10 @@ class _ListState:
         """Smallest assignable index >= k in sort order, else None."""
         return self._seek(k, self.nxt, self.m)
 
-    def backward(self, k: int):
-        """Largest assignable index <= k in sort order, else None."""
-        return self._seek(k, self.prv, -1)
 
-
-def _partner(state: _ListState, threshold: float, anchor: int | None):
+def _partner(state: _ListState, threshold: float, anchor: int):
     """Smallest assignable entry with value >= threshold, disjoint from anchor."""
     k = state.forward(bisect_left(state.values, threshold))
-    if anchor is None:
-        return k
     a_row, a_col = state.rows[anchor], state.cols[anchor]
     while k is not None:
         if k != anchor and state.rows[k] != a_row and state.cols[k] != a_col:
@@ -156,22 +150,15 @@ def _partner(state: _ListState, threshold: float, anchor: int | None):
     return None
 
 
-def _first_candidate(state: _ListState, barred: set):
-    k = state.forward(0)
+def _candidate(state: _ListState, k: int, links: memoryview, end: int, barred: set):
+    """First assignable index from k along ``links`` (stop at ``end``) not in barred."""
+    k = state._seek(k, links, end)
     while k is not None and k in barred:
-        k = state.forward(state.nxt[k])
-    return k
-
-
-def _last_candidate(state: _ListState, barred: set):
-    k = state.backward(state.m - 1)
-    while k is not None and k in barred:
-        k = state.backward(state.prv[k])
+        k = state._seek(links[k], links, end)
     return k
 
 
 def _solution_from(state: _ListState, chosen: list[int], case: str) -> GreedySolution:
-    chosen = sorted(chosen, key=lambda k: (state.rows[k], state.cols[k]))
     pairs = [(state.rows[k], state.cols[k]) for k in chosen]
     stats = stats_from_values(state.values[k] for k in chosen)
     try:
@@ -222,17 +209,17 @@ def _min_case1(state: _ListState, n: int):
             chosen.append(k)
             running += state.values[k]
             continue
-        top = state.backward(state.m - 1)
+        barred: set = set()
+        top = _candidate(state, state.m - 1, state.prv, -1, barred)
         if top is None:
             return Infeasible("eligible pairs exhausted before n assignments")
         if state.values[top] < 0.0:
             return Infeasible("largest remaining effect is negative")
-        barred: set = set()
         while True:
-            low = _first_candidate(state, barred)
+            low = _candidate(state, 0, state.nxt, state.m, barred)
             if low is None:
                 return Infeasible("no anchor admits a nonnegative couple")
-            high = _last_candidate(state, barred)
+            high = _candidate(state, state.m - 1, state.prv, -1, barred)
             anchor = low if abs(state.values[low]) <= state.values[high] else high
             q = _partner(state, -state.values[anchor], anchor=anchor)
             if q is None:

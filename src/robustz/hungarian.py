@@ -237,8 +237,11 @@ def case3_selection(em: EffectMatrix, n: int, direction: str):
     return Assignment(pairs=frozenset((i, j) for i, j, _ in ranked[:n]))
 
 
-def case3_verdict(selection, em: EffectMatrix, direction: str):
-    """Apply the sign test to a case-3 selection; level is 0 when feasible."""
+def case3_test(em: EffectMatrix, n: int, direction: str):
+    """Linear-feasibility case: GreedySolution with level 0, or Infeasible."""
+    if n < 2:
+        raise ValueError(f"case-3 test needs n >= 2, got n={n}")
+    selection = case3_selection(em, n, direction)
     if selection is None:
         return Infeasible("maximum matching has fewer than n pairs")
     stats = em.pair_stats(selection.pairs)
@@ -252,10 +255,3 @@ def case3_verdict(selection, em: EffectMatrix, direction: str):
         gamma=0.0,
         case=f"{direction}_case3",
     )
-
-
-def case3_test(em: EffectMatrix, n: int, direction: str):
-    """Linear-feasibility case: GreedySolution with level 0, or Infeasible."""
-    if n < 2:
-        raise ValueError(f"case-3 test needs n >= 2, got n={n}")
-    return case3_verdict(case3_selection(em, n, direction), em, direction)

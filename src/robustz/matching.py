@@ -27,6 +27,11 @@ class MatchingError(ValueError):
     """Raised when covariate rules cannot be applied to the data."""
 
 
+# Largest accepted effect magnitude: below it n*S*S, n*Q and (S/n)**2 stay
+# finite for every n < 1e36, above it they (or fsum) can overflow.
+MAX_EFFECT = 1e100
+
+
 _NUMERIC = (int, float)
 
 
@@ -116,28 +121,24 @@ class MatchMatrix:
                 return int(k)
         raise KeyError((i, j))
 
-    def row_spans(self) -> dict[int, slice]:
-        """Array slice of each treated row with eligible pairs, rows ascending."""
-        start = self.row_start.tolist()
-        return {i: slice(start[i], start[i + 1])
-                for i in range(self.n_treated) if start[i] < start[i + 1]}
-
 
 class EffectMatrix:
     """Treatment effects of the eligible pairs of a MatchMatrix, as a column.
 
     ``values[k]`` is the effect of pair ``(match.rows[k], match.cols[k])``;
     ``order`` lists the pairs by ascending value, ties by (i, j). It is
-    built here, once; a non-finite effect raises MatchingError.
+    built here, once; an effect that is not finite or exceeds
+    ``MAX_EFFECT`` in magnitude raises MatchingError.
     """
 
     def __init__(self, match: MatchMatrix, values):
         values = np.asarray(values, dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(values))
+        bad = np.flatnonzero(~(np.abs(values) <= MAX_EFFECT))  # NaN fails the test too
         if len(bad):
-            k = bad[0]
-            raise MatchingError(f"effect of pair ({match.rows[k]}, {match.cols[k]}) "
-                                f"is not finite: {values[k].item()!r}")
+            k, v = bad[0], values[bad[0]].item()
+            what = (f"is not finite: {v!r}" if not math.isfinite(v)
+                    else f"exceeds {MAX_EFFECT:g} in magnitude: {v!r}")
+            raise MatchingError(f"effect of pair ({match.rows[k]}, {match.cols[k]}) {what}")
         self.match, self.values = match, values
         self.order = np.argsort(values, kind="stable")
         self.nnz, self.n_treated, self.n_control = match.nnz, match.n_treated, match.n_control
@@ -148,8 +149,8 @@ class EffectMatrix:
         return _EffectView(self)
 
     def pair_stats(self, pairs: Iterable[tuple[int, int]]) -> PairStats:
-        """S, Q, n and sigma_hat of the effects of eligible pairs, in (i, j) order."""
-        positions = sorted(self.match.position(i, j) for i, j in pairs)
+        """S, Q, n and sigma_hat of the effects of eligible pairs, given in any order."""
+        positions = [self.match.position(i, j) for i, j in pairs]
         return stats_from_values(self.values[positions].tolist())
 
     @classmethod
@@ -317,17 +318,17 @@ def partition_blocks(match: MatchMatrix) -> BlockPartition:
 
     # rows and columns are visited ascending, so every component lists its
     # members ascending and the components come out by smallest treated row
-    spans = match.row_spans()
+    start = match.row_start.tolist()
     comp_t: dict[int, list[int]] = {}
     comp_c: dict[int, list[int]] = {}
-    for i in spans:
+    for i in np.flatnonzero(np.diff(match.row_start)).tolist():
         comp_t.setdefault(uf.find(i), []).append(i)
     for j in np.unique(match.cols).tolist():
         comp_c.setdefault(uf.find(nt + j), []).append(j)
 
     blocks = []
     for root, t_idx in comp_t.items():
-        col_sets = {tuple(cols[spans[i]]) for i in t_idx}
+        col_sets = {tuple(cols[start[i]:start[i + 1]]) for i in t_idx}
         blocks.append(Block(treated=tuple(t_idx), control=tuple(comp_c[root]),
                             identical_rows=len(col_sets) == 1))
     return BlockPartition(blocks=tuple(blocks))

@@ -38,9 +38,10 @@ def enumerate_extrema(em: EffectMatrix, n: int,
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
 
-    # (j, effect) per treated row, read off the matrix's row slices once
-    row_options = {i: list(zip(em.match.cols[span].tolist(), em.values[span].tolist()))
-                   for i, span in em.match.row_spans().items()}
+    # (j, effect) per treated row with eligible pairs, read off the row slices once
+    start = em.match.row_start.tolist()
+    row_options = {i: list(zip(em.match.cols[lo:hi].tolist(), em.values[lo:hi].tolist()))
+                   for i, (lo, hi) in enumerate(zip(start, start[1:])) if lo < hi}
     rows = list(row_options)
 
     best = {

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .greedy import GreedySolution, Infeasible, build_sorted_list, greedy_max, greedy_min
-from .hungarian import case3_selection, case3_verdict, hungarian_min
+from .hungarian import case3_selection, case3_test, hungarian_min
 from .matching import EffectMatrix
 from .statistic import (
     TestResult,
@@ -38,6 +38,15 @@ class NoPairsError(RuntimeError):
     """A direction could not produce n disjoint eligible pairs."""
 
 
+# rungs per direction, in the order that can only improve the level: a tag
+# and the greedy case, or None for the linear case. Names, not functions, so
+# a rebinding of the solvers in this module's namespace is seen at call time.
+_LADDERS = {
+    "min": (("min_case2", "case2"), ("min_case3", None), ("min_case1", "case1")),
+    "max": (("max_case1", "case1"), ("max_case3", None), ("max_case2", "case2")),
+}
+
+
 def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None):
     """Best level for one direction: GreedySolution or NoPairsPossible.
 
@@ -45,38 +54,23 @@ def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None):
     """
     if n < 2:
         raise ValueError(f"solver needs n >= 2, got n={n}")
-    if direction not in ("min", "max"):
+    if direction not in _LADDERS:
         raise ValueError(f"unknown direction {direction!r}")
 
     ylist = build_sorted_list(em)
-    selection = None
-
-    def case3_attempt():
-        nonlocal selection
-        selection = case3_selection(em, n, direction)
-        return case3_verdict(selection, em, direction)
-
-    if direction == "min":
-        ladder = [
-            ("min_case2", lambda: greedy_min(ylist, n, "case2")),
-            ("min_case3", case3_attempt),
-            ("min_case1", lambda: greedy_min(ylist, n, "case1")),
-        ]
-    else:
-        ladder = [
-            ("max_case1", lambda: greedy_max(ylist, n, "case1")),
-            ("max_case3", case3_attempt),
-            ("max_case2", lambda: greedy_max(ylist, n, "case2")),
-        ]
-
-    for tag, attempt in ladder:
+    greedy = greedy_min if direction == "min" else greedy_max
+    for tag, case in _LADDERS[direction]:
         if trace is not None:
             trace.append(tag)
-        result = attempt()
+        if case is None:
+            result = case3_test(em, n, direction)
+        else:
+            result = greedy(ylist, n, case)
         if not isinstance(result, Infeasible):
             return result
 
-    # every ladder runs the linear case, so its selection is known here
+    # the linear rung solved the direction's matching; this reads it again
+    selection = case3_selection(em, n, direction)
     if selection is None:
         return NoPairsPossible(f"no assignment of {n} disjoint eligible pairs exists")
     if trace is not None:
@@ -104,9 +98,11 @@ def run_test(em: EffectMatrix, n: int, alpha: float) -> TestResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     low = solve(em, n, "min")
-    high = solve(em, n, "max")
+    # both directions reach the same maximum cardinality, so a min side
+    # without n disjoint pairs settles the max side too
     if isinstance(low, NoPairsPossible):
         raise NoPairsError(low.reason)
+    high = solve(em, n, "max")
     if isinstance(high, NoPairsPossible):
         raise NoPairsError(high.reason)
     if low.gamma <= high.gamma:

@@ -90,7 +90,11 @@ def validate_assignment(a: Assignment, em: EffectMatrix) -> None:
 
 
 def stats_from_values(values: Iterable[float]) -> PairStats:
-    """Canonical S/Q/sigma computation (exactly-rounded sums)."""
+    """S, Q and sigma_hat of the values, taken in any order.
+
+    ``math.fsum`` rounds each sum correctly, so S and Q (a sum of squares each
+    rounded on its own) do not depend on the order; a zero sum is +0.0.
+    """
     vals = list(values)
     count = len(vals)
     S = math.fsum(vals)
@@ -104,7 +108,7 @@ def stats_from_values(values: Iterable[float]) -> PairStats:
 
 
 def assignment_stats(a: Assignment, em: EffectMatrix) -> PairStats:
-    """S, Q, n and sigma_hat of an assignment, in canonical pair order."""
+    """S, Q, n and sigma_hat of an assignment."""
     validate_assignment(a, em)
     return em.pair_stats(a.pairs)
 

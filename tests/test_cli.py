@@ -105,6 +105,14 @@ class TestMatch:
             err = capsys.readouterr().err
             assert "non-finite" in err and "'blk'" in err
 
+    def test_huge_finite_effect_exit_1(self, tmp_path, capsys):
+        config = write_fixture(tmp_path, [(0.0, "a", True), (1e200, "a", True),
+                                          (-3e200, "a", False), (2e200, "a", False)])
+        assert main(["test", "--config", str(config), "--n", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "effect of pair (0, 0) exceeds 1e+100 in magnitude: 3e+200" in err
+
 
 class TestTest:
     def test_golden_report(self, negative_fixture, capsys):

@@ -207,6 +207,17 @@ class TestBuildEffectMatrix:
             with pytest.raises(MatchingError, match="not finite"):
                 make_em({(0, 0): bad, (1, 1): 1.0})
 
+    def test_huge_finite_effect_rejected(self):
+        # 1e160 is finite, but its square overflows the pair statistics
+        with pytest.raises(MatchingError, match=r"\(1, 1\) exceeds 1e\+100 in magnitude: -1e\+160"):
+            make_em({(0, 0): 1.0, (1, 1): -1e160})
+        ds = dataset_from([({"g": "a"}, True, 1e200), ({"g": "a"}, False, -1e200)])
+        mm = build_match_matrix(ds, [CovariateRule("g", "exact")])
+        with pytest.raises(MatchingError, match=r"exceeds 1e\+100 in magnitude: 2e\+200"):
+            build_effect_matrix(mm, ds)
+        at_bound = make_em({(0, 0): 1e100, (1, 1): -1e100}).pair_stats([(0, 0), (1, 1)])
+        assert (at_bound.S, at_bound.Q) == (0.0, 2e200)
+
 
 class TestPartitionBlocks:
     def test_two_components(self):

@@ -369,6 +369,22 @@ class TestSharedAssignmentPasses:
         assert [r.no_pairs for r in rows] == [False, False, False]
         assert sorted(calls) == [False, True]
 
+    def test_min_side_without_n_pairs_skips_the_max_ladder(self, monkeypatch):
+        # three matched units per side, but rows 0 and 1 share column 0 only
+        em = make_em({(0, 0): 1.0, (1, 0): 2.0, (2, 0): 3.0, (2, 1): 4.0, (2, 2): 5.0})
+        calls = self._count_passes(monkeypatch)
+        with pytest.raises(NoPairsError, match="no assignment of 3 disjoint eligible pairs"):
+            run_test(em, 3, 0.05)
+        assert calls == [False]
+        # the min fallback reads the matching its linear rung solved: no second pass
+        calls.clear()
+        fallback = make_em(FALLBACK_FIXTURE, 3, 3)
+        traces = {d: [] for d in ("min", "max")}
+        for direction, trace in traces.items():
+            solve(fallback, 3, direction, trace)
+        assert traces["min"][-1] == FALLBACK
+        assert calls == [False]
+
     def test_a_new_matrix_is_solved_again(self, monkeypatch):
         calls = self._count_passes(monkeypatch)
         first = hungarian_min(make_em(POSITIVE))

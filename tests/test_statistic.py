@@ -1,6 +1,7 @@
 """Statistic-layer tests: S/Q/sigma, Z, level roots, tails, P-values."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,43 @@ class TestRobustnessMargin:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             robustness_margin(2.0, 1.5)
+
+
+class TestOrderFreeStats:
+    """fsum makes the pair statistics independent of the order of the values."""
+
+    @staticmethod
+    def _value_lists(rng):
+        draws = (lambda: rng.uniform(-100.0, 100.0),
+                 lambda: float(rng.randint(-3, 3)),
+                 lambda: round(rng.uniform(-10.0, 10.0), 3),
+                 lambda: rng.choice((0.0, -0.0, 1.5, -1.5)),
+                 lambda: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 12.0))
+        for index in range(300):
+            draw = draws[index % len(draws)]
+            yield index % len(draws), [draw() for _ in range(rng.randint(2, 40))]
+
+    def test_stats_from_values_ignores_order(self):
+        rng = random.Random(20261018)
+        plain_sum_moved = 0
+        for kind, values in self._value_lists(rng):
+            expected = repr(stats_from_values(values))
+            for _ in range(4):
+                shuffled = rng.sample(values, len(values))
+                assert repr(stats_from_values(shuffled)) == expected
+                plain_sum_moved += kind == 4 and sum(shuffled) != sum(values)
+            if stats_from_values(values).S == 0.0:
+                assert expected.startswith("PairStats(S=0.0,")
+        assert plain_sum_moved > 0  # the mixed-magnitude lists do reorder a plain sum
+
+    def test_pair_stats_ignores_pair_order(self):
+        rng = random.Random(20261019)
+        for _, values in self._value_lists(rng):
+            em = make_em({(k, k): v for k, v in enumerate(values)})
+            pairs = [(k, k) for k in range(len(values))]
+            expected = repr(em.pair_stats(pairs))
+            for _ in range(2):
+                assert repr(em.pair_stats(rng.sample(pairs, len(pairs)))) == expected
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False),

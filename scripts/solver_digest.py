@@ -35,6 +35,7 @@ Usage: python3 scripts/solver_digest.py   (takes no options)
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
 import sys
@@ -47,6 +48,7 @@ from robustz.hungarian import case3_test, hungarian_max, hungarian_min  # noqa: 
 from robustz.matching import EffectMatrix, partition_blocks  # noqa: E402
 from robustz.oracle import enumerate_extrema  # noqa: E402
 from robustz.orchestrator import find_max_feasible_n, run_test, solve  # noqa: E402
+from robustz.qip_export import export_ilp, export_qip  # noqa: E402
 from robustz.statistic import TestResult  # noqa: E402
 
 SEED = 20261018
@@ -125,6 +127,21 @@ def _shuffled_pair_stats(em: EffectMatrix, result, rng: random.Random) -> str:
     return _call(em.pair_stats, pairs)
 
 
+def _model(export, *args) -> str:
+    spec = export(*args)
+    vec = {p: float(k % 2 == 0) for k, p in enumerate(spec.variables)}
+    return "\n".join([spec.render_lp(), json.dumps(spec.sidecar()),
+                      repr(spec.evaluate_objective(vec)), repr(spec.check_constraints(vec))])
+
+
+def _models(em: EffectMatrix) -> list[str]:
+    out = [_call(_model, export_qip, em, 2, direction, case)
+           for direction in ("min", "max") for case in ("case1", "case2")]
+    out += [_call(_model, export_ilp, em, 2, "min", 25.0),
+            _call(_model, export_ilp, em, 2, "max", 25.0, True)]
+    return out
+
+
 def digest() -> tuple[int, str]:
     rng = random.Random(SEED)
     shuffle_rng = random.Random(SHUFFLE_SEED)
@@ -143,6 +160,7 @@ def digest() -> tuple[int, str]:
                     _solve_traced(em, n, "min"), _solve_traced(em, n, "max"),
                     _call(run_test, em, n, 0.05)]
         out.append(_call(find_max_feasible_n, em))
+        out += _models(em)
         h.update("\n".join(out).encode())
         h.update(b"\0")
     rng = random.Random(MEDIUM_SEED)

@@ -314,8 +314,6 @@ def _cmd_export(args) -> int:
     else:
         if args.b_l is None:
             raise UsageError("--b-l is required for ilp export")
-        if args.b_l <= 0:
-            raise UsageError(f"--b-l must be positive, got {args.b_l}")
         spec = export_ilp(em, n, args.direction, args.b_l,
                           bl_range_note=args.bl_range_note)
     lp_path, json_path = spec.write(args.out)
@@ -350,7 +348,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, BudgetExceededError, FileNotFoundError) as exc:
+    except (ValueError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _EmptyMatch:

@@ -136,7 +136,7 @@ def _parse_predicate(obj, where: str) -> Predicate:
         if "value" not in clause:
             raise ConfigError(f"{where}: missing 'value'")
         value = clause["value"]
-        if not isinstance(value, (int, float, str)):
+        if not isinstance(value, (int, float, str)) or isinstance(value, bool):
             raise ConfigError(f"{where}: value must be a number or string")
         clauses.append((op, value))
     return Predicate(clauses=tuple(clauses))
@@ -178,7 +178,7 @@ def _parse_n_spec(obj, where: str) -> NSpec:
             raise ConfigError(f"{where}: n_min={n_min} exceeds n_max={n_max}")
         if n_min < 2:
             raise ConfigError(f"{where}: n_min must be >= 2")
-        if not isinstance(step, int) or step < 1:
+        if not isinstance(step, int) or isinstance(step, bool) or step < 1:
             raise ConfigError(f"{where}: step must be a positive integer")
         return NSpec(mode="sweep", n_min=n_min, n_max=n_max, step=step)
     if mode == "binary_search":
@@ -243,7 +243,7 @@ def load_config(json_path) -> RunConfig:
         else NSpec(mode="binary_search", n_min=2)
 
     budget = doc.get("oracle_budget", DEFAULT_ORACLE_BUDGET)
-    if not isinstance(budget, int) or budget < 1:
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ConfigError(f"oracle_budget must be a positive integer, got {budget!r}")
 
     data_path = doc["data_path"]

@@ -52,7 +52,8 @@ class CovariateRule:
         if self.kind not in ("exact", "caliper"):
             raise MatchingError(f"unknown rule kind {self.kind!r} for column {self.column!r}")
         if self.kind == "caliper":
-            if self.tolerance is None or not isinstance(self.tolerance, _NUMERIC):
+            if (self.tolerance is None or isinstance(self.tolerance, bool)
+                    or not isinstance(self.tolerance, _NUMERIC)):
                 raise MatchingError(f"caliper rule for {self.column!r} needs a numeric tolerance")
             if self.tolerance < 0:
                 raise MatchingError(f"caliper tolerance for {self.column!r} must be >= 0")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .matching import EffectMatrix
@@ -47,34 +47,61 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A rendered-ready optimization model over assignment variables."""
+    """A model over assignment variables; every coefficient derives from the effects."""
 
     kind: str                     # "qip" or "ilp"
-    sense: str                    # "maximize" or "minimize"
     direction: str
     case: str | None
     n: int
     variables: tuple[tuple[int, int], ...]
-    effects: Mapping[tuple[int, int], float]
-    linear: Mapping[tuple[int, int], float]
-    quad_diag: Mapping[tuple[int, int], float] = field(default_factory=dict)
-    quad_cross: Mapping[tuple[tuple[int, int], tuple[int, int]], float] = field(default_factory=dict)
-    sign_op: str | None = ">="
+    effects: tuple[float, ...]    # aligned with variables
+    treated_ids: tuple[str, ...]
+    control_ids: tuple[str, ...]
     b_l: float | None = None
     bl_range_note: bool = False
-    treated_ids: tuple[str, ...] = ()
-    control_ids: tuple[str, ...] = ()
+
+    @property
+    def sense(self) -> str:
+        return "minimize" if self.kind == "ilp" and self.direction == "min" else "maximize"
+
+    @property
+    def sign_op(self) -> str | None:
+        """Relation of the sign constraint ``S <op> 0``; None for the linear model."""
+        return _SIGN_OP[self.case] if self.kind == "qip" else None
 
     def var_name(self, pair: tuple[int, int]) -> str:
         return f"a_{pair[0]}_{pair[1]}"
 
+    def objective_terms(self):
+        """The objective as ``(coefficient, p, q)`` terms; the file and the audit both read them.
+
+        ``q`` is None for a linear term, ``p`` for a square and a later variable for a cross
+        product; cross products come last.
+        """
+        pairs = list(zip(self.variables, self.effects))
+        if self.kind == "ilp":
+            yield from ((e, p, None) for p, e in pairs)
+            return
+        sq = _OBJECTIVE_SIGN[(self.direction, self.case)]
+        for p, e in pairs:
+            yield sq * e ** 2, p, None
+            yield -sq * e ** 2, p, p
+        for a, (p, e) in enumerate(pairs):
+            for q, f in pairs[a + 1:]:
+                yield -sq * 2.0 * e * f, p, q
+
     def evaluate_objective(self, values: Mapping[tuple[int, int], float]) -> float:
         """Objective value at an assignment vector (missing entries are 0)."""
         get = values.get
-        terms = [c * get(p, 0.0) for p, c in self.linear.items()]
-        terms += [c * get(p, 0.0) ** 2 for p, c in self.quad_diag.items()]
-        terms += [c * get(p, 0.0) * get(q, 0.0) for (p, q), c in self.quad_cross.items()]
-        return math.fsum(terms)
+
+        def term(c, p, q):
+            if q is None:
+                return c * get(p, 0.0)
+            if q == p:
+                return c * get(p, 0.0) ** 2
+            return c * get(p, 0.0) * get(q, 0.0)
+
+        return math.fsum(term(*t) for t in self.objective_terms())
 
     def check_constraints(self, values: Mapping[tuple[int, int], float]) -> dict:
         """Per-constraint satisfaction flags at a 0/1 assignment vector."""
@@ -87,7 +114,7 @@ class ModelSpec:
             row_sums[i] = row_sums.get(i, 0.0) + v
             col_sums[j] = col_sums.get(j, 0.0) + v
             total += v
-        effect_sum = math.fsum(self.effects[p] * get(p, 0.0) for p in self.variables)
+        effect_sum = math.fsum(e * get(p, 0.0) for p, e in zip(self.variables, self.effects))
         flags = {
             "rows": all(s <= 1.0 for s in row_sums.values()),
             "cols": all(s <= 1.0 for s in col_sums.values()),
@@ -97,28 +124,19 @@ class ModelSpec:
         if self.sign_op is not None:
             flags["sign"] = effect_sum >= 0.0 if self.sign_op == ">=" else effect_sum <= 0.0
         if self.kind == "ilp":
-            qsum = math.fsum(self.effects[p] ** 2 * get(p, 0.0) for p in self.variables)
+            qsum = math.fsum(e ** 2 * get(p, 0.0) for p, e in zip(self.variables, self.effects))
             flags["variance_bound"] = qsum <= self.b_l
         flags["all"] = all(v for k, v in flags.items() if k not in ("structural", "all"))
         return flags
 
-    def _terms(self, coeffs: Mapping[tuple[int, int], float], scale: float = 1.0,
-               square: bool = False) -> list[str]:
-        out = []
-        for p in self.variables:
-            if p in coeffs:
-                c = coeffs[p] * scale
-                name = self.var_name(p)
-                out.append(f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {name}"
-                           + (" ^ 2" if square else ""))
-        return out
-
     def render_lp(self) -> str:
+        pairs = list(zip(self.variables, self.effects))
+        m = len(pairs)
         lines = [f"\\ {SCHEMA}"]
         lines.append(f"\\ kind={self.kind} direction={self.direction}"
                      f" case={self.case or '-'} n={self.n}")
-        lines.append(f"\\ variables={len(self.variables)}"
-                     f" quadratic_cross_terms={len(self.quad_cross)}")
+        lines.append(f"\\ variables={m}"
+                     f" quadratic_cross_terms={m * (m - 1) // 2 if self.kind == 'qip' else 0}")
         if self.kind == "ilp":
             lines.append(f"\\ variance bound b_l={_fmt(self.b_l)}; if b_l is below the"
                          " smallest effect^2 the model is infeasible for any n >= 1")
@@ -127,14 +145,15 @@ class ModelSpec:
                 lines.append(f"\\ practical b_l grid range hint: {_fmt(lo)} to {_fmt(hi)}")
         lines.append("Maximize" if self.sense == "maximize" else "Minimize")
 
-        obj_terms = self._terms(self.linear)
-        if self.quad_diag or self.quad_cross:
-            # LP quadratic objective convention: [ doubled terms ] / 2
-            quad = self._terms(self.quad_diag, scale=2.0, square=True)
-            for (p, q), c in sorted(self.quad_cross.items()):
-                cc = 2.0 * c
-                quad.append(f"{'+' if cc >= 0 else '-'} {_fmt(abs(cc))}"
-                            f" {self.var_name(p)} * {self.var_name(q)}")
+        obj_terms, quad = [], []
+        for c, p, q in self.objective_terms():
+            if q is None:
+                obj_terms.append(_term(c, self.var_name(p)))
+            else:
+                # LP quadratic objective convention: [ doubled terms ] / 2
+                product = " ^ 2" if q == p else f" * {self.var_name(q)}"
+                quad.append(_term(2.0 * c, self.var_name(p) + product))
+        if quad:
             obj_terms.append("+ [ " + _wrap(quad) + " ] / 2")
         lines.append(" obj: " + _wrap(obj_terms))
 
@@ -151,13 +170,10 @@ class ModelSpec:
         lines.append(" card: " + " + ".join(self.var_name(p) for p in self.variables)
                      + f" = {self.n}")
         if self.sign_op is not None:
-            sign_terms = [f"{'+' if self.effects[p] >= 0 else '-'}"
-                          f" {_fmt(abs(self.effects[p]))} {self.var_name(p)}"
-                          for p in self.variables]
+            sign_terms = [_term(e, self.var_name(p)) for p, e in pairs]
             lines.append(" sign: " + _wrap(sign_terms) + f" {self.sign_op} 0")
         if self.kind == "ilp":
-            bl_terms = [f"+ {_fmt(self.effects[p] ** 2)} {self.var_name(p)}"
-                        for p in self.variables]
+            bl_terms = [f"+ {_fmt(e ** 2)} {self.var_name(p)}" for p, e in pairs]
             lines.append(" variance_bound: " + _wrap(bl_terms) + f" <= {_fmt(self.b_l)}")
 
         lines.append("Binary")
@@ -166,15 +182,10 @@ class ModelSpec:
         return "\n".join(lines) + "\n"
 
     def sidecar(self) -> dict:
-        def ids(p):
+        def ids(p, effect):
             i, j = p
-            out = {"name": self.var_name(p), "i": i, "j": j,
-                   "effect": self.effects[p]}
-            if self.treated_ids:
-                out["treated_id"] = self.treated_ids[i]
-            if self.control_ids:
-                out["control_id"] = self.control_ids[j]
-            return out
+            return {"name": self.var_name(p), "i": i, "j": j, "effect": effect,
+                    "treated_id": self.treated_ids[i], "control_id": self.control_ids[j]}
 
         doc = {
             "schema": SCHEMA,
@@ -183,7 +194,7 @@ class ModelSpec:
             "direction": self.direction,
             "case": self.case,
             "n": self.n,
-            "variables": [ids(p) for p in self.variables],
+            "variables": [ids(p, e) for p, e in zip(self.variables, self.effects)],
         }
         if self.kind == "ilp":
             doc["b_l"] = self.b_l
@@ -202,79 +213,48 @@ class ModelSpec:
         return lp_path, json_path
 
 
+def _term(c: float, name: str) -> str:
+    return f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {name}"
+
+
 def _wrap(terms: list[str], per_line: int = 6, sep: str = " ") -> str:
     chunks = [sep.join(terms[k:k + per_line]) for k in range(0, len(terms), per_line)]
     return ("\n  ").join(chunks)
 
 
-def _variables(em: EffectMatrix):
-    """One variable per eligible pair, in (i, j) order, and the effect of each."""
-    variables = tuple(zip(em.match.rows.tolist(), em.match.cols.tolist()))
-    return variables, dict(zip(variables, em.values.tolist()))
-
-
-def export_qip(em: EffectMatrix, n: int, direction: str, case: str) -> ModelSpec:
-    """Quadratic coupling model for one direction/sign-regime pair."""
+def _model_fields(em: EffectMatrix, n: int) -> dict:
+    """The fields both exports take from the effect core: one variable per eligible pair."""
     if n < 2:
         raise ValueError(f"model export needs n >= 2, got n={n}")
     if em.nnz == 0:
         raise ValueError("cannot export a model with no eligible pairs")
+    return {
+        "n": n,
+        "variables": tuple(zip(em.match.rows.tolist(), em.match.cols.tolist())),
+        "effects": tuple(em.values.tolist()),
+        "treated_ids": em.match.treated_ids,
+        "control_ids": em.match.control_ids,
+    }
+
+
+def export_qip(em: EffectMatrix, n: int, direction: str, case: str) -> ModelSpec:
+    """Quadratic coupling model for one direction/sign-regime pair."""
+    fields = _model_fields(em, n)
     if (direction, case) not in _OBJECTIVE_SIGN:
         raise ValueError(f"unknown direction/case combination ({direction!r}, {case!r})")
-    sq = _OBJECTIVE_SIGN[(direction, case)]
-    variables, eff = _variables(em)
-    linear = {p: sq * eff[p] ** 2 for p in variables}
-    quad_diag = {p: -sq * eff[p] ** 2 for p in variables}
-    quad_cross = {}
-    for a in range(len(variables)):
-        pa = variables[a]
-        for b in range(a + 1, len(variables)):
-            pb = variables[b]
-            quad_cross[(pa, pb)] = -sq * 2.0 * eff[pa] * eff[pb]
-    return ModelSpec(
-        kind="qip",
-        sense="maximize",
-        direction=direction,
-        case=case,
-        n=n,
-        variables=variables,
-        effects=eff,
-        linear=linear,
-        quad_diag=quad_diag,
-        quad_cross=quad_cross,
-        sign_op=_SIGN_OP[case],
-        treated_ids=em.match.treated_ids,
-        control_ids=em.match.control_ids,
-    )
+    return ModelSpec(kind="qip", direction=direction, case=case, **fields)
 
 
 def export_ilp(em: EffectMatrix, n: int, direction: str, b_l: float,
                bl_range_note: bool = False) -> ModelSpec:
     """Grid-linearized model: linear effect-sum objective under a variance bound."""
-    if n < 2:
-        raise ValueError(f"model export needs n >= 2, got n={n}")
-    if em.nnz == 0:
-        raise ValueError("cannot export a model with no eligible pairs")
+    fields = _model_fields(em, n)
     if direction not in ("min", "max"):
         raise ValueError(f"unknown direction {direction!r}")
     if not b_l > 0:
         raise ValueError(f"b_l must be positive, got {b_l!r}")
-    variables, eff = _variables(em)
-    return ModelSpec(
-        kind="ilp",
-        sense="maximize" if direction == "max" else "minimize",
-        direction=direction,
-        case=None,
-        n=n,
-        variables=variables,
-        effects=eff,
-        linear=dict(eff),
-        sign_op=None,
-        b_l=float(b_l),
-        bl_range_note=bl_range_note,
-        treated_ids=em.match.treated_ids,
-        control_ids=em.match.control_ids,
-    )
+    return ModelSpec(kind="ilp", direction=direction, case=None, b_l=float(b_l),
+                     bl_range_note=bl_range_note, **fields)
 
 
 def read_solution(path) -> dict[str, float]:

@@ -277,6 +277,16 @@ class TestCliRobustness:
         assert code == 1
 
 
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    def test_directory_path_fails_cleanly(self, negative_fixture, tmp_path, capsys, flag):
+        # a repeated --config overrides the first one
+        argv = ["test", "--config", str(negative_fixture), "--n", "2", flag, str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestExport:
     def test_qip_files_written(self, negative_fixture, tmp_path, capsys):
         base = tmp_path / "model"

@@ -214,6 +214,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=">= 0"):
             load_config(path)
 
+    @pytest.mark.parametrize("overrides", [
+        {"treatment_rule": {
+            "column": "flyash",
+            "treated_predicate": {"op": "==", "value": True},
+            "control_predicate": {"op": "==", "value": 0},
+        }},
+        {"covariate_rules": [{"column": "cement", "kind": "caliper", "tolerance": True}]},
+        {"n_spec": {"mode": "sweep", "n_min": 2, "n_max": 4, "step": True}},
+        {"oracle_budget": True},
+    ], ids=["predicate_value", "caliper_tolerance", "sweep_step", "oracle_budget"])
+    def test_booleans_are_not_numbers(self, tmp_path, overrides):
+        with pytest.raises(ConfigError):
+            load_config(base_config(tmp_path, **overrides))
+
     def test_data_path_relative_to_config(self, tmp_path):
         sub = tmp_path / "sub"
         sub.mkdir()

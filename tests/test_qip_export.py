@@ -20,11 +20,39 @@ def objective_from_stats(em, pairs, direction, case):
     return coupled
 
 
+def lp_objective_value(text, x):
+    """Value of the ``obj:`` block of an LP text at the 0/1 values ``x`` (by name)."""
+    lines = text.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith(" obj: "))
+    end = lines.index("Subject To")
+    body = " ".join(lines[start:end])[len(" obj: "):]
+    linear, _, rest = body.partition("+ [")
+    quad, _, tail = rest.partition("] / 2")
+    assert tail.strip() == ""
+
+    def value(tokens):
+        total, k = 0.0, 0
+        while k < len(tokens):
+            sign, coef, name = tokens[k:k + 3]
+            c = float(coef) if sign == "+" else -float(coef)
+            k += 3
+            if tokens[k:k + 2] == ["^", "2"]:
+                c, k = c * x[name] ** 2, k + 2
+            elif tokens[k:k + 1] == ["*"]:
+                c, k = c * x[name] * x[tokens[k + 1]], k + 2
+            else:
+                c *= x[name]
+            total += c
+        return total
+
+    return value(linear.split()) + value(quad.split()) / 2
+
+
 class TestQipStructure:
     def test_counts_on_full_2x2(self):
         spec = export_qip(make_em(FULL_2X2), 2, "min", "case1")
         assert len(spec.variables) == 4
-        assert len(spec.quad_cross) == 6
+        assert sum(1 for _, p, q in spec.objective_terms() if q not in (None, p)) == 6
         text = spec.render_lp()
         assert sum(1 for line in text.splitlines() if line.startswith(" row_")) == 2
         assert sum(1 for line in text.splitlines() if line.startswith(" col_")) == 2
@@ -35,11 +63,11 @@ class TestQipStructure:
         em = make_em(FULL_2X2)
         c1 = export_qip(em, 2, "min", "case1")
         c2 = export_qip(em, 2, "min", "case2")
-        for p in c1.variables:
-            assert c2.linear[p] == -c1.linear[p]
-            assert c2.quad_diag[p] == -c1.quad_diag[p]
-        for key in c1.quad_cross:
-            assert c2.quad_cross[key] == -c1.quad_cross[key]
+        terms1, terms2 = list(c1.objective_terms()), list(c2.objective_terms())
+        assert len(terms1) == len(terms2)
+        for (a, p1, q1), (b, p2, q2) in zip(terms1, terms2):
+            assert (p2, q2) == (p1, q1)
+            assert b == -a
 
     def test_max_case1_text_equals_min_case2_except_sign(self):
         em = make_em(FULL_2X2)
@@ -71,8 +99,9 @@ class TestQipStructure:
 class TestIlp:
     def test_linear_objective_only(self):
         spec = export_ilp(make_em(FULL_2X2), 2, "min", b_l=100.0)
-        assert len(spec.linear) == 4
-        assert not spec.quad_diag and not spec.quad_cross
+        terms = list(spec.objective_terms())
+        assert len(terms) == 4
+        assert all(q is None for _, _, q in terms)
         text = spec.render_lp()
         assert "^ 2" not in text
         assert " variance_bound: " in text
@@ -116,6 +145,23 @@ class TestRoundTrip:
                 got = spec.evaluate_objective(vec)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
             checked += 1
+
+    def test_rendered_objective_is_coupled_sums(self, rng):
+        # read the objective a solver reads: linear terms as written, the
+        # bracketed block halved, evaluated at a random 0/1 vector
+        for _ in range(100):
+            em, n = random_instance(rng, max_side=4)
+            if em.nnz == 0:
+                continue
+            for direction, case in (("min", "case1"), ("min", "case2"),
+                                    ("max", "case1"), ("max", "case2")):
+                spec = export_qip(em, n, direction, case)
+                x = {spec.var_name(p): rng.randrange(2) for p in spec.variables}
+                got = lp_objective_value(spec.render_lp(), x)
+                chosen = [em.effect[p] for p in spec.variables if x[spec.var_name(p)]]
+                S, Q = sum(chosen), sum(e * e for e in chosen)
+                sign = -1.0 if (direction, case) in (("min", "case2"), ("max", "case1")) else 1.0
+                assert got == pytest.approx(sign * (Q - S**2), rel=1e-9, abs=1e-9)
 
     def test_constraints_track_assignment_invariants(self, rng):
         em = make_em(FULL_2X2)

@@ -14,10 +14,12 @@ produced an empty eligibility structure, 3 no n-pair assignment exists.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
+from itertools import chain
 
 from . import __version__
 from .data_io import RunConfig, load_config, load_dataset
@@ -62,12 +64,16 @@ def _jsonify(x):
     return x
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
+def _open_out(path: str | None):
+    """The --out file, opened before the work so that a bad path fails first."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+
+
+def _emit(doc: dict, out=None) -> None:
     text = json.dumps(doc, indent=2, default=str)
     print(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if out:
+        out.write(text + "\n")
 
 
 def _load_matrices(config: RunConfig):
@@ -173,7 +179,7 @@ def _cmd_match(args) -> int:
     if args.out:
         write_coordinate_list(em, args.out)
         doc["dump"] = args.out
-    _emit(doc, None)
+    _emit(doc)
     return EXIT_OK
 
 
@@ -181,10 +187,16 @@ def _cmd_test(args) -> int:
     config = load_config(args.config)
     n = _resolve_n(args, config)
     alpha = args.alpha if args.alpha is not None else config.alpha
-    em = _load_matrices(config)
-    start = time.perf_counter()
-    result = run_test(em, n, alpha)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    with _open_out(args.out) as out:
+        em = _load_matrices(config)
+        start = time.perf_counter()
+        result = run_test(em, n, alpha)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        _emit(_test_doc(result, alpha, elapsed_ms), out)
+    return EXIT_OK
+
+
+def _test_doc(result, alpha: float, elapsed_ms: float) -> dict:
     margin = None
     if math.isfinite(result.z_max):
         margin = robustness_margin(result.z_max, alpha)
@@ -212,8 +224,7 @@ def _cmd_test(args) -> int:
             "absolute": margin.absolute_margin,
             "relative": margin.relative_margin,
         }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return doc
 
 
 SWEEP_HEADER = "n,z_min,z_max,p_min,p_max,classification,ms"
@@ -231,7 +242,6 @@ def _sweep_csv_line(row) -> str:
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     alpha = args.alpha if args.alpha is not None else config.alpha
-    em = _load_matrices(config)
 
     spec = config.n_spec
     if args.sweep and args.binary_search:
@@ -252,27 +262,24 @@ def _cmd_sweep(args) -> int:
         mode = "binary_search"
     else:
         raise UsageError("configuration fixes n; use 'test' or pass --sweep/--binary-search")
+    if mode == "sweep" and (n_min < 2 or n_min > n_max or step < 1):
+        raise UsageError(f"invalid sweep range {n_min}:{n_max}:{step}")
 
-    if mode == "binary_search":
-        best = find_max_feasible_n(em, n_min, n_max)
-        if best is None:
-            print("no n in range is feasible", file=sys.stderr)
-            return EXIT_NO_PAIRS
-        ns = [best]
-    else:
-        if n_min < 2 or n_min > n_max or step < 1:
-            raise UsageError(f"invalid sweep range {n_min}:{n_max}:{step}")
-        ns = list(range(n_min, n_max + 1, step))
+    with _open_out(args.out) as out:
+        em = _load_matrices(config)
+        if mode == "binary_search":
+            best = find_max_feasible_n(em, n_min, n_max)
+            if best is None:
+                print("no n in range is feasible", file=sys.stderr)
+                return EXIT_NO_PAIRS
+            ns = [best]
+        else:
+            ns = list(range(n_min, n_max + 1, step))
 
-    lines = [SWEEP_HEADER]
-    print(SWEEP_HEADER, flush=True)
-    for row in iter_sweep(em, ns, alpha):
-        line = _sweep_csv_line(row)
-        print(line, flush=True)
-        lines.append(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        for line in chain([SWEEP_HEADER], map(_sweep_csv_line, iter_sweep(em, ns, alpha))):
+            print(line, flush=True)
+            if out:
+                out.write(line + "\n")
     return EXIT_OK
 
 
@@ -282,24 +289,24 @@ def _cmd_oracle(args) -> int:
     budget = args.oracle_budget if args.oracle_budget is not None else config.oracle_budget
     if budget < 1:
         raise UsageError(f"oracle budget must be positive, got {budget}")
-    em = _load_matrices(config)
-    try:
-        result = enumerate_extrema(em, n, budget)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NO_PAIRS
-    doc = {
-        "schema": SCHEMA,
-        "command": "oracle",
-        "n": n,
-        "z_min": _jsonify(result.z_min),
-        "z_max": _jsonify(result.z_max),
-        "argmin": sorted(result.argmin.pairs),
-        "argmax": sorted(result.argmax.pairs),
-        "enumerated": result.enumerated,
-        "degenerate_seen": result.degenerate_seen,
-    }
-    _emit(doc, args.out)
+    with _open_out(args.out) as out:
+        em = _load_matrices(config)
+        try:
+            result = enumerate_extrema(em, n, budget)
+        except ValueError as exc:
+            print(str(exc), file=sys.stderr)
+            return EXIT_NO_PAIRS
+        _emit({
+            "schema": SCHEMA,
+            "command": "oracle",
+            "n": n,
+            "z_min": _jsonify(result.z_min),
+            "z_max": _jsonify(result.z_max),
+            "argmin": sorted(result.argmin.pairs),
+            "argmax": sorted(result.argmax.pairs),
+            "enumerated": result.enumerated,
+            "degenerate_seen": result.degenerate_seen,
+        }, out)
     return EXIT_OK
 
 
@@ -327,7 +334,7 @@ def _cmd_export(args) -> int:
         "variables": len(spec.variables),
         "lp_path": lp_path,
         "sidecar_path": json_path,
-    }, None)
+    })
     return EXIT_OK
 
 

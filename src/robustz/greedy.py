@@ -49,13 +49,6 @@ class SortedEffectList:
     n_treated: int
     n_control: int
 
-    @property
-    def entries(self) -> list[tuple[float, int, int]]:
-        return [
-            (float(v), int(i), int(j))
-            for v, i, j in zip(self.values, self.rows, self.cols)
-        ]
-
 
 @dataclass(frozen=True)
 class Infeasible:

@@ -7,6 +7,13 @@ rule holds. Eligibility is kept sparse, as two index arrays ``rows`` and
 treatment effects ``y_t[i] - y_c[j]`` are a column aligned with them,
 built once for every later layer, so a zero-valued effect stays
 distinguishable from "not a match".
+
+The eligibility build never visits a pair that differs on an exact
+column, and visits only the pairs inside each treated unit's window on
+the first caliper: controls are sorted by (exact group, first caliper
+value), each treated unit gets its window from one ``searchsorted``, and
+the candidates of the windows are filtered by every caliper in numpy,
+a bounded chunk of candidates at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +37,21 @@ class MatchingError(ValueError):
 # Largest accepted effect magnitude: below it n*S*S, n*Q and (S/n)**2 stay
 # finite for every n < 1e36, above it they (or fsum) can overflow.
 MAX_EFFECT = 1e100
+
+# Largest accepted integer caliper value: below it the float64 difference of
+# two such ints is exact, as Python's int difference is; 2**53 and
+# -(2**52 + 1) are 3*2**52 + 1 apart, which float64 rounds to 3*2**52.
+MAX_CALIPER_INT = 2**52
+
+# Candidate pairs filtered per pass of the eligibility build. Rows are never
+# split, so one treated unit with a wider window is a pass of its own.
+_CHUNK = 2**16
+
+# Relative widening of a caliper window. The bounds x - tol and x + tol are
+# rounded, and so is the filter's |x - c|, each by at most (|x| + tol) * 2**-53;
+# a window widened by (|x| + tol) * 2**-48 holds every control the filter
+# accepts (1.1 - 1 > 0.1 in floats, yet |1.1 - 0.1| <= 1).
+_MARGIN = 2.0**-48
 
 
 _NUMERIC = (int, float)
@@ -55,7 +77,7 @@ class CovariateRule:
             if (self.tolerance is None or isinstance(self.tolerance, bool)
                     or not isinstance(self.tolerance, _NUMERIC)):
                 raise MatchingError(f"caliper rule for {self.column!r} needs a numeric tolerance")
-            if self.tolerance < 0:
+            if not self.tolerance >= 0:  # NaN as well
                 raise MatchingError(f"caliper tolerance for {self.column!r} must be >= 0")
         elif self.tolerance is not None:
             raise MatchingError(f"exact rule for {self.column!r} does not take a tolerance")
@@ -97,11 +119,6 @@ class MatchMatrix:
     @property
     def n_control(self) -> int:
         return len(self.control_ids)
-
-    @property
-    def eligible(self) -> frozenset[tuple[int, int]]:
-        """The eligible pairs as a set of (i, j) tuples, built on each call."""
-        return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
 
     @property
     def matched_treated(self) -> int:
@@ -231,16 +248,26 @@ def _check_rule_columns(dataset: Dataset, rules: Iterable[CovariateRule]) -> Non
                     math.isnan(value) or rule.kind == "caliper" and math.isinf(value)):
                 raise MatchingError(
                     f"unit {unit.id!r} has non-finite value {value!r} in column {rule.column!r}")
+            if rule.kind == "caliper" and isinstance(value, int) and abs(value) > MAX_CALIPER_INT:
+                raise MatchingError(
+                    f"unit {unit.id!r} has integer value {value!r} beyond 2**52 "
+                    f"in caliper column {rule.column!r}")
 
 
 def build_match_matrix(dataset: Dataset, rules: list[CovariateRule]) -> MatchMatrix:
     """Evaluate covariate rules over the treated x control grid.
 
-    Pair (i, j) is eligible iff every rule holds. Exact rules are applied
-    first by hashing control units into groups, so the pairwise caliper
-    checks run only within the group that agrees with treated row i on all
-    exact columns. Rows are visited in order and each group lists its
-    controls ascending, so the pairs come out in (i, j) order.
+    Pair (i, j) is eligible iff every rule holds. Each unit's exact-column
+    key becomes a group id, and the controls are sorted once by (group id,
+    first caliper value). Treated unit i at value x, with that caliper's
+    tolerance tol, takes the window of its group's controls whose value lies
+    in ``[x - tol - m, x + tol + m]``, found with ``searchsorted`` for all
+    units at once. The margin ``m = (|x| + tol) * 2**-48`` covers the rounding
+    of the bounds, which alone would drop pairs the rule accepts, so a window
+    may also hold a few pairs just outside the rule: every caliper, the first
+    included, is then checked with the exact ``|x_i - x_j| <= tol``. Windows
+    are expanded into (i, j) candidates ``_CHUNK`` at a time (whole rows per
+    chunk) and each chunk is sorted back into (i, j) order.
     """
     if not rules:
         raise MatchingError("at least one covariate rule is required")
@@ -248,27 +275,56 @@ def build_match_matrix(dataset: Dataset, rules: list[CovariateRule]) -> MatchMat
 
     treated = dataset.treated_units()
     control = dataset.control_units()
+    nt, nc = len(treated), len(control)
     exact_cols = [r.column for r in rules if r.kind == "exact"]
-    calipers = [(r.column, float(r.tolerance)) for r in rules if r.kind == "caliper"]
+    calipers = [r for r in rules if r.kind == "caliper"]
+    tols = [float(r.tolerance) for r in calipers]
+    groups: dict[tuple, int] = {}
 
-    def exact_key(unit):
-        return tuple(_value_key(unit.covariates[c]) for c in exact_cols)
+    def columns(units):
+        keys = (tuple(_value_key(u.covariates[c]) for c in exact_cols) for u in units)
+        gid = np.fromiter((groups.setdefault(k, len(groups)) for k in keys),
+                          dtype=np.int64, count=len(units))
+        values = [np.array([u.covariates[r.column] for u in units], dtype=np.float64)
+                  for r in calipers]
+        return gid, values
 
-    groups_c: dict[tuple, list[int]] = {}
-    for j, u in enumerate(control):
-        groups_c.setdefault(exact_key(u), []).append(j)
+    t_gid, t_val = columns(treated)
+    c_gid, c_val = columns(control)
+    # the first caliper orders each group; without one a group is one window
+    tx, cx, tol0 = (t_val[0], c_val[0], tols[0]) if calipers else (np.zeros(nt), np.zeros(nc), 0.0)
 
-    rows, cols = [], []
-    for i, u in enumerate(treated):
-        t_cov = u.covariates
-        for j in groups_c.get(exact_key(u), ()):
-            c_cov = control[j].covariates
-            for col, tol in calipers:
-                if abs(t_cov[col] - c_cov[col]) > tol:
-                    break
-            else:
-                rows.append(i)
-                cols.append(j)
+    # (group, value) as one int64 key: group id times width plus value rank
+    distinct, c_rank = np.unique(cx, return_inverse=True)
+    width = len(distinct) + 1
+    key = c_gid * width + c_rank
+    by_key = np.argsort(key)
+    key = key[by_key]
+    with np.errstate(over="ignore"):
+        margin = (np.abs(tx) + tol0) * _MARGIN
+        low, high = tx - tol0 - margin, tx + tol0 + margin
+    lo = np.searchsorted(key, t_gid * width + np.searchsorted(distinct, low, "left"))
+    hi = np.searchsorted(key, t_gid * width + np.searchsorted(distinct, high, "right"))
+
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    codes = []
+    a = 0  # a Dataset has units on both sides
+    while a < nt:
+        done = int(ends[a - 1]) if a else 0
+        b = max(int(np.searchsorted(ends, done + _CHUNK, "right")), a + 1)
+        n_rows = counts[a:b]
+        i = np.repeat(np.arange(a, b), n_rows)
+        # candidate k of the chunk is entry k - first[row] of its row's window
+        first = ends[a:b] - n_rows - done
+        j = by_key[np.arange(len(i)) + np.repeat(lo[a:b] - first, n_rows)]
+        with np.errstate(over="ignore"):
+            for t, c, tol in zip(t_val, c_val, tols):
+                keep = np.abs(t[i] - c[j]) <= tol
+                i, j = i[keep], j[keep]
+        codes.append(np.sort(i * nc + j))
+        a = b
+    rows, cols = np.divmod(np.concatenate(codes), nc)
 
     return MatchMatrix(tuple(u.id for u in treated), tuple(u.id for u in control), rows, cols)
 

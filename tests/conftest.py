@@ -40,9 +40,9 @@ def z_by_mean_std(values) -> float:
 
 def all_assignments(em: EffectMatrix, n: int):
     """Every n-pair one-to-one assignment, via itertools enumeration."""
-    rows = sorted({i for i, _ in em.match.eligible})
-    cols = sorted({j for _, j in em.match.eligible})
-    eligible = em.match.eligible
+    eligible = set(zip(em.match.rows.tolist(), em.match.cols.tolist()))
+    rows = sorted({i for i, _ in eligible})
+    cols = sorted({j for _, j in eligible})
     for row_combo in itertools.combinations(rows, n):
         for col_combo in itertools.permutations(cols, n):
             pairs = tuple(zip(row_combo, col_combo))
@@ -67,7 +67,7 @@ def brute_force_extrema(em: EffectMatrix, n: int):
 def max_matching_size(em: EffectMatrix) -> int:
     """Maximum bipartite matching by plain augmenting-path search."""
     adj: dict[int, list[int]] = {}
-    for i, j in sorted(em.match.eligible):
+    for i, j in zip(em.match.rows.tolist(), em.match.cols.tolist()):
         adj.setdefault(i, []).append(j)
     match_col: dict[int, int] = {}
 

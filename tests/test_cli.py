@@ -286,6 +286,16 @@ class TestCliRobustness:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["test", "--n", "2"], ["sweep", "--sweep", "2:3"],
+                                         ["oracle", "--n", "2"]])
+    def test_bad_out_fails_before_the_work(self, negative_fixture, tmp_path, capsys, command):
+        # a directory as --out: no report or CSV row reaches stdout first
+        argv = [command[0], "--config", str(negative_fixture), *command[1:], "--out", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestExport:
     def test_qip_files_written(self, negative_fixture, tmp_path, capsys):

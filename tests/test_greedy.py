@@ -21,18 +21,22 @@ def ylist_of(effects):
     return build_sorted_list(make_em(effects))
 
 
+def entries(yl):
+    return list(zip(yl.values.tolist(), yl.rows.tolist(), yl.cols.tolist()))
+
+
 class TestSortedList:
     def test_ascending_order(self):
         yl = ylist_of({(0, 0): 4, (0, 1): 3, (1, 0): 2, (1, 1): 1})
-        assert yl.entries == [(1.0, 1, 1), (2.0, 1, 0), (3.0, 0, 1), (4.0, 0, 0)]
+        assert entries(yl) == [(1.0, 1, 1), (2.0, 1, 0), (3.0, 0, 1), (4.0, 0, 0)]
 
     def test_zero_effects_kept(self):
         yl = ylist_of({(0, 0): 0.0, (1, 1): 1.0})
-        assert (0.0, 0, 0) in yl.entries
+        assert (0.0, 0, 0) in entries(yl)
 
     def test_ties_break_lexicographically(self):
         yl = ylist_of({(0, 1): 2.0, (1, 0): 2.0})
-        assert yl.entries == [(2.0, 0, 1), (2.0, 1, 0)]
+        assert entries(yl) == [(2.0, 0, 1), (2.0, 1, 0)]
 
 
 class TestGreedyMinCase2:

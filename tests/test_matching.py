@@ -3,10 +3,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustz import matching
 from robustz.data_types import Dataset, Unit
 from robustz.matching import (
     CovariateRule,
@@ -36,8 +38,9 @@ class TestCovariateRule:
             CovariateRule(column="x", kind="caliper")
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(MatchingError, match=">= 0"):
-            CovariateRule(column="x", kind="caliper", tolerance=-1)
+        for bad in (-1, float("nan")):
+            with pytest.raises(MatchingError, match=">= 0"):
+                CovariateRule(column="x", kind="caliper", tolerance=bad)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(MatchingError, match="kind"):
@@ -52,7 +55,7 @@ class TestBuildMatchMatrix:
         ])
         rules = [CovariateRule("a", "exact"), CovariateRule("b", "exact")]
         mm = build_match_matrix(ds, rules)
-        assert mm.eligible == {(0, 0)}
+        assert (mm.rows.tolist(), mm.cols.tolist()) == ([0], [0])
 
     def test_caliper_excludes_wide_gap(self):
         ds = dataset_from([({"x": 5.0}, True, 1.0), ({"x": 8.0}, False, 2.0)])
@@ -62,7 +65,7 @@ class TestBuildMatchMatrix:
     def test_caliper_boundary_is_inclusive(self):
         ds = dataset_from([({"x": 5.0}, True, 1.0), ({"x": 7.0}, False, 2.0)])
         mm = build_match_matrix(ds, [CovariateRule("x", "caliper", tolerance=2)])
-        assert mm.eligible == {(0, 0)}
+        assert (mm.rows.tolist(), mm.cols.tolist()) == ([0], [0])
 
     def test_caliper_on_categorical_rejected(self):
         ds = dataset_from([({"x": "red"}, True, 1.0), ({"x": "red"}, False, 2.0)])
@@ -88,7 +91,7 @@ class TestBuildMatchMatrix:
         ])
         rules = [CovariateRule("g", "exact"), CovariateRule("x", "caliper", tolerance=2)]
         mm = build_match_matrix(ds, rules)
-        assert mm.eligible == {(0, 0)}
+        assert (mm.rows.tolist(), mm.cols.tolist()) == ([0], [0])
 
     def test_non_finite_covariates_rejected(self):
         # NaN is rejected under any rule, +-inf only under a caliper
@@ -99,7 +102,8 @@ class TestBuildMatchMatrix:
             with pytest.raises(MatchingError, match=r"unit '2' .*non-finite.*'x'"):
                 build_match_matrix(ds, [CovariateRule("x", kind, tolerance=tol)])
         ds = dataset_from([({"x": float("inf")}, True, 1.0), ({"x": float("inf")}, False, 2.0)])
-        assert build_match_matrix(ds, [CovariateRule("x", "exact")]).eligible == {(0, 0)}
+        mm = build_match_matrix(ds, [CovariateRule("x", "exact")])
+        assert (mm.rows.tolist(), mm.cols.tolist()) == ([0], [0])
 
     def test_matches_all_pairs_reference(self):
         # every (i, j) checked against every rule, with no grouping: the
@@ -138,6 +142,61 @@ class TestBuildMatchMatrix:
             assert list(zip(mm.rows.tolist(), mm.cols.tolist())) == expected, trial
             assert mm.treated_ids == tuple(u.id for u in treated)
             assert mm.control_ids == tuple(u.id for u in control)
+
+    def test_window_edge_pairs_are_eligible(self):
+        # x - tol rounds above c here (1.1 - 1 > 0.1), yet |x - c| <= tol holds
+        for x, c, tol in [(1.1, 0.1, 1), (3.1, 0.1, 3), (2.7, 0.2, 2.5)]:
+            for t_val, c_val in [(x, c), (c, x)]:
+                ds = dataset_from([({"x": t_val}, True, 1.0), ({"x": c_val}, False, 2.0)])
+                mm = build_match_matrix(ds, [CovariateRule("x", "caliper", tolerance=tol)])
+                assert mm.nnz == 1, (t_val, c_val, tol)
+
+    def test_matches_all_pairs_reference_across_chunks(self, monkeypatch):
+        # 300 units: many tiny exact groups and one wide group, built 7
+        # candidates per chunk, so chunks split between rows and a wide row
+        # is a chunk of its own
+        monkeypatch.setattr(matching, "_CHUNK", 7)
+        rng = random.Random(73)
+        edges = [0.1, 0.2, 1.1, 2.7, 3.1, -0.1, -1.1, 0.0, -0.0]
+        widest = 0
+        for trial in range(6):
+            rules = [CovariateRule("g", "exact"),
+                     CovariateRule("x", "caliper", tolerance=rng.choice([0, 1, 2.5, 3])),
+                     CovariateRule("y", "caliper", tolerance=rng.choice([0.5, 1, 3]))]
+            rows = []
+            for k in range(300):
+                cov = {"g": "wide" if k % 2 else rng.randrange(60),
+                       "x": rng.choice([rng.randint(-3, 3), rng.choice(edges), rng.uniform(-3, 3)]),
+                       "y": rng.choice([rng.randint(-2, 2), rng.choice(edges)])}
+                rows.append((cov, rng.random() < 0.5, float(k)))
+            ds = dataset_from(rows)
+            treated, control = ds.treated_units(), ds.control_units()
+            expected = [
+                (i, j) for i, t in enumerate(treated) for j, c in enumerate(control)
+                if t.covariates["g"] == c.covariates["g"]
+                and all(abs(t.covariates[r.column] - c.covariates[r.column]) <= r.tolerance
+                        for r in rules[1:])
+            ]
+            mm = build_match_matrix(ds, rules)
+            assert list(zip(mm.rows.tolist(), mm.cols.tolist())) == expected, trial
+            widest = max(widest, np.diff(mm.row_start).max())
+        assert widest > 7
+
+    def test_integer_caliper_values_beyond_2_52_rejected(self):
+        # float64 differences of ints within 2**52 are exact, as int ones are
+        big = 2**52
+        rule = [CovariateRule("x", "caliper", tolerance=2**53 - 1)]
+        for t_val, c_val, eligible in [(big, -big + 1, True), (big, -big, False),
+                                       (-big + 1, big, True), (-big, big, False)]:
+            ds = dataset_from([({"x": t_val}, True, 1.0), ({"x": c_val}, False, 2.0)])
+            assert build_match_matrix(ds, rule).nnz == eligible, (t_val, c_val)
+        for bad in (big + 1, -big - 1, 2**200):
+            ds = dataset_from([({"x": 0}, True, 1.0), ({"x": bad}, False, 2.0)])
+            with pytest.raises(MatchingError, match=r"unit '2' .*beyond 2\*\*52.*'x'"):
+                build_match_matrix(ds, rule)
+        # an exact rule compares such ints as before
+        ds = dataset_from([({"x": big + 1}, True, 1.0), ({"x": big + 1}, False, 2.0)])
+        assert build_match_matrix(ds, [CovariateRule("x", "exact")]).nnz == 1
 
     def test_constructor_rejects_bad_pair_arrays(self):
         ids_t, ids_c = ("t0", "t1"), ("c0", "c1", "c2")
@@ -290,8 +349,8 @@ class TestPartitionCoverage:
                 assert seen_c.isdisjoint(block.control)
                 seen_t.update(block.treated)
                 seen_c.update(block.control)
-            assert seen_t == {i for i, _ in em.match.eligible}
-            assert seen_c == {j for _, j in em.match.eligible}
+            assert seen_t == set(em.match.rows.tolist())
+            assert seen_c == set(em.match.cols.tolist())
 
 
 class TestGridScale:
@@ -316,7 +375,7 @@ class TestGridScale:
         # spot-check a handful of pairs against the rule definition
         treated = ds.treated_units()
         control = ds.control_units()
-        for i, j in list(sorted(mm.eligible))[:20]:
+        for i, j in zip(mm.rows[:20].tolist(), mm.cols[:20].tolist()):
             assert all(
                 abs(treated[i].covariates[r.column] - control[j].covariates[r.column])
                 <= r.tolerance

@@ -22,7 +22,6 @@ from .statistic import (
     PairStats,
     RobustnessMargin,
     TestResult,
-    assignment_stats,
     classify_robustness,
     gamma_roots,
     normal_upper_tail,

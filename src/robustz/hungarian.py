@@ -12,20 +12,18 @@ big-M padding, no cost shifting) and extends to rectangular or
 deficient instances by stopping at maximum cardinality. Each path comes
 from a heap-ordered Dijkstra over the columns:
 
-* Every free row starts at potential 0 and each augmentation raises all
-  of them by the same amount, so the free rows share one scalar
-  potential; a row gets its own entry when it is matched.
-* Columns leave the heap by smallest distance, ties to the lowest
-  column, and the path ends at the free column with the smallest
-  distance plus column potential, ties to the lowest column.
+* The free rows share one scalar potential, which starts at the least
+  cost and rises by the same amount at each augmentation; a row gets
+  its own entry when it is matched. Every column starts at potential 0,
+  so every reduced cost starts nonnegative.
+* Columns leave the heap by (distance, column). A path's true cost is
+  its distance plus the free-row potential plus its end column's
+  potential, and every free column keeps potential 0, so the first free
+  column to leave the heap ends the shortest path (ties to the lowest
+  column) and the search stops there (the shortest-augmenting-path
+  stop of Jonker and Volgenant, Computing 38, 1987).
 * A popped row's pairs are relaxed in a Python loop when it has at most
   ``WIDE_ROW`` of them and with one numpy slice otherwise.
-* The Dijkstra runs until the heap is empty; it does not stop once no
-  unvisited free column can beat the best one found. Which of several
-  equal-cost matchings is returned depends on reduced costs a few ulps
-  below zero, and stopping early changes that choice (on a 2,000 x
-  2,000 map it returned another matching of the same total, and
-  ``run_test`` then reported a different ``z_min``).
 
 Neither direction's matching depends on n, so each is solved once per
 effect matrix and shared by every test on it.
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -57,11 +55,17 @@ WIDE_ROW = 64
 
 @dataclass(frozen=True)
 class CostMatching:
-    """A min-cost (or max-cost) matching of maximum cardinality."""
+    """A min-cost (or max-cost) matching of maximum cardinality.
+
+    ``live_pops`` counts the Dijkstra's heap pops that settled a column,
+    summed over all augmentations: the solver's work, not its result, so
+    it takes no part in equality or repr.
+    """
 
     pairs: tuple[tuple[int, int, float], ...]
     total_cost: float
     cardinality: int
+    live_pops: int = field(compare=False, repr=False)
 
 
 # solved matchings by effect matrix, then by negate; no strong reference to the matrix
@@ -76,21 +80,27 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     distance zero, so each augmentation uses the globally shortest
     augmenting path; that keeps the matching cost-minimal at every
     cardinality even when the final matching cannot cover all rows.
-    Initial duals are zero on rows and the column minima on columns,
-    which makes every reduced cost nonnegative without shifting costs.
+    Initial duals are 0 on columns and the least cost ``free_u`` on the
+    free rows, which share it, so every reduced cost starts nonnegative
+    without shifting costs.
 
-    The free rows share the potential ``free_u``. Each Dijkstra is seeded
-    from their pairs in a few numpy calls: per column the smallest reduced
-    cost, with the lowest row attaining it as predecessor. Columns pop by
-    (distance, column), the path ends at the free column of least
-    distance plus potential (ties to the lowest column), and the search
-    runs until the heap is empty, never stopping early: the module
-    docstring says why. The state (``dist``, ``pred``, the matches) is
-    held in Python lists, and a popped column's distance becomes -inf,
-    which marks it visited. Rows wider than ``WIDE_ROW`` (a measured
-    crossover; see its comment) relax with numpy against ``dist_a``, a
-    copy of ``dist`` kept only when such a row exists. After each path
-    only the popped columns' potentials change.
+    The sink argument: a path from a free row to free column j costs its
+    reduced distance plus ``free_u`` plus ``v[j]``. After an augmentation
+    only the settled columns' potentials change, and a free column is
+    settled only as a sink, which it stops being; so every free column
+    keeps ``v = 0``, the path cost is the distance plus a constant, and
+    the first free column popped ends a shortest path. Columns pop by
+    (distance, column), so ties go to the lowest column.
+
+    Each Dijkstra is seeded per column with the least cost over the free
+    rows' pairs, its lowest row as predecessor. Each column's pairs are
+    sorted once by (cost, row), and the seed only moves forward past rows
+    that got matched, since a matched row stays matched. The state
+    (``dist``, ``pred``, the matches) is held in Python lists, and a
+    popped column's distance becomes -inf, which marks it visited. Rows
+    wider than ``WIDE_ROW`` (a measured crossover; see its comment) relax
+    with numpy against ``dist_a``, a copy of ``dist`` kept only when such
+    a row exists.
     """
     if em.nnz == 0:
         raise ValueError("empty eligibility: no pairs to assign")
@@ -103,48 +113,45 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     wide = max(map(len, row_pairs)) > WIDE_ROW
     inf = math.inf
 
-    v_a = np.full(n_cols, inf)
-    np.minimum.at(v_a, cols, costs)
-    v_a[~np.isfinite(v_a)] = 0.0
+    v_a = np.zeros(n_cols)  # a free column's potential stays 0: it is popped only as a sink
     v = v_a.tolist()
     u = [0.0] * n_rows  # matched rows; every free row is at free_u
-    free_u = 0.0
+    free_u = costs.min().item()  # every reduced cost starts nonnegative
     match_row = [-1] * n_rows
     match_col = [-1] * n_cols
-    # the pairs of the free rows, in (i, j) order; a matched row's are cut out
-    free_rows, free_cols, free_costs = em.match.rows, cols, costs
+    # each column's pairs by (cost, row); a column's seed is its first pair
+    # from a free row, and rows only ever leave the free set, so it only advances
+    order = np.lexsort((em.match.rows, costs, cols))
+    by_row, by_cost = em.match.rows[order].tolist(), costs[order].tolist()
+    col_end = np.searchsorted(cols[order], np.arange(1, n_cols + 1)).tolist()
+    seed_at = [0] + col_end[:-1]
+    seed_cost = np.array([by_cost[k] if k < end else inf for k, end in zip(seed_at, col_end)])
+    seed_row = [by_row[k] if k < end else n_rows for k, end in zip(seed_at, col_end)]
+    live_pops = 0
 
-    while len(free_rows):
-        reduced = (free_costs - free_u) - v_a[free_cols]
-        dist_a = np.full(n_cols, inf)
-        np.minimum.at(dist_a, free_cols, reduced)
-        lowest = reduced == dist_a[free_cols]
-        seed_pred = np.full(n_cols, n_rows)
-        np.minimum.at(seed_pred, free_cols[lowest], free_rows[lowest])
+    while True:  # until no free row has an augmenting path
+        dist_a = (seed_cost - free_u) - v_a
         reached = np.flatnonzero(np.isfinite(dist_a))
         heap = list(zip(dist_a[reached].tolist(), reached.tolist()))
         heapify(heap)
         dist = dist_a.tolist()
-        pred = seed_pred.tolist()
+        pred = seed_row[:]
 
-        popped = []  # (column, final distance) in pop order
+        popped = []  # (matched column, final distance) in pop order
         found = -1
         while heap:
             dj, j = heappop(heap)
             if dj > dist[j]:
                 continue  # stale entry, or the column was popped already
+            live_pops += 1
+            i = match_col[j]
+            if i < 0:
+                found, found_d = j, dj  # the sink: no later pop is shorter
+                break
             dist[j] = -inf
             if wide:
                 dist_a[j] = -inf
             popped.append((j, dj))
-            i = match_col[j]
-            if i < 0:
-                # reduced distances hide the endpoint duals, so the cheapest
-                # augmenting path is the free column minimizing dist + v
-                key = dj + v[j]
-                if found < 0 or key < best or (key == best and j < found):
-                    found, found_d, best = j, dj, key
-                continue
             ui = u[i]
             if len(row_pairs[i]) <= WIDE_ROW:
                 for c, cost in row_pairs[i]:
@@ -169,13 +176,11 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
         if found < 0:
             break  # no augmenting path from any free row: cardinality is maximal
         for j, d in popped:
-            if d <= found_d and j != found:
-                i = match_col[j]
-                if i >= 0:
-                    u[i] += found_d - d
-                v[j] -= found_d - d
+            u[match_col[j]] += found_d - d
+            v[j] -= found_d - d
         free_u += found_d
-        v_a = np.array(v)
+        moved = [j for j, _ in popped]
+        v_a[moved] = [v[j] for j in moved]
 
         j = found
         while True:
@@ -185,15 +190,19 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
             if j < 0:
                 break
         u[i] = free_u
-        lo = int(np.searchsorted(free_rows, i))
-        cut = slice(lo, lo + len(row_pairs[i]))
-        free_rows, free_cols, free_costs = (np.delete(a, cut)
-                                            for a in (free_rows, free_cols, free_costs))
+        for c, _ in row_pairs[i]:
+            if seed_row[c] == i:
+                k, end = seed_at[c] + 1, col_end[c]
+                while k < end and match_row[by_row[k]] >= 0:
+                    k += 1
+                seed_at[c] = k
+                seed_cost[c], seed_row[c] = (by_cost[k], by_row[k]) if k < end else (inf, n_rows)
 
     pairs = [(i, j, em.values[em.match.position(i, j)].item())
              for i, j in enumerate(match_row) if j >= 0]
     total = math.fsum(c for _, _, c in pairs)
-    return CostMatching(pairs=tuple(pairs), total_cost=total, cardinality=len(pairs))
+    return CostMatching(pairs=tuple(pairs), total_cost=total, cardinality=len(pairs),
+                        live_pops=live_pops)
 
 
 def _matching(em: EffectMatrix, negate: bool) -> CostMatching:
@@ -224,6 +233,9 @@ def case3_selection(em: EffectMatrix, n: int, direction: str):
 
     Selection order is cost-ascending for min and cost-descending for max,
     ties broken by (i, j), which biases the pick toward the sign constraint.
+    The pick is a heuristic: the n best pairs of a full matching need not
+    be the best n-matching, and where several full matchings share the
+    optimal total, the solver's tie rules decide which one is read.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"unknown direction {direction!r}")

@@ -87,13 +87,15 @@ def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None):
 def run_test(em: EffectMatrix, n: int, alpha: float) -> TestResult:
     """Both directions at one n, with P-values and robustness class.
 
-    The two ladder levels can cross on corner instances: the linear case
-    reports the bound 0 rather than a witnessed statistic, and degenerate
-    selections report signed infinity, so the minimization level may land
-    above the maximization one. When that happens both bounds are
-    re-anchored to the Z values of the assignments the two ladders
-    actually constructed, which are always genuine members of the
-    assignment set (nothing is fabricated; the interval only tightens).
+    Each bound is clamped to the witnesses: ``z_min`` is the least of the
+    min ladder's level and the Z values of the two assignments the
+    ladders built, and ``z_max`` the greatest of the max ladder's level
+    and the same two Z values. A level alone can claim more than the
+    assignments support (the linear case reports the bound 0, degenerate
+    selections signed infinity), while a witness is a genuine member of
+    the assignment set, so the clamp only widens the interval toward
+    what was actually built, and each bound is a level or a witnessed Z.
+    On equal values the direction's own ladder stays the source.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
@@ -105,13 +107,10 @@ def run_test(em: EffectMatrix, n: int, alpha: float) -> TestResult:
     high = solve(em, n, "max")
     if isinstance(high, NoPairsPossible):
         raise NoPairsError(high.reason)
-    if low.gamma <= high.gamma:
-        z_min, src_min = low.gamma, low
-        z_max, src_max = high.gamma, high
-    else:
-        witnesses = [(z_statistic(low.stats), low), (z_statistic(high.stats), high)]
-        z_min, src_min = min(witnesses, key=lambda w: w[0])
-        z_max, src_max = max(witnesses, key=lambda w: w[0])
+    z_low, z_high = z_statistic(low.stats), z_statistic(high.stats)
+    # min/max keep the first of equal values: the direction's own ladder
+    z_min, src_min = min((low.gamma, low), (z_low, low), (z_high, high), key=lambda c: c[0])
+    z_max, src_max = max((high.gamma, high), (z_high, high), (z_low, low), key=lambda c: c[0])
     p_min, p_max = p_values(z_max, z_min)
     return TestResult(
         n=n,

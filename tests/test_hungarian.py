@@ -122,6 +122,20 @@ class TestHungarianSparse:
         # the normalized cubic constant should not blow up along the ladder
         assert constants[-1] <= 8 * max(constants[0], 1e-12)
 
+    def test_each_search_stops_at_its_sink(self):
+        # a search that ran until its heap emptied would settle every
+        # reachable column per augmentation: 250 x 250 = 62,500 pops
+        rng = np.random.default_rng(1)
+        effects = {}
+        for i in range(250):
+            cols = rng.choice(250, size=20, replace=False).tolist()
+            effects.update(((i, j), v) for j, v in zip(cols, rng.uniform(-100, 100, 20).tolist()))
+        em = make_em(effects, 250, 250)
+        for solver in (hungarian_min, hungarian_max):
+            m = solver(em)
+            assert m.cardinality == 250
+            assert m.live_pops <= 20_000  # 9,384 and 10,918 at this seed
+
 
 class TestCase3:
     def test_positive_sums_infeasible(self):

@@ -1,6 +1,8 @@
 """Case ladder, robust test assembly, sweeps and the feasible-n search."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -17,7 +19,8 @@ from robustz.orchestrator import (
     solve,
     sweep,
 )
-from robustz.statistic import validate_assignment
+from robustz.oracle import enumerate_extrema
+from robustz.statistic import classify_robustness, p_values, validate_assignment
 
 from conftest import brute_force_extrema, make_em, max_matching_size, random_instance
 
@@ -173,6 +176,42 @@ class TestOrderingInvariants:
                 assert isinstance(lo, NoPairsPossible)
             else:
                 assert hi.gamma == -lo.gamma or hi.gamma == lo.gamma == 0.0
+
+
+class TestClassificationAgainstOracle:
+    """``run_test``'s class next to the class of the exact extremes.
+
+    The ladder levels are heuristic, so some misses remain; the clamp to
+    witnessed Z values is what keeps the count low (371 misses without
+    it on this generator, 346 of them ``absolute_robust`` where the exact
+    class is ``not_robust``). The threshold tightens as case 3 and the
+    extremes become exact.
+    """
+
+    MAX_MISSES = 32  # 32 at this generator: 22 alpha -> not, 7 absolute -> not, 3 absolute -> alpha
+
+    def test_misses_within_threshold(self):
+        rng = random.Random(5)
+        tests = 0
+        misses = Counter()
+        for _ in range(1521):
+            nt, nc = rng.randint(2, 6), rng.randint(2, 6)
+            density = rng.uniform(0.3, 1.0)
+            effects = {(i, j): rng.uniform(-10.0, 10.0)
+                       for i in range(nt) for j in range(nc) if rng.random() < density}
+            em = make_em(effects, nt, nc)
+            for n in range(2, min(nt, nc, 5) + 1):
+                try:
+                    got = run_test(em, n, 0.05).classification
+                except NoPairsError:
+                    continue
+                exact = enumerate_extrema(em, n)
+                want = classify_robustness(*p_values(exact.z_max, exact.z_min), 0.05)
+                tests += 1
+                if got != want:
+                    misses[(got, want)] += 1
+        assert tests == 3099
+        assert sum(misses.values()) <= self.MAX_MISSES, dict(misses)
 
 
 class TestPythonScalars:

@@ -13,8 +13,8 @@ the seed, in two tiers:
   ``identical_rows`` flags), ``enumerate_extrema`` at n = 2,
   ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
   in both cases (with ``pair_stats`` of each greedy assignment's pairs in
-  a seeded shuffled order), ``case3_test``, ``solve`` with its trace in
-  both directions and ``run_test``.
+  a seeded shuffled order), ``case3_selection`` and ``solve`` with its
+  trace in both directions, and ``run_test``.
 * 40 medium instances: 30-150 treated units and within 10 of that many
   controls, 2 to k eligible controls per treated unit with k drawn from
   2-8 per instance (11 of the maps are deficient: the maximum matching
@@ -44,12 +44,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from robustz.greedy import GreedySolution, build_sorted_list, greedy_max, greedy_min  # noqa: E402
-from robustz.hungarian import case3_test, hungarian_max, hungarian_min  # noqa: E402
+from robustz.hungarian import case3_selection, hungarian_max, hungarian_min  # noqa: E402
 from robustz.matching import EffectMatrix, partition_blocks  # noqa: E402
 from robustz.oracle import enumerate_extrema  # noqa: E402
 from robustz.orchestrator import find_max_feasible_n, run_test, solve  # noqa: E402
 from robustz.qip_export import export_ilp, export_qip  # noqa: E402
-from robustz.statistic import TestResult  # noqa: E402
+from robustz.statistic import Assignment, TestResult  # noqa: E402
 
 SEED = 20261018
 INSTANCES = 1500
@@ -98,7 +98,9 @@ def _medium_instance(rng: random.Random, index: int) -> EffectMatrix:
 
 def _canon(result) -> str:
     if isinstance(result, GreedySolution):
-        return repr((result.case, sorted(result.assignment.pairs), result.stats, result.gamma))
+        return repr((result.case, sorted(result.assignment.pairs), result.stats))
+    if isinstance(result, Assignment):
+        return repr(sorted(result.pairs))
     if isinstance(result, TestResult):
         fields = dict(vars(result))
         fields["assignment_min"] = sorted(result.assignment_min.pairs)
@@ -156,7 +158,7 @@ def digest() -> tuple[int, str]:
                 for case in ("case1", "case2"):
                     result = fn(ylist, n, case)
                     out += [_canon(result), _shuffled_pair_stats(em, result, shuffle_rng)]
-            out += [_call(case3_test, em, n, "min"), _call(case3_test, em, n, "max"),
+            out += [_call(case3_selection, em, n, "min"), _call(case3_selection, em, n, "max"),
                     _solve_traced(em, n, "min"), _solve_traced(em, n, "max"),
                     _call(run_test, em, n, 0.05)]
         out.append(_call(find_max_feasible_n, em))

@@ -38,7 +38,7 @@ from .greedy import (
     greedy_max,
     greedy_min,
 )
-from .hungarian import CostMatching, case3_test, hungarian_max, hungarian_min
+from .hungarian import CostMatching, hungarian_max, hungarian_min
 from .orchestrator import (
     NoPairsError,
     NoPairsPossible,

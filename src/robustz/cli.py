@@ -142,6 +142,13 @@ def _resolve_n(args, config: RunConfig) -> int:
     return n
 
 
+def _resolve_alpha(args, config: RunConfig) -> float:
+    alpha = args.alpha if args.alpha is not None else config.alpha
+    if not 0.0 < alpha < 1.0:  # NaN as well
+        raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
+    return alpha
+
+
 def _parse_range(text: str, want_step: bool):
     parts = text.split(":")
     if want_step and len(parts) not in (2, 3) or not want_step and len(parts) != 2:
@@ -186,7 +193,7 @@ def _cmd_match(args) -> int:
 def _cmd_test(args) -> int:
     config = load_config(args.config)
     n = _resolve_n(args, config)
-    alpha = args.alpha if args.alpha is not None else config.alpha
+    alpha = _resolve_alpha(args, config)
     with _open_out(args.out) as out:
         em = _load_matrices(config)
         start = time.perf_counter()
@@ -241,7 +248,7 @@ def _sweep_csv_line(row) -> str:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
-    alpha = args.alpha if args.alpha is not None else config.alpha
+    alpha = _resolve_alpha(args, config)
 
     spec = config.n_spec
     if args.sweep and args.binary_search:
@@ -313,14 +320,14 @@ def _cmd_oracle(args) -> int:
 def _cmd_export(args) -> int:
     config = load_config(args.config)
     n = _resolve_n(args, config)
+    if args.kind == "qip" and not args.case:
+        raise UsageError("--case is required for qip export")
+    if args.kind == "ilp" and args.b_l is None:
+        raise UsageError("--b-l is required for ilp export")
     em = _load_matrices(config)
     if args.kind == "qip":
-        if not args.case:
-            raise UsageError("--case is required for qip export")
         spec = export_qip(em, n, args.direction, args.case)
     else:
-        if args.b_l is None:
-            raise UsageError("--b-l is required for ilp export")
         spec = export_ilp(em, n, args.direction, args.b_l,
                           bl_range_note=args.bl_range_note)
     lp_path, json_path = spec.write(args.out)

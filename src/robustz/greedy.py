@@ -15,9 +15,10 @@ on the ascending effect list:
   the running sum nonnegative.
 
 The maximization cases are the exact mirror image: negate every effect,
-solve the mirrored minimization case, negate the resulting level. Every
+solve the mirrored minimization case, negate the effect sum back. Every
 selection removes all entries sharing the chosen row or column, so the
-output is always a valid one-to-one assignment.
+output is always a valid one-to-one assignment, and its Z statistic is
+the level the case reaches.
 """
 
 from __future__ import annotations
@@ -29,14 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matching import EffectMatrix
-from .statistic import (
-    Assignment,
-    DegenerateStatisticError,
-    PairStats,
-    gamma_roots,
-    stats_from_values,
-    z_statistic,
-)
+from .statistic import Assignment, PairStats, stats_from_values
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,6 @@ class Infeasible:
 class GreedySolution:
     assignment: Assignment
     stats: PairStats
-    gamma: float
     case: str
 
 
@@ -153,16 +146,9 @@ def _candidate(state: _ListState, k: int, links: memoryview, end: int, barred: s
 
 def _solution_from(state: _ListState, chosen: list[int], case: str) -> GreedySolution:
     pairs = [(state.rows[k], state.cols[k]) for k in chosen]
-    stats = stats_from_values(state.values[k] for k in chosen)
-    try:
-        g_min, g_max = gamma_roots(stats.S, stats.Q, stats.n)
-        gamma = g_max if case.endswith("case1") else g_min
-    except DegenerateStatisticError:  # stats are degenerate: signed-infinity limit
-        gamma = z_statistic(stats)
     return GreedySolution(
         assignment=Assignment(pairs=frozenset(pairs)),
-        stats=stats,
-        gamma=gamma + 0.0,
+        stats=stats_from_values(state.values[k] for k in chosen),
         case=case,
     )
 
@@ -261,6 +247,5 @@ def greedy_max(ylist: SortedEffectList, n: int, case: str):
     return GreedySolution(
         assignment=mirrored.assignment,
         stats=replace(mirrored.stats, S=-mirrored.stats.S + 0.0),
-        gamma=-mirrored.gamma + 0.0,
         case=f"max_{case}",
     )

@@ -1,10 +1,10 @@
-"""Minimum-cost bipartite assignment and the linear-feasibility case test.
+"""Minimum-cost bipartite assignment and the linear case's selection.
 
 The sign regime without a quadratic bound only asks whether an n-pair
 assignment with the right effect-sum sign exists. That is an assignment
-problem: solve for a minimum (or maximum) total-effect matching, take
-the n cheapest (or dearest) of its pairs, and check the sign of their
-sum; the attainable level is then exactly 0.
+problem: solve for a minimum (or maximum) total-effect matching and take
+the n cheapest (or dearest) of its pairs. The case ladder checks the
+sign of their sum and reports the Z statistic of that selection.
 
 The matching itself is found with successive shortest augmenting paths
 under dual potentials, which tolerates negative costs directly (no
@@ -38,7 +38,6 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .greedy import GreedySolution, Infeasible
 from .matching import EffectMatrix
 from .statistic import Assignment
 
@@ -248,22 +247,3 @@ def case3_selection(em: EffectMatrix, n: int, direction: str):
     ranked = sorted(matching.pairs, key=lambda p: sign * p[2])  # stable: pairs are (i, j)-ordered
     return Assignment(pairs=frozenset((i, j) for i, j, _ in ranked[:n]))
 
-
-def case3_test(em: EffectMatrix, n: int, direction: str):
-    """Linear-feasibility case: GreedySolution with level 0, or Infeasible."""
-    if n < 2:
-        raise ValueError(f"case-3 test needs n >= 2, got n={n}")
-    selection = case3_selection(em, n, direction)
-    if selection is None:
-        return Infeasible("maximum matching has fewer than n pairs")
-    stats = em.pair_stats(selection.pairs)
-    if direction == "min" and stats.S > 0.0:
-        return Infeasible("selected effect sum is positive")
-    if direction == "max" and stats.S < 0.0:
-        return Infeasible("selected effect sum is negative")
-    return GreedySolution(
-        assignment=selection,
-        stats=stats,
-        gamma=0.0,
-        case=f"{direction}_case3",
-    )

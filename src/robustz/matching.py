@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -231,27 +231,38 @@ def _value_key(v):
     return ("s", v)
 
 
-def _check_rule_columns(dataset: Dataset, rules: Iterable[CovariateRule]) -> None:
-    # NaN compares unequal to everything and passes no `> tol` test, so a NaN
-    # caliper value would match every control; inf - inf is NaN as well
-    for rule in rules:
-        for unit in dataset.units:
-            if rule.column not in unit.covariates:
-                raise MatchingError(f"unit {unit.id!r} has no value for column {rule.column!r}")
-            value = unit.covariates[rule.column]
-            if rule.kind == "caliper" and not isinstance(value, _NUMERIC):
-                raise MatchingError(
-                    f"caliper rule on categorical column {rule.column!r} "
-                    f"(unit {unit.id!r} has non-numeric value)"
-                )
-            if isinstance(value, float) and (
-                    math.isnan(value) or rule.kind == "caliper" and math.isinf(value)):
-                raise MatchingError(
-                    f"unit {unit.id!r} has non-finite value {value!r} in column {rule.column!r}")
-            if rule.kind == "caliper" and isinstance(value, int) and abs(value) > MAX_CALIPER_INT:
-                raise MatchingError(
-                    f"unit {unit.id!r} has integer value {value!r} beyond 2**52 "
-                    f"in caliper column {rule.column!r}")
+_MISSING = object()
+
+
+def _rule_column(rule: CovariateRule, units) -> list:
+    """The rule's value for every unit, in unit order, checked as it is read.
+
+    The first unit whose value the rule cannot use raises MatchingError: a
+    missing value, NaN (it compares unequal to everything and passes no
+    ``> tol`` test, so a NaN caliper value would match every control), and
+    for a caliper a non-numeric value, an infinity (inf - inf is NaN as
+    well) or an integer beyond ``MAX_CALIPER_INT``.
+    """
+    column, caliper = rule.column, rule.kind == "caliper"
+    values = []
+    for unit in units:
+        value = unit.covariates.get(column, _MISSING)
+        if value is _MISSING:
+            raise MatchingError(f"unit {unit.id!r} has no value for column {column!r}")
+        if caliper and not isinstance(value, _NUMERIC):
+            raise MatchingError(
+                f"caliper rule on categorical column {column!r} "
+                f"(unit {unit.id!r} has non-numeric value)"
+            )
+        if isinstance(value, float) and (math.isnan(value) or caliper and math.isinf(value)):
+            raise MatchingError(
+                f"unit {unit.id!r} has non-finite value {value!r} in column {column!r}")
+        if caliper and isinstance(value, int) and abs(value) > MAX_CALIPER_INT:
+            raise MatchingError(
+                f"unit {unit.id!r} has integer value {value!r} beyond 2**52 "
+                f"in caliper column {column!r}")
+        values.append(value)
+    return values
 
 
 def build_match_matrix(dataset: Dataset, rules: list[CovariateRule]) -> MatchMatrix:
@@ -271,26 +282,25 @@ def build_match_matrix(dataset: Dataset, rules: list[CovariateRule]) -> MatchMat
     """
     if not rules:
         raise MatchingError("at least one covariate rule is required")
-    _check_rule_columns(dataset, rules)
+    units = dataset.units
+    # one walk per rule, in rule order: the first bad unit named is the
+    # first in (rule, file) order
+    columns = [(rule, _rule_column(rule, units)) for rule in rules]
+    is_treated = np.fromiter((u.treatment for u in units), dtype=bool, count=len(units))
+    t_at, c_at = np.flatnonzero(is_treated), np.flatnonzero(~is_treated)
+    nt, nc = len(t_at), len(c_at)
 
-    treated = dataset.treated_units()
-    control = dataset.control_units()
-    nt, nc = len(treated), len(control)
-    exact_cols = [r.column for r in rules if r.kind == "exact"]
-    calipers = [r for r in rules if r.kind == "caliper"]
-    tols = [float(r.tolerance) for r in calipers]
+    exact = [map(_value_key, col) for rule, col in columns if rule.kind == "exact"]
+    keys = zip(*exact) if exact else repeat((), len(units))
     groups: dict[tuple, int] = {}
-
-    def columns(units):
-        keys = (tuple(_value_key(u.covariates[c]) for c in exact_cols) for u in units)
-        gid = np.fromiter((groups.setdefault(k, len(groups)) for k in keys),
-                          dtype=np.int64, count=len(units))
-        values = [np.array([u.covariates[r.column] for u in units], dtype=np.float64)
-                  for r in calipers]
-        return gid, values
-
-    t_gid, t_val = columns(treated)
-    c_gid, c_val = columns(control)
+    gid = np.fromiter((groups.setdefault(k, len(groups)) for k in keys),
+                      dtype=np.int64, count=len(units))
+    t_gid, c_gid = gid[t_at], gid[c_at]
+    calipers = [(np.array(col, dtype=np.float64), float(rule.tolerance))
+                for rule, col in columns if rule.kind == "caliper"]
+    t_val = [col[t_at] for col, _ in calipers]
+    c_val = [col[c_at] for col, _ in calipers]
+    tols = [tol for _, tol in calipers]
     # the first caliper orders each group; without one a group is one window
     tx, cx, tol0 = (t_val[0], c_val[0], tols[0]) if calipers else (np.zeros(nt), np.zeros(nc), 0.0)
 
@@ -326,7 +336,8 @@ def build_match_matrix(dataset: Dataset, rules: list[CovariateRule]) -> MatchMat
         a = b
     rows, cols = np.divmod(np.concatenate(codes), nc)
 
-    return MatchMatrix(tuple(u.id for u in treated), tuple(u.id for u in control), rows, cols)
+    return MatchMatrix(tuple(units[k].id for k in t_at.tolist()),
+                       tuple(units[k].id for k in c_at.tolist()), rows, cols)
 
 
 def build_effect_matrix(match: MatchMatrix, dataset: Dataset) -> EffectMatrix:

@@ -3,21 +3,25 @@
 Per direction the ladder tries the sign regimes in the order that can
 only improve the level: minimization runs case 2 (level <= 0), then the
 linear case (level 0), then case 1 (level >= 0); maximization mirrors
-it. The first feasible case's level is the reported extremal statistic.
+it. Every rung builds an assignment, and the first one that meets its
+case's sign condition is the direction's witness; the reported
+extremal statistic is a witness's Z, never a level on its own.
 
-When all three cases fail but n disjoint pairs exist, the assignment
-backing the linear case is returned with its actual Z and flagged
-``fallback`` so a sweep never reports a spurious "no pairs" while the
-cardinality constraint is satisfiable.
+The linear case reads the direction's optimal matching once. When it
+has fewer than n pairs no rung can find n disjoint pairs, and the
+direction has none. When all three cases fail otherwise, the linear
+case's selection is returned flagged ``fallback``, so a sweep never
+reports a spurious "no pairs" while the cardinality constraint is
+satisfiable.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .greedy import GreedySolution, Infeasible, build_sorted_list, greedy_max, greedy_min
-from .hungarian import case3_selection, case3_test, hungarian_min
+from .hungarian import case3_selection, hungarian_min
 from .matching import EffectMatrix
 from .statistic import (
     TestResult,
@@ -48,7 +52,7 @@ _LADDERS = {
 
 
 def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None):
-    """Best level for one direction: GreedySolution or NoPairsPossible.
+    """Best witness for one direction: GreedySolution or NoPairsPossible.
 
     ``trace``, when given, collects the case tags in attempt order.
     """
@@ -59,43 +63,34 @@ def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None):
 
     ylist = build_sorted_list(em)
     greedy = greedy_min if direction == "min" else greedy_max
+    sign = 1.0 if direction == "min" else -1.0
     for tag, case in _LADDERS[direction]:
         if trace is not None:
             trace.append(tag)
-        if case is None:
-            result = case3_test(em, n, direction)
-        else:
+        if case is not None:
             result = greedy(ylist, n, case)
-        if not isinstance(result, Infeasible):
-            return result
+            if not isinstance(result, Infeasible):
+                return result
+            continue
+        selection = case3_selection(em, n, direction)
+        if selection is None:  # no rung can find n disjoint pairs
+            return NoPairsPossible(f"no assignment of {n} disjoint eligible pairs exists")
+        linear = GreedySolution(selection, em.pair_stats(selection.pairs), tag)
+        if sign * linear.stats.S <= 0.0:  # the effect sum has the direction's sign
+            return linear
 
-    # the linear rung solved the direction's matching; this reads it again
-    selection = case3_selection(em, n, direction)
-    if selection is None:
-        return NoPairsPossible(f"no assignment of {n} disjoint eligible pairs exists")
     if trace is not None:
         trace.append(FALLBACK)
-    stats = em.pair_stats(selection.pairs)
-    return GreedySolution(
-        assignment=selection,
-        stats=stats,
-        gamma=z_statistic(stats),
-        case=FALLBACK,
-    )
+    return replace(linear, case=FALLBACK)
 
 
 def run_test(em: EffectMatrix, n: int, alpha: float) -> TestResult:
     """Both directions at one n, with P-values and robustness class.
 
-    Each bound is clamped to the witnesses: ``z_min`` is the least of the
-    min ladder's level and the Z values of the two assignments the
-    ladders built, and ``z_max`` the greatest of the max ladder's level
-    and the same two Z values. A level alone can claim more than the
-    assignments support (the linear case reports the bound 0, degenerate
-    selections signed infinity), while a witness is a genuine member of
-    the assignment set, so the clamp only widens the interval toward
-    what was actually built, and each bound is a level or a witnessed Z.
-    On equal values the direction's own ladder stays the source.
+    Each bound is the Z of an assignment the ladders built: ``z_min`` is
+    the lesser of the two witnesses' Z values and ``z_max`` the greater,
+    so the interval never claims more than the assignments support. On
+    equal values the direction's own ladder stays the source.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
@@ -109,8 +104,8 @@ def run_test(em: EffectMatrix, n: int, alpha: float) -> TestResult:
         raise NoPairsError(high.reason)
     z_low, z_high = z_statistic(low.stats), z_statistic(high.stats)
     # min/max keep the first of equal values: the direction's own ladder
-    z_min, src_min = min((low.gamma, low), (z_low, low), (z_high, high), key=lambda c: c[0])
-    z_max, src_max = max((high.gamma, high), (z_high, high), (z_low, low), key=lambda c: c[0])
+    z_min, src_min = min((z_low, low), (z_high, high), key=lambda c: c[0])
+    z_max, src_max = max((z_high, high), (z_low, low), key=lambda c: c[0])
     p_min, p_max = p_values(z_max, z_min)
     return TestResult(
         n=n,

@@ -85,8 +85,9 @@ def test_criterion_1_oracle_sandwich():
                 assert sol.stats.S >= 0.0
             elif sol.case.endswith("case2"):
                 assert sol.stats.S <= 0.0
-        assert oracle.z_min <= lo.gamma + _rel_slack(oracle.z_min, lo.gamma)
-        assert hi.gamma <= oracle.z_max + _rel_slack(oracle.z_max, hi.gamma)
+        z_lo, z_hi = z_statistic(lo.stats), z_statistic(hi.stats)
+        assert oracle.z_min <= z_lo + _rel_slack(oracle.z_min, z_lo)
+        assert z_hi <= oracle.z_max + _rel_slack(oracle.z_max, z_hi)
         instances += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -110,11 +111,11 @@ def test_criterion_2_restricted_optimality():
         if sign < 0:  # all effects negative: minimization, quadratic case 2
             sol = greedy_min(build_sorted_list(em), n, "case2")
             assert isinstance(sol, GreedySolution)
-            assert sol.gamma == pytest.approx(oracle.z_min, abs=1e-9)
+            assert z_statistic(sol.stats) == pytest.approx(oracle.z_min, abs=1e-9)
         else:  # all effects positive: maximization, quadratic case 1
             sol = greedy_max(build_sorted_list(em), n, "case1")
             assert isinstance(sol, GreedySolution)
-            assert sol.gamma == pytest.approx(oracle.z_max, abs=1e-9)
+            assert z_statistic(sol.stats) == pytest.approx(oracle.z_max, abs=1e-9)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(2, f"(50 instances, {elapsed:.1f}s)")
@@ -169,7 +170,8 @@ def test_criterion_4_gamma_z_consistency_and_reflection():
         if isinstance(hi, NoPairsPossible):
             assert isinstance(lo, NoPairsPossible)
             continue
-        assert hi.gamma == -lo.gamma or hi.gamma == lo.gamma == 0.0
+        z_hi, z_lo = z_statistic(hi.stats), z_statistic(lo.stats)
+        assert z_hi == -z_lo or z_hi == z_lo == 0.0
         mirrored += 1
     assert mirrored > 500
     _report(4, f"(10000 assignments, {mirrored} mirrored instances)")

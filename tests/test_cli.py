@@ -180,9 +180,18 @@ class TestSweep:
         assert main(["sweep", "--config", str(negative_fixture),
                      "--sweep", "3:2"]) == 1
 
-    def test_bad_alpha_usage_error(self, negative_fixture, capsys):
-        assert main(["test", "--config", str(negative_fixture), "--n", "2",
-                     "--alpha", "1.5"]) == 1
+    def test_bad_alpha_usage_error(self, negative_fixture, tmp_path, capsys):
+        # checked before the work: no report, CSV header or --out file
+        out = tmp_path / "report.out"
+        for command in (["test", "--n", "2"], ["sweep", "--sweep", "2:2"]):
+            for alpha in ("1.5", "0", "nan"):
+                argv = [command[0], "--config", str(negative_fixture), *command[1:],
+                        "--alpha", alpha, "--out", str(out)]
+                assert main(argv) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("usage error: alpha must be in (0, 1)")
+                assert not out.exists()
 
     def test_sweep_spec_from_config(self, tmp_path, capsys):
         config = write_fixture(
@@ -315,3 +324,13 @@ class TestExport:
     def test_qip_requires_case(self, negative_fixture, capsys):
         assert main(["export", "--config", str(negative_fixture), "--n", "2",
                      "--kind", "qip", "--direction", "min"]) == 1
+
+    @pytest.mark.parametrize("kind,missing", [("qip", "--case"), ("ilp", "--b-l")])
+    def test_missing_option_checked_before_loading(self, tmp_path, capsys, kind, missing):
+        # the data file does not exist, so only a check made before loading says usage
+        config = write_fixture(tmp_path, [(0.0, "a", True), (1.0, "a", False)],
+                               {"data_path": "nowhere.csv"})
+        assert main(["export", "--config", str(config), "--n", "2",
+                     "--kind", kind, "--direction", "min"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and missing in err

@@ -46,7 +46,7 @@ class TestGreedyMinCase2:
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
         assert sol.stats.S == -5.0
         assert sol.stats.Q == 17.0
-        assert sol.gamma == pytest.approx(-2.3570, abs=1e-4)
+        assert z_statistic(sol.stats) == pytest.approx(-2.3570, abs=1e-4)
 
     def test_stops_when_minimum_turns_positive(self):
         yl = ylist_of({(0, 0): -1, (0, 1): 2, (1, 0): 2, (1, 1): 3})
@@ -65,12 +65,12 @@ class TestGreedyMinCase2:
         sol = greedy_min(yl, 2, "case2")
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
         assert sol.stats.S == -3.0
-        assert sol.gamma == pytest.approx(-(2 * 9 / (2 * 9 - 9)) ** 0.5, abs=1e-9)
+        assert z_statistic(sol.stats) == pytest.approx(-(2 * 9 / (2 * 9 - 9)) ** 0.5, abs=1e-9)
 
     def test_degenerate_selection_gets_signed_infinity(self):
         yl = ylist_of({(0, 0): -3, (1, 1): -3})
         sol = greedy_min(yl, 2, "case2")
-        assert sol.gamma == -math.inf
+        assert z_statistic(sol.stats) == -math.inf
         assert sol.stats.degenerate
 
 
@@ -81,7 +81,7 @@ class TestGreedyMinCase1:
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
         assert sol.stats.S == 2.0
         assert sol.stats.Q == 10.0
-        assert sol.gamma == pytest.approx(0.7071, abs=1e-4)
+        assert z_statistic(sol.stats) == pytest.approx(0.7071, abs=1e-4)
 
     def test_all_negative_is_infeasible(self):
         yl = ylist_of({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
@@ -97,7 +97,7 @@ class TestGreedyMinCase1:
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1), (2, 2)]
         assert sol.stats.S == 4.0
         assert sol.stats.Q == 30.0
-        assert sol.gamma == pytest.approx((3 * 16 / 74) ** 0.5, abs=1e-9)
+        assert z_statistic(sol.stats) == pytest.approx((3 * 16 / 74) ** 0.5, abs=1e-9)
 
     def test_odd_n_single_skips_negative_entries(self):
         # couple (-2, 2) sums to zero, so the final single must be the
@@ -107,14 +107,14 @@ class TestGreedyMinCase1:
         sol = greedy_min(yl, 3, "case1")
         assert sorted(sol.assignment.pairs) == [(0, 0), (2, 2), (4, 4)]
         assert sol.stats.S == 1.0
-        assert sol.gamma == pytest.approx((3 * 1 / 26) ** 0.5, abs=1e-9)
+        assert z_statistic(sol.stats) == pytest.approx((3 * 1 / 26) ** 0.5, abs=1e-9)
 
     def test_positive_entries_pair_smallest(self):
         yl = ylist_of({(0, 0): 4, (0, 1): 3, (1, 0): 2, (1, 1): 1})
         sol = greedy_min(yl, 2, "case1")
         # anchor 1@(1,1); the only disjoint partner is 4@(0,0)
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
-        assert sol.gamma == pytest.approx(2.3570, abs=1e-4)
+        assert z_statistic(sol.stats) == pytest.approx(2.3570, abs=1e-4)
 
 
 class TestGreedyMax:
@@ -122,7 +122,7 @@ class TestGreedyMax:
         yl = ylist_of({(0, 0): 4, (0, 1): 3, (1, 0): 2, (1, 1): 1})
         sol = greedy_max(yl, 2, "case1")
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
-        assert sol.gamma == pytest.approx(2.3570, abs=1e-4)
+        assert z_statistic(sol.stats) == pytest.approx(2.3570, abs=1e-4)
         assert sol.case == "max_case1"
 
     def test_case1_needs_nonnegative_sum(self):
@@ -132,7 +132,7 @@ class TestGreedyMax:
     def test_case2_matches_oracle_maximum(self):
         yl = ylist_of({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
         sol = greedy_max(yl, 2, "case2")
-        assert sol.gamma == pytest.approx(-2.3570, abs=1e-4)
+        assert z_statistic(sol.stats) == pytest.approx(-2.3570, abs=1e-4)
 
     def test_small_n_rejected(self):
         yl = ylist_of({(0, 0): 1.0})
@@ -147,10 +147,10 @@ def _check_solution(sol: GreedySolution, em, n: int):
     assert sol.assignment.n == n
     if sol.case.endswith("case1"):
         assert sol.stats.S >= 0.0
-        assert sol.gamma >= 0.0
+        assert z_statistic(sol.stats) >= 0.0
     elif sol.case.endswith("case2"):
         assert sol.stats.S <= 0.0
-        assert sol.gamma <= 0.0
+        assert z_statistic(sol.stats) <= 0.0
 
 
 class TestRandomizedProperties:
@@ -180,7 +180,8 @@ class TestRandomizedProperties:
                 if isinstance(fwd, Infeasible):
                     assert isinstance(bwd, Infeasible)
                 else:
-                    assert fwd.gamma == -bwd.gamma or fwd.gamma == bwd.gamma == 0.0
+                    z_fwd, z_bwd = z_statistic(fwd.stats), z_statistic(bwd.stats)
+                    assert z_fwd == -z_bwd or z_fwd == z_bwd == 0.0
                     assert fwd.assignment.pairs == bwd.assignment.pairs
 
     def test_heuristic_bounds_vs_brute_force(self, rng):
@@ -217,7 +218,7 @@ class TestRandomizedProperties:
                 b = greedy_min(yl2, n, case)
                 if isinstance(a, GreedySolution):
                     assert a.assignment.pairs == b.assignment.pairs
-                    assert a.gamma == b.gamma
+                    assert z_statistic(a.stats) == z_statistic(b.stats)
                 else:
                     assert isinstance(b, Infeasible)
 
@@ -243,11 +244,11 @@ class TestRestrictedOptimality:
             if sign < 0:
                 sol = greedy_min(yl, n, "case2")
                 assert isinstance(sol, GreedySolution)
-                assert sol.gamma == pytest.approx(bf_min, abs=1e-9)
+                assert z_statistic(sol.stats) == pytest.approx(bf_min, abs=1e-9)
             else:
                 sol = greedy_max(yl, n, "case1")
                 assert isinstance(sol, GreedySolution)
-                assert sol.gamma == pytest.approx(bf_max, abs=1e-9)
+                assert z_statistic(sol.stats) == pytest.approx(bf_max, abs=1e-9)
 
 
 class TestScalingSmoke:

@@ -8,11 +8,13 @@ import time
 import numpy as np
 import pytest
 
+import robustz.orchestrator as orchestrator
 from robustz.greedy import GreedySolution, Infeasible
-from robustz.hungarian import WIDE_ROW, case3_test, hungarian_max, hungarian_min
-from robustz.statistic import validate_assignment
+from robustz.hungarian import WIDE_ROW, case3_selection, hungarian_max, hungarian_min
+from robustz.orchestrator import FALLBACK, NoPairsPossible, solve
+from robustz.statistic import validate_assignment, z_statistic
 
-from conftest import make_em, max_matching_size
+from conftest import make_em, max_matching_size, random_instance
 
 
 def brute_min_total(costs, rows, cols):
@@ -138,48 +140,71 @@ class TestHungarianSparse:
 
 
 class TestCase3:
+    """The linear case: ``case3_selection`` and its rung in ``solve``."""
+
+    @staticmethod
+    def _case3_only(monkeypatch):
+        # every greedy rung fails, so each ladder reaches the case-3 rung
+        for name in ("greedy_min", "greedy_max"):
+            monkeypatch.setattr(orchestrator, name, lambda *args: Infeasible("off"))
+
     def test_positive_sums_infeasible(self):
         em = make_em({(0, 0): -1, (0, 1): 2, (1, 0): 2, (1, 1): 3})
-        assert isinstance(case3_test(em, 2, "min"), Infeasible)
+        assert em.pair_stats(case3_selection(em, 2, "min").pairs).S == 2.0
+        trace = []
+        assert solve(em, 2, "min", trace).case == "min_case1"
+        assert trace == ["min_case2", "min_case3", "min_case1"]
 
-    def test_negative_instance_gives_zero_level(self):
+    def test_negative_instance_reports_its_witness(self, monkeypatch):
+        self._case3_only(monkeypatch)
         em = make_em({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
-        sol = case3_test(em, 2, "min")
+        sol = solve(em, 2, "min")
         assert isinstance(sol, GreedySolution)
-        assert sol.gamma == 0.0
-        assert sol.stats.S == -5.0
         assert sol.case == "min_case3"
+        assert sol.assignment == case3_selection(em, 2, "min")
+        assert sol.stats.S == -5.0
+        assert z_statistic(sol.stats) == pytest.approx(-2.3570, abs=1e-4)
 
-    def test_all_zero_effects_feasible_both_ways(self):
+    def test_all_zero_effects_feasible_both_ways(self, monkeypatch):
+        self._case3_only(monkeypatch)
         em = make_em({(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0})
-        assert case3_test(em, 2, "min").gamma == 0.0
-        assert case3_test(em, 2, "max").gamma == 0.0
+        for direction in ("min", "max"):
+            sol = solve(em, 2, direction)
+            assert sol.case == f"{direction}_case3"
+            assert z_statistic(sol.stats) == 0.0
 
     def test_matching_too_small_infeasible(self):
         em = make_em({(0, 0): -1.0}, 2, 2)
-        result = case3_test(em, 2, "min")
-        assert isinstance(result, Infeasible)
-        assert "fewer than" in result.reason
+        assert case3_selection(em, 2, "min") is None
+        result = solve(em, 2, "min")
+        assert isinstance(result, NoPairsPossible)
+        assert "no assignment of 2" in result.reason
 
     def test_small_n_rejected(self):
         em = make_em({(0, 0): -1.0})
-        with pytest.raises(ValueError):
-            case3_test(em, 1, "min")
+        for direction in ("min", "max"):
+            with pytest.raises(ValueError, match="n >= 2"):
+                solve(em, 1, direction)
 
-    def test_feasible_output_respects_sign(self, rng):
-        from conftest import random_instance
-
+    def test_feasible_output_respects_sign(self, rng, monkeypatch):
+        self._case3_only(monkeypatch)
         for _ in range(200):
             em, n = random_instance(rng)
             for direction in ("min", "max"):
-                sol = case3_test(em, n, direction)
-                if isinstance(sol, GreedySolution):
-                    validate_assignment(sol.assignment, em)
-                    assert sol.gamma == 0.0
-                    if direction == "min":
-                        assert sol.stats.S <= 0.0
-                    else:
-                        assert sol.stats.S >= 0.0
+                selection = case3_selection(em, n, direction)
+                sol = solve(em, n, direction)
+                if selection is None:
+                    assert isinstance(sol, NoPairsPossible)
+                    continue
+                validate_assignment(sol.assignment, em)
+                assert sol.assignment == selection
+                z = z_statistic(sol.stats)
+                assert z == z_statistic(em.pair_stats(selection.pairs))
+                sign = 1.0 if direction == "min" else -1.0
+                if sol.case == f"{direction}_case3":
+                    assert sign * sol.stats.S <= 0.0 and sign * z <= 0.0
+                else:
+                    assert sol.case == FALLBACK and sign * sol.stats.S > 0.0
 
 
 class TestScipyOracle:

@@ -105,6 +105,20 @@ class TestBuildMatchMatrix:
         mm = build_match_matrix(ds, [CovariateRule("x", "exact")])
         assert (mm.rows.tolist(), mm.cols.tolist()) == ([0], [0])
 
+    def test_first_bad_unit_in_rule_then_file_order(self):
+        # unit 2 (a control) is bad under the second rule only, unit 3 (a
+        # treated unit) under the first: the first rule's unit is named
+        ds = dataset_from([
+            ({"g": "a", "x": 1.0}, True, 1.0),
+            ({"g": "a", "x": "wide"}, False, 2.0),
+            ({"g": float("nan"), "x": 1.0}, True, 1.0),
+        ])
+        rules = [CovariateRule("g", "exact"), CovariateRule("x", "caliper", tolerance=1)]
+        with pytest.raises(MatchingError, match=r"unit '3' .*non-finite.*'g'"):
+            build_match_matrix(ds, rules)
+        with pytest.raises(MatchingError, match=r"categorical column 'x' \(unit '2'"):
+            build_match_matrix(ds, rules[::-1])
+
     def test_matches_all_pairs_reference(self):
         # every (i, j) checked against every rule, with no grouping: the
         # pairs, and their (i, j) order, must be what the library builds

@@ -15,7 +15,9 @@ on the ascending effect list:
   the running sum nonnegative.
 
 The maximization cases are the exact mirror image: negate every effect,
-solve the mirrored minimization case, negate the effect sum back. Every
+solve the mirrored minimization case, negate the effect sum back. The
+sorted list and its mirror depend on neither n nor the direction, so each
+is built once per effect matrix and shared by every later solve. Every
 selection removes all entries sharing the chosen row or column, so the
 output is always a valid one-to-one assignment, and its Z statistic is
 the level the case reaches.
@@ -24,24 +26,47 @@ the level the case reaches.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .matching import EffectMatrix
+from .matching import EffectMatrix, stable_order
 from .statistic import Assignment, PairStats, stats_from_values
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class SortedEffectList:
-    """Eligible pair effects in ascending value order, ties by (i, j)."""
+    """Eligible pair effects in ascending value order, ties by (i, j).
+
+    The arrays are read-only: one list is shared by both directions and
+    every n solved on its matrix.
+    """
 
     values: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     n_treated: int
     n_control: int
+
+    @cached_property
+    def mirror(self) -> "SortedEffectList":
+        """The negated effects in ascending order, ties by (i, j); built once per list.
+
+        Reversing the list would put tied entries in descending (i, j)
+        order, so each run of ties is put back in list order.
+        """
+        negated = -self.values
+        order = stable_order(negated, np.arange(len(negated) - 1, -1, -1))
+        return replace(self, values=_read_only(negated[order]),
+                       rows=_read_only(self.rows[order]), cols=_read_only(self.cols[order]))
 
 
 @dataclass(frozen=True)
@@ -56,11 +81,26 @@ class GreedySolution:
     case: str
 
 
+# one sorted list per effect matrix; no strong reference to the matrix
+_SORTED: weakref.WeakKeyDictionary[EffectMatrix, SortedEffectList] = (
+    weakref.WeakKeyDictionary())
+
+
 def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
-    """All eligible effects (zeros included) in the matrix's value order."""
-    order = em.order
-    return SortedEffectList(em.values[order], em.match.rows[order], em.match.cols[order],
-                            em.n_treated, em.n_control)
+    """All eligible effects (zeros included) in the matrix's value order.
+
+    The list does not depend on n or the direction, so it is built once per
+    matrix and shared, with its mirror, by every later call. The cache holds
+    the matrix weakly; a matrix is not modified once built.
+    """
+    ylist = _SORTED.get(em)
+    if ylist is None:
+        order = em.order
+        ylist = SortedEffectList(
+            _read_only(em.values[order]), _read_only(em.match.rows[order]),
+            _read_only(em.match.cols[order]), em.n_treated, em.n_control)
+        _SORTED[em] = ylist
+    return ylist
 
 
 class _ListState:
@@ -224,24 +264,20 @@ def greedy_min(ylist: SortedEffectList, n: int, case: str):
     return _min_case1(state, n)
 
 
-def _reflected(ylist: SortedEffectList) -> SortedEffectList:
-    # a stable sort keeps the list's (i, j) order among ties; reversing
-    # the list would put tied entries in descending (i, j) order
-    order = np.argsort(-ylist.values, kind="stable")
-    return replace(ylist, values=-ylist.values[order], rows=ylist.rows[order],
-                   cols=ylist.cols[order])
-
-
 _MIRROR = {"case1": "case2", "case2": "case1"}
 
 
 def greedy_max(ylist: SortedEffectList, n: int, case: str):
-    """Maximization greedy by reflection of the mirrored minimization case."""
+    """Maximization greedy by reflection of the mirrored minimization case.
+
+    It walks ``ylist.mirror``, built on the first call and reused by every
+    later one.
+    """
     if n < 2:
         raise ValueError(f"greedy solver needs n >= 2, got n={n}")
     if case not in ("case1", "case2"):
         raise ValueError(f"unknown maximization case {case!r}")
-    mirrored = greedy_min(_reflected(ylist), n, _MIRROR[case])
+    mirrored = greedy_min(ylist.mirror, n, _MIRROR[case])
     if isinstance(mirrored, Infeasible):
         return mirrored
     return GreedySolution(

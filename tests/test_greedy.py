@@ -1,10 +1,14 @@
 """Greedy solver tests: sorted list, both cases, reflection, bounds."""
 
+import gc
 import math
 import random
+import weakref
 
+import numpy as np
 import pytest
 
+from robustz import greedy
 from robustz.greedy import (
     GreedySolution,
     Infeasible,
@@ -12,6 +16,7 @@ from robustz.greedy import (
     greedy_max,
     greedy_min,
 )
+from robustz.matching import stable_order
 from robustz.statistic import validate_assignment, z_statistic
 
 from conftest import brute_force_extrema, make_em, random_instance
@@ -37,6 +42,52 @@ class TestSortedList:
     def test_ties_break_lexicographically(self):
         yl = ylist_of({(0, 1): 2.0, (1, 0): 2.0})
         assert entries(yl) == [(2.0, 0, 1), (2.0, 1, 0)]
+
+    def test_mirror_is_the_stable_sort_of_the_negated_list(self, rng):
+        for _ in range(100):
+            em, _ = random_instance(rng)
+            draw = rng.choice((lambda: rng.uniform(-5.0, 5.0), lambda: rng.randint(-2, 2),
+                               lambda: rng.choice((0.0, -0.0))))
+            yl = ylist_of({k: draw() for k in em.effect})
+            order = np.argsort(-yl.values, kind="stable")
+            assert entries(yl.mirror) == list(zip((-yl.values[order]).tolist(),
+                                                  yl.rows[order].tolist(),
+                                                  yl.cols[order].tolist()))
+
+
+class TestSharedList:
+    def test_one_list_per_matrix(self):
+        em = make_em({(0, 0): 1.0, (1, 1): -1.0})
+        assert build_sorted_list(em) is build_sorted_list(em)
+
+    def test_one_mirror_per_list(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return stable_order(*args)
+
+        monkeypatch.setattr(greedy, "stable_order", counted)
+        em = make_em({(i, j): float(i - 2 * j) for i in range(5) for j in range(5)})
+        for n in (2, 3, 4):
+            for case in ("case1", "case2"):
+                greedy_max(build_sorted_list(em), n, case)
+        assert len(calls) == 1
+
+    def test_arrays_are_read_only(self):
+        yl = ylist_of({(0, 0): 1.0, (1, 1): -1.0})
+        for lst in (yl, yl.mirror):
+            for array in (lst.values, lst.rows, lst.cols):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[1]
+
+    def test_cache_does_not_keep_the_matrix_alive(self):
+        em = make_em({(0, 0): 1.0, (1, 1): -1.0, (0, 1): 2.0})
+        greedy_max(build_sorted_list(em), 2, "case1")
+        ref = weakref.ref(em)
+        del em
+        gc.collect()
+        assert ref() is None
 
 
 class TestGreedyMinCase2:

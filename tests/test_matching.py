@@ -291,6 +291,35 @@ class TestBuildEffectMatrix:
         at_bound = make_em({(0, 0): 1e100, (1, 1): -1e100}).pair_stats([(0, 0), (1, 1)])
         assert (at_bound.S, at_bound.Q) == (0.0, 2e200)
 
+    def test_order_is_the_stable_argsort(self, rng):
+        def random_map(draw, side):
+            return {(i, j): draw() for i in range(side) for j in range(side)
+                    if rng.random() < 0.7}
+
+        maps = [{}, {(0, 0): 1.5}, {(i, j): 2.0 for i in range(6) for j in range(6)}]
+        for _ in range(60):
+            side = rng.randint(1, 12)
+            maps.append(random_map(lambda: rng.uniform(-10.0, 10.0), side))
+            maps.append(random_map(lambda: rng.randint(-3, 3), side))
+            maps.append(random_map(lambda: rng.choice((0.0, -0.0, -1.0, 1.0)), side))
+        for effects in maps:
+            em = make_em(effects)
+            assert em.order.tolist() == np.argsort(em.values, kind="stable").tolist()
+
+    def test_arrays_are_read_only(self):
+        em = make_em({(0, 0): 1.0, (1, 1): -1.0})
+        for array in (em.values, em.order):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
+
+    def test_matched_control_counts_distinct_columns(self, rng):
+        assert make_em({}, 3, 4).match.matched_control == 0
+        for _ in range(50):
+            nt, nc = rng.randint(1, 8), rng.randint(1, 8)
+            em = make_em({(i, j): 1.0 for i in range(nt) for j in range(nc)
+                          if rng.random() < 0.3}, nt, nc)
+            assert em.match.matched_control == len(np.unique(em.match.cols))
+
 
 class TestPartitionBlocks:
     def test_two_components(self):

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 digest over the solver outputs on seeded random instances.
+"""Print SHA-256 digests over the solver outputs and model files on seeded instances.
 
 A refactor that must not change results runs this before and after the
-change and compares the two lines it prints. The instances are fixed by
-the seed, in two tiers:
+change and compares the lines it prints: ``solvers sha256 ...`` covers
+every solver output below, ``models sha256 ...`` the exported models
+alone, so a change to the model file format can be shown to leave the
+solver results alone. The instances are fixed by the seed, in two tiers:
 
 * 1,500 small instances: 1-8 treated and control units, eligibility
   density U(0.1, 1), and effects drawn, one kind per instance, as
@@ -14,7 +16,9 @@ the seed, in two tiers:
   ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
   in both cases (with ``pair_stats`` of each greedy assignment's pairs in
   a seeded shuffled order), ``case3_selection`` and ``solve`` with its
-  trace in both directions, and ``run_test``.
+  trace in both directions, and ``run_test``. The models digest covers,
+  per instance, the LP lines, sidecar, objective value and constraint
+  flags of the four quadratic models and two linear models at n = 2.
 * 40 medium instances: 30-150 treated units and within 10 of that many
   controls, 2 to k eligible controls per treated unit with k drawn from
   2-8 per instance (11 of the maps are deficient: the maximum matching
@@ -132,7 +136,7 @@ def _shuffled_pair_stats(em: EffectMatrix, result, rng: random.Random) -> str:
 def _model(export, *args) -> str:
     spec = export(*args)
     vec = {p: float(k % 2 == 0) for k, p in enumerate(spec.variables)}
-    return "\n".join([spec.render_lp(), json.dumps(spec.sidecar()),
+    return "\n".join([*spec.lp_lines(), json.dumps(spec.sidecar()),
                       repr(spec.evaluate_objective(vec)), repr(spec.check_constraints(vec))])
 
 
@@ -144,10 +148,11 @@ def _models(em: EffectMatrix) -> list[str]:
     return out
 
 
-def digest() -> tuple[int, str]:
+def digest() -> tuple[str, str]:
+    """Hex digests of the solver outputs and of the exported models."""
     rng = random.Random(SEED)
     shuffle_rng = random.Random(SHUFFLE_SEED)
-    h = hashlib.sha256()
+    h, models = hashlib.sha256(), hashlib.sha256()
     for _ in range(INSTANCES):
         em = _instance(rng)
         out = [_call(hungarian_min, em), _call(hungarian_max, em),
@@ -162,9 +167,10 @@ def digest() -> tuple[int, str]:
                     _solve_traced(em, n, "min"), _solve_traced(em, n, "max"),
                     _call(run_test, em, n, 0.05)]
         out.append(_call(find_max_feasible_n, em))
-        out += _models(em)
         h.update("\n".join(out).encode())
         h.update(b"\0")
+        models.update("\n".join(_models(em)).encode())
+        models.update(b"\0")
     rng = random.Random(MEDIUM_SEED)
     for index in range(MEDIUM_INSTANCES):
         em = _medium_instance(rng, index)
@@ -173,9 +179,10 @@ def digest() -> tuple[int, str]:
         out += [_call(run_test, em, n, 0.05) for n in (top, top - 2)]
         h.update("\n".join(out).encode())
         h.update(b"\0")
-    return INSTANCES + MEDIUM_INSTANCES, h.hexdigest()
+    return h.hexdigest(), models.hexdigest()
 
 
 if __name__ == "__main__":
-    count, hexdigest = digest()
-    print(f"instances {count} sha256 {hexdigest}")
+    solvers, models = digest()
+    print(f"solvers sha256 {solvers}")
+    print(f"models sha256 {models}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -25,7 +26,9 @@ from .oracle import DEFAULT_BUDGET as DEFAULT_ORACLE_BUDGET
 
 DEFAULT_ALPHA = 0.05
 
-_OPS = ("==", "!=", "<=", ">=", "<", ">")
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
+            ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+_OPS = tuple(_COMPARE)
 
 
 class ConfigError(ValueError):
@@ -49,27 +52,15 @@ class Predicate:
         value_num = _as_number(raw)
         for op, constant in self.clauses:
             const_num = constant if isinstance(constant, (int, float)) else _as_number(constant)
-            if op in ("==", "!="):
-                if value_num is not None and const_num is not None:
-                    hit = value_num == const_num
-                else:
-                    hit = raw == str(constant)
-                if op == "!=":
-                    hit = not hit
+            if value_num is not None and const_num is not None:
+                hit = _COMPARE[op](value_num, const_num)
+            elif op in ("==", "!="):
+                hit = _COMPARE[op](raw, str(constant))
             else:
-                if value_num is None or const_num is None:
-                    raise DataError(
-                        f"predicate {op} {constant!r} on column {column!r} "
-                        f"needs numeric values, got {raw!r}"
-                    )
-                if op == "<=":
-                    hit = value_num <= const_num
-                elif op == ">=":
-                    hit = value_num >= const_num
-                elif op == "<":
-                    hit = value_num < const_num
-                else:
-                    hit = value_num > const_num
+                raise DataError(
+                    f"predicate {op} {constant!r} on column {column!r} "
+                    f"needs numeric values, got {raw!r}"
+                )
             if not hit:
                 return False
         return True

@@ -5,9 +5,9 @@ Two families are emitted in LP-style text (grammar in
 
 * quadratic models, one per direction/sign-regime pair, whose objective
   is the coupling of the two competing sums: ``Q - S^2`` or ``S^2 - Q``
-  with ``Q = sum(effect^2 * a)`` and ``S = sum(effect * a)``. ``S^2`` is
-  expanded into explicit diagonal and pairwise products, so no auxiliary
-  variables are introduced.
+  with ``Q = sum(effect^2 * a)`` and ``S = sum(effect * a)``. ``S`` is
+  stated once, as the free continuous variable ``s`` of the ``sdef`` row,
+  so the objective has one linear term per variable and the square ``s^2``.
 * the grid-linearized model: a linear effect-sum objective under the
   extra bound ``sum(effect^2 * a) <= b_l``.
 
@@ -26,7 +26,10 @@ from typing import Mapping
 
 from .matching import EffectMatrix
 
-SCHEMA = "robustz-model/1"
+SCHEMA = "robustz-model/2"
+
+# the free continuous variable that the ``sdef`` row pins to S
+S_VAR = "s"
 
 # practical grid range of the variance bound observed at bike-study scale
 BL_RANGE_HINT = (1.12e6, 26.12e6)
@@ -69,39 +72,35 @@ class ModelSpec:
         """Relation of the sign constraint ``S <op> 0``; None for the linear model."""
         return _SIGN_OP[self.case] if self.kind == "qip" else None
 
-    def var_name(self, pair: tuple[int, int]) -> str:
-        return f"a_{pair[0]}_{pair[1]}"
+    def var_name(self, pair) -> str:
+        return S_VAR if pair == S_VAR else f"a_{pair[0]}_{pair[1]}"
 
     def objective_terms(self):
         """The objective as ``(coefficient, p, q)`` terms; the file and the audit both read them.
 
-        ``q`` is None for a linear term, ``p`` for a square and a later variable for a cross
-        product; cross products come last.
+        ``q`` is None for a linear term and ``p`` for a square; the quadratic models end
+        with the one square, of ``S_VAR``.
         """
-        pairs = list(zip(self.variables, self.effects))
         if self.kind == "ilp":
-            yield from ((e, p, None) for p, e in pairs)
+            yield from ((e, p, None) for p, e in zip(self.variables, self.effects))
             return
         sq = _OBJECTIVE_SIGN[(self.direction, self.case)]
-        for p, e in pairs:
-            yield sq * e ** 2, p, None
-            yield -sq * e ** 2, p, p
-        for a, (p, e) in enumerate(pairs):
-            for q, f in pairs[a + 1:]:
-                yield -sq * 2.0 * e * f, p, q
+        yield from ((sq * e ** 2, p, None) for p, e in zip(self.variables, self.effects))
+        yield -sq, S_VAR, S_VAR
+
+    def effect_sum(self, values: Mapping[tuple[int, int], float]) -> float:
+        """``S`` at an assignment vector (missing entries are 0)."""
+        return math.fsum(e * values.get(p, 0.0) for p, e in zip(self.variables, self.effects))
 
     def evaluate_objective(self, values: Mapping[tuple[int, int], float]) -> float:
-        """Objective value at an assignment vector (missing entries are 0)."""
-        get = values.get
+        """Objective value at an assignment vector (missing entries are 0), ``s`` being its S."""
+        s = self.effect_sum(values)
 
-        def term(c, p, q):
-            if q is None:
-                return c * get(p, 0.0)
-            if q == p:
-                return c * get(p, 0.0) ** 2
-            return c * get(p, 0.0) * get(q, 0.0)
+        def x(p):
+            return s if p == S_VAR else values.get(p, 0.0)
 
-        return math.fsum(term(*t) for t in self.objective_terms())
+        return math.fsum(c * x(p) * (1.0 if q is None else x(q))
+                         for c, p, q in self.objective_terms())
 
     def check_constraints(self, values: Mapping[tuple[int, int], float]) -> dict:
         """Per-constraint satisfaction flags at a 0/1 assignment vector."""
@@ -114,7 +113,7 @@ class ModelSpec:
             row_sums[i] = row_sums.get(i, 0.0) + v
             col_sums[j] = col_sums.get(j, 0.0) + v
             total += v
-        effect_sum = math.fsum(e * get(p, 0.0) for p, e in zip(self.variables, self.effects))
+        effect_sum = self.effect_sum(values)
         flags = {
             "rows": all(s <= 1.0 for s in row_sums.values()),
             "cols": all(s <= 1.0 for s in col_sums.values()),
@@ -129,57 +128,51 @@ class ModelSpec:
         flags["all"] = all(v for k, v in flags.items() if k not in ("structural", "all"))
         return flags
 
-    def render_lp(self) -> str:
-        pairs = list(zip(self.variables, self.effects))
-        m = len(pairs)
-        lines = [f"\\ {SCHEMA}"]
-        lines.append(f"\\ kind={self.kind} direction={self.direction}"
-                     f" case={self.case or '-'} n={self.n}")
-        lines.append(f"\\ variables={m}"
-                     f" quadratic_cross_terms={m * (m - 1) // 2 if self.kind == 'qip' else 0}")
+    def lp_lines(self):
+        """The LP text line by line (without newlines); ``write`` streams it to the file."""
+        yield f"\\ {SCHEMA}"
+        yield (f"\\ kind={self.kind} direction={self.direction}"
+               f" case={self.case or '-'} n={self.n}")
+        yield f"\\ variables={len(self.variables)}"
         if self.kind == "ilp":
-            lines.append(f"\\ variance bound b_l={_fmt(self.b_l)}; if b_l is below the"
-                         " smallest effect^2 the model is infeasible for any n >= 1")
+            yield (f"\\ variance bound b_l={_fmt(self.b_l)}; if b_l is below the"
+                   " smallest effect^2 the model is infeasible for any n >= 1")
             if self.bl_range_note:
                 lo, hi = BL_RANGE_HINT
-                lines.append(f"\\ practical b_l grid range hint: {_fmt(lo)} to {_fmt(hi)}")
-        lines.append("Maximize" if self.sense == "maximize" else "Minimize")
+                yield f"\\ practical b_l grid range hint: {_fmt(lo)} to {_fmt(hi)}"
+        yield "Maximize" if self.sense == "maximize" else "Minimize"
 
-        obj_terms, quad = [], []
-        for c, p, q in self.objective_terms():
-            if q is None:
-                obj_terms.append(_term(c, self.var_name(p)))
-            else:
-                # LP quadratic objective convention: [ doubled terms ] / 2
-                product = " ^ 2" if q == p else f" * {self.var_name(q)}"
-                quad.append(_term(2.0 * c, self.var_name(p) + product))
-        if quad:
-            obj_terms.append("+ [ " + _wrap(quad) + " ] / 2")
-        lines.append(" obj: " + _wrap(obj_terms))
+        # the one square follows the LP objective convention: [ doubled term ] / 2
+        yield from _wrap(" obj: ", [
+            _term(c, self.var_name(p)) if q is None
+            else f"+ [ {_term(2.0 * c, self.var_name(p) + ' ^ 2')} ] / 2"
+            for c, p, q in self.objective_terms()])
 
-        lines.append("Subject To")
+        yield "Subject To"
         rows: dict[int, list[str]] = {}
         cols: dict[int, list[str]] = {}
         for p in self.variables:
             rows.setdefault(p[0], []).append(self.var_name(p))
             cols.setdefault(p[1], []).append(self.var_name(p))
         for i in sorted(rows):
-            lines.append(f" row_{i}: " + " + ".join(rows[i]) + " <= 1")
+            yield f" row_{i}: " + " + ".join(rows[i]) + " <= 1"
         for j in sorted(cols):
-            lines.append(f" col_{j}: " + " + ".join(cols[j]) + " <= 1")
-        lines.append(" card: " + " + ".join(self.var_name(p) for p in self.variables)
-                     + f" = {self.n}")
-        if self.sign_op is not None:
-            sign_terms = [_term(e, self.var_name(p)) for p, e in pairs]
-            lines.append(" sign: " + _wrap(sign_terms) + f" {self.sign_op} 0")
-        if self.kind == "ilp":
-            bl_terms = [f"+ {_fmt(e ** 2)} {self.var_name(p)}" for p, e in pairs]
-            lines.append(" variance_bound: " + _wrap(bl_terms) + f" <= {_fmt(self.b_l)}")
+            yield f" col_{j}: " + " + ".join(cols[j]) + " <= 1"
+        yield " card: " + " + ".join(self.var_name(p) for p in self.variables) + f" = {self.n}"
+        pairs = zip(self.variables, self.effects)
+        if self.kind == "qip":
+            yield from _wrap(" sdef: ", [_term(e, self.var_name(p)) for p, e in pairs]
+                             + [_term(-1.0, S_VAR)], " = 0")
+            yield f" sign: {S_VAR} {self.sign_op} 0"
+            yield "Bounds"
+            yield f" {S_VAR} free"
+        else:
+            yield from _wrap(" variance_bound: ", [f"+ {_fmt(e ** 2)} {self.var_name(p)}"
+                                                   for p, e in pairs], f" <= {_fmt(self.b_l)}")
 
-        lines.append("Binary")
-        lines.append(_wrap([self.var_name(p) for p in self.variables], sep=" "))
-        lines.append("End")
-        return "\n".join(lines) + "\n"
+        yield "Binary"
+        yield from _wrap("", [self.var_name(p) for p in self.variables])
+        yield "End"
 
     def sidecar(self) -> dict:
         def ids(p, effect):
@@ -206,7 +199,7 @@ class ModelSpec:
         lp_path = f"{base_path}.lp"
         json_path = f"{base_path}.json"
         with open(lp_path, "w", encoding="utf-8") as fh:
-            fh.write(self.render_lp())
+            fh.writelines(line + "\n" for line in self.lp_lines())
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(self.sidecar(), fh, indent=2)
             fh.write("\n")
@@ -217,9 +210,11 @@ def _term(c: float, name: str) -> str:
     return f"{'+' if c >= 0 else '-'} {_fmt(abs(c))} {name}"
 
 
-def _wrap(terms: list[str], per_line: int = 6, sep: str = " ") -> str:
-    chunks = [sep.join(terms[k:k + per_line]) for k in range(0, len(terms), per_line)]
-    return ("\n  ").join(chunks)
+def _wrap(head: str, terms: list[str], tail: str = "", per_line: int = 6):
+    """Lines of one expression: ``per_line`` terms each, continuations indented by two spaces."""
+    for k in range(0, len(terms), per_line):
+        line = ("  " if k else head) + " ".join(terms[k:k + per_line])
+        yield line + tail if k + per_line >= len(terms) else line
 
 
 def _model_fields(em: EffectMatrix, n: int) -> dict:

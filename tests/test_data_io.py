@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from robustz.data_io import ConfigError, load_config, load_dataset
+from robustz.data_io import ConfigError, Predicate, load_config, load_dataset
 from robustz.data_types import DataError
 
 
@@ -44,6 +44,35 @@ FOUR_ROWS = (
     "10,95,40.1\n"
     "25,99,45.2\n"
 )
+
+
+class TestPredicate:
+    @pytest.mark.parametrize("op, raw, constant, hit", [
+        ("==", "5", 5, True), ("==", "5.0", "5", True), ("==", "4", 5, False),
+        ("!=", "5", 5, False), ("!=", "5.0", "5", False), ("!=", "4", 5, True),
+        ("<=", "5", 5, True), ("<=", "6", 5.5, False), ("<=", "4", "5", True),
+        (">=", "5", 5, True), (">=", "4", 5.5, False), (">=", "6", "5", True),
+        ("<", "5", 5, False), ("<", "4", 5.5, True), ("<", "6", "5", False),
+        (">", "5", 5, False), (">", "6", 5.5, True), (">", "4", "5", False),
+        ("==", "t", "t", True), ("==", "t", "c", False), ("==", "5", "five", False),
+        ("==", "t", 5, False),
+        ("!=", "t", "t", False), ("!=", "t", "c", True), ("!=", "5", "five", True),
+        ("!=", "t", 5, True),
+    ])
+    def test_each_op(self, op, raw, constant, hit):
+        assert Predicate(((op, constant),)).matches(raw, "col") is hit
+
+    @pytest.mark.parametrize("op", ["<=", ">=", "<", ">"])
+    @pytest.mark.parametrize("raw, constant", [("t", 5), ("5", "t"), ("t", "t")])
+    def test_ordered_op_on_text_raises(self, op, raw, constant):
+        with pytest.raises(DataError, match=f"predicate {op} .* on column 'col'"):
+            Predicate(((op, constant),)).matches(raw, "col")
+
+    def test_clauses_are_a_conjunction(self):
+        window = Predicate(((">=", 10), ("<", 20)))
+        assert window.matches("10", "col")
+        assert not window.matches("20", "col")
+        assert not window.matches("9.5", "col")
 
 
 class TestLoadDataset:

@@ -9,8 +9,10 @@ solver results alone. The instances are fixed by the seed, in two tiers:
 
 * 1,500 small instances: 1-8 treated and control units, eligibility
   density U(0.1, 1), and effects drawn, one kind per instance, as
-  U(-10, 10) floats, integers in [-3, 3] or values in {-1, 0, 1, 2} (the
-  last two are tie-heavy). Per instance the digest covers the reprs of
+  U(-10, 10) floats, integers in [-3, 3] or values in {-1, -0.0, 0.0, 1,
+  2} (the last two are tie-heavy; the signed zeros compare equal, so they
+  share tie runs, and a zero effect sum must read +0.0 in both
+  directions). Per instance the digest covers the reprs of
   ``hungarian_min``/``hungarian_max``, ``partition_blocks`` (blocks and
   ``identical_rows`` flags), ``enumerate_extrema`` at n = 2,
   ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
@@ -76,7 +78,7 @@ def _instance(rng: random.Random) -> EffectMatrix:
                 elif kind == 1:
                     effects[(i, j)] = float(rng.randint(-3, 3))
                 else:
-                    effects[(i, j)] = float(rng.choice((-1, 0, 1, 2)))
+                    effects[(i, j)] = rng.choice((-1.0, -0.0, 0.0, 1.0, 2.0))
     return EffectMatrix.from_effects(effects, nt, nc)
 
 

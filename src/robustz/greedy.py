@@ -6,7 +6,9 @@ on the ascending effect list:
 
 * minimization, case 2 (level <= 0, effect sum <= 0): repeatedly take
   the most negative remaining entry; infeasible as soon as the smallest
-  remaining effect is positive.
+  remaining effect is positive. A used row or column is never freed, so
+  the smallest remaining entry only moves forward and one scan of the
+  list finds every pick.
 * minimization, case 1 (level >= 0, effect sum >= 0): build couples.
   Each round picks an anchor (the most negative entry if its magnitude
   is covered by the most positive one, otherwise the most positive) and
@@ -15,12 +17,14 @@ on the ascending effect list:
   the running sum nonnegative.
 
 The maximization cases are the exact mirror image: negate every effect,
-solve the mirrored minimization case, negate the effect sum back. The
-sorted list and its mirror depend on neither n nor the direction, so each
-is built once per effect matrix and shared by every later solve. Every
-selection removes all entries sharing the chosen row or column, so the
-output is always a valid one-to-one assignment, and its Z statistic is
-the level the case reaches.
+solve the mirrored minimization case, negate the effect sum back. Case 1
+scans the ascending list from the top, which is case 2 on the negated
+list; case 2 walks the mirrored list. The sorted list, and the mirror
+once maximization case 2 needs it, depend on neither n nor the
+direction, so each is built once per effect matrix and shared by every
+later solve. Every selection removes all entries sharing the chosen row
+or column, so the output is always a valid one-to-one assignment, and
+its Z statistic is the level the case reaches.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ class SortedEffectList:
     def mirror(self) -> "SortedEffectList":
         """The negated effects in ascending order, ties by (i, j); built once per list.
 
-        Reversing the list would put tied entries in descending (i, j)
-        order, so each run of ties is put back in list order.
+        Only maximization case 2 walks it. Reversing the list would put tied
+        entries in descending (i, j) order, so each run of ties is put back
+        in list order.
         """
         negated = -self.values
         order = stable_order(negated, np.arange(len(negated) - 1, -1, -1))
@@ -90,8 +95,8 @@ def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
     """All eligible effects (zeros included) in the matrix's value order.
 
     The list does not depend on n or the direction, so it is built once per
-    matrix and shared, with its mirror, by every later call. The cache holds
-    the matrix weakly; a matrix is not modified once built.
+    matrix and shared by every later call. The cache holds the matrix weakly;
+    a matrix is not modified once built.
     """
     ylist = _SORTED.get(em)
     if ylist is None:
@@ -103,23 +108,28 @@ def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
     return ylist
 
 
+def _views(ylist: SortedEffectList) -> tuple[memoryview, memoryview, memoryview]:
+    """The list's values, rows and cols as memoryviews.
+
+    An index returns a Python float or int as fast as a list does, without
+    copying the whole list per call (numpy scalar access would slow a walk).
+    """
+    return memoryview(ylist.values), memoryview(ylist.rows), memoryview(ylist.cols)
+
+
 class _ListState:
-    """Doubly linked view of the sorted list with lazy conflict removal.
+    """Doubly linked view of the sorted list with lazy conflict removal, for case 1.
 
     Entries whose row or column is already used are unlinked the first
     time a walk touches them, so repeated scans stay near-linear overall.
-    The list's arrays and the links are read through memoryviews: an index
-    returns a Python float or int as fast as a list does, without copying
-    the whole list per call (numpy scalar access would slow the walk).
+    The links are read through memoryviews, as the list is.
     """
 
     __slots__ = ("values", "rows", "cols", "m", "nxt", "prv", "removed",
                  "row_used", "col_used")
 
     def __init__(self, ylist: SortedEffectList):
-        self.values = memoryview(ylist.values)
-        self.rows = memoryview(ylist.rows)
-        self.cols = memoryview(ylist.cols)
+        self.values, self.rows, self.cols = _views(ylist)
         m = len(self.values)
         self.m = m
         self.nxt = memoryview(np.arange(1, m + 1))
@@ -184,28 +194,59 @@ def _candidate(state: _ListState, k: int, links: memoryview, end: int, barred: s
     return k
 
 
-def _solution_from(state: _ListState, chosen: list[int], case: str) -> GreedySolution:
-    pairs = [(state.rows[k], state.cols[k]) for k in chosen]
+def _solution_from(rows, cols, chosen: list[int], picked, case: str) -> GreedySolution:
+    pairs = [(rows[k], cols[k]) for k in chosen]
     return GreedySolution(
         assignment=Assignment(pairs=frozenset(pairs)),
-        stats=stats_from_values(state.values[k] for k in chosen),
+        stats=stats_from_values(picked),
         case=case,
     )
 
 
-def _min_case2(state: _ListState, n: int):
+def _top_down(values: memoryview):
+    """Indices of an ascending list from the largest value down.
+
+    Each run of equal values (``0.0 == -0.0``) comes in ascending index
+    order, which is the mirrored list's order.
+    """
+    k = len(values) - 1
+    while k >= 0:
+        v = values[k]
+        if k and values[k - 1] == v:
+            lo = bisect_left(values, v, 0, k)
+            yield from range(lo, k + 1)
+            k = lo
+        else:
+            yield k
+        k -= 1
+
+
+def _min_case2(ylist: SortedEffectList, n: int, mirrored: bool = False):
+    """Case 2 as one scan: the first n assignable entries in list order.
+
+    ``mirrored`` runs case 2 of the negated list without building it: the
+    list is read from the top (see ``_top_down``) and every value negated.
+    """
+    values, rows, cols = _views(ylist)
+    sign = -1.0 if mirrored else 1.0
+    row_used, col_used = bytearray(ylist.n_treated), bytearray(ylist.n_control)
     chosen = []
-    for _ in range(n):
-        k = state.forward(0)
-        if k is None:
-            return Infeasible("eligible pairs exhausted before n assignments")
-        if state.values[k] > 0.0:
+    for k in _top_down(values) if mirrored else range(len(values)):
+        i, j = rows[k], cols[k]
+        if row_used[i] or col_used[j]:
+            continue
+        if sign * values[k] > 0.0:
             return Infeasible("smallest remaining effect is positive")
-        state.assign(k)
+        row_used[i] = col_used[j] = 1
         chosen.append(k)
-    if math.fsum(state.values[k] for k in chosen) > 0.0:
+        if len(chosen) == n:
+            break
+    else:
+        return Infeasible("eligible pairs exhausted before n assignments")
+    picked = [sign * values[k] for k in chosen]
+    if math.fsum(picked) > 0.0:
         return Infeasible("selected effect sum is positive")
-    return _solution_from(state, chosen, "min_case2")
+    return _solution_from(rows, cols, chosen, picked, "min_case2")
 
 
 def _min_case1(state: _ListState, n: int):
@@ -249,7 +290,8 @@ def _min_case1(state: _ListState, n: int):
             chosen.extend((anchor, q))
             running += state.values[anchor] + state.values[q]
             break
-    return _solution_from(state, chosen, "min_case1")
+    return _solution_from(state.rows, state.cols, chosen,
+                          [state.values[k] for k in chosen], "min_case1")
 
 
 def greedy_min(ylist: SortedEffectList, n: int, case: str):
@@ -258,26 +300,25 @@ def greedy_min(ylist: SortedEffectList, n: int, case: str):
         raise ValueError(f"greedy solver needs n >= 2, got n={n}")
     if case not in ("case1", "case2"):
         raise ValueError(f"unknown minimization case {case!r}")
-    state = _ListState(ylist)
     if case == "case2":
-        return _min_case2(state, n)
-    return _min_case1(state, n)
-
-
-_MIRROR = {"case1": "case2", "case2": "case1"}
+        return _min_case2(ylist, n)
+    return _min_case1(_ListState(ylist), n)
 
 
 def greedy_max(ylist: SortedEffectList, n: int, case: str):
     """Maximization greedy by reflection of the mirrored minimization case.
 
-    It walks ``ylist.mirror``, built on the first call and reused by every
-    later one.
+    Case 1 reads this list from the top; case 2 walks ``ylist.mirror``,
+    built on its first call and reused by every later one.
     """
     if n < 2:
         raise ValueError(f"greedy solver needs n >= 2, got n={n}")
     if case not in ("case1", "case2"):
         raise ValueError(f"unknown maximization case {case!r}")
-    mirrored = greedy_min(ylist.mirror, n, _MIRROR[case])
+    if case == "case1":
+        mirrored = _min_case2(ylist, n, mirrored=True)
+    else:
+        mirrored = _min_case1(_ListState(ylist.mirror), n)
     if isinstance(mirrored, Infeasible):
         return mirrored
     return GreedySolution(

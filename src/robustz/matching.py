@@ -89,10 +89,14 @@ class MatchMatrix:
     The eligible pairs are the int64 arrays ``rows`` and ``cols`` in strictly
     increasing (i, j) order, those of row i at ``row_start[i]:row_start[i + 1]``.
     This class owns that format: every later layer indexes these arrays.
+
+    A side given as a count instead of ids has the synthetic ids ``t0, t1, ...``
+    (treated) or ``c0, c1, ...`` (control), built when they are first read.
     """
 
-    def __init__(self, treated_ids: tuple[str, ...], control_ids: tuple[str, ...], rows, cols):
-        nt, nc = len(treated_ids), len(control_ids)
+    def __init__(self, treated_ids: tuple[str, ...] | int, control_ids: tuple[str, ...] | int,
+                 rows, cols):
+        nt, nc = (ids if isinstance(ids, int) else len(ids) for ids in (treated_ids, control_ids))
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         out = np.flatnonzero((rows < 0) | (rows >= nt) | (cols < 0) | (cols >= nc))
         if len(out):
@@ -104,21 +108,28 @@ class MatchMatrix:
             k = bad[0] + 1
             what = "repeated" if code[k] == code[k - 1] else "out of (i, j) order"
             raise MatchingError(f"eligible pair ({rows[k]}, {cols[k]}) {what}")
-        self.treated_ids, self.control_ids = treated_ids, control_ids
+        self._ids = {"t": treated_ids, "c": control_ids}
+        self.n_treated, self.n_control = nt, nc
         self.rows, self.cols = rows, cols
         self.row_start = np.searchsorted(rows, np.arange(nt + 1))
+
+    def _read_ids(self, side: str) -> tuple[str, ...]:
+        ids = self._ids[side]
+        if isinstance(ids, int):
+            ids = self._ids[side] = tuple(f"{side}{k}" for k in range(ids))
+        return ids
+
+    @property
+    def treated_ids(self) -> tuple[str, ...]:
+        return self._read_ids("t")
+
+    @property
+    def control_ids(self) -> tuple[str, ...]:
+        return self._read_ids("c")
 
     @property
     def nnz(self) -> int:
         return len(self.rows)
-
-    @property
-    def n_treated(self) -> int:
-        return len(self.treated_ids)
-
-    @property
-    def n_control(self) -> int:
-        return len(self.control_ids)
 
     @property
     def matched_treated(self) -> int:
@@ -147,9 +158,10 @@ class EffectMatrix:
     ``order`` lists the pairs by ascending value, ties by (i, j). It is
     built here, once; an effect that is not finite or exceeds
     ``MAX_EFFECT`` in magnitude raises MatchingError. Both arrays are
-    read-only: the solvers cache work per matrix (one sorted list and one
-    mirror, one matching per direction), which holds only while a matrix
-    is not modified once built.
+    read-only: the solvers cache work per matrix (one sorted list, the
+    mirrored list once maximization case 2 needs it, one matching per
+    direction), which holds only while a matrix is not modified once
+    built.
     """
 
     def __init__(self, match: MatchMatrix, values):
@@ -181,15 +193,14 @@ class EffectMatrix:
     def from_effects(cls, effects: Mapping[tuple[int, int], float],
                      n_treated: int | None = None,
                      n_control: int | None = None) -> "EffectMatrix":
-        """Build a standalone matrix from an index->effect map (synthetic ids)."""
+        """Build a standalone matrix from an index->effect map (synthetic ids, built on first read)."""
         nnz = len(effects)
         ij = np.fromiter(chain.from_iterable(effects), dtype=np.int64, count=2 * nnz)
         rows, cols = ij[0::2], ij[1::2]
-        nt = n_treated if n_treated is not None else int(rows.max(initial=-1)) + 1
-        nc = n_control if n_control is not None else int(cols.max(initial=-1)) + 1
+        nt = int(n_treated) if n_treated is not None else int(rows.max(initial=-1)) + 1
+        nc = int(n_control) if n_control is not None else int(cols.max(initial=-1)) + 1
         by_ij = np.argsort(rows * nc + cols)  # the map's keys are distinct
-        mm = MatchMatrix(tuple(f"t{i}" for i in range(nt)), tuple(f"c{j}" for j in range(nc)),
-                         rows[by_ij], cols[by_ij])
+        mm = MatchMatrix(nt, nc, rows[by_ij], cols[by_ij])
         return cls(mm, np.fromiter(effects.values(), dtype=np.float64, count=nnz)[by_ij])
 
 

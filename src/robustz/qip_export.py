@@ -152,13 +152,15 @@ class ModelSpec:
         rows: dict[int, list[str]] = {}
         cols: dict[int, list[str]] = {}
         for p in self.variables:
-            rows.setdefault(p[0], []).append(self.var_name(p))
-            cols.setdefault(p[1], []).append(self.var_name(p))
+            term = f"+ {self.var_name(p)}"
+            rows.setdefault(p[0], []).append(term)
+            cols.setdefault(p[1], []).append(term)
         for i in sorted(rows):
-            yield f" row_{i}: " + " + ".join(rows[i]) + " <= 1"
+            yield from _wrap(f" row_{i}: ", rows[i], " <= 1")
         for j in sorted(cols):
-            yield f" col_{j}: " + " + ".join(cols[j]) + " <= 1"
-        yield " card: " + " + ".join(self.var_name(p) for p in self.variables) + f" = {self.n}"
+            yield from _wrap(f" col_{j}: ", cols[j], " <= 1")
+        yield from _wrap(" card: ", [f"+ {self.var_name(p)}" for p in self.variables],
+                         f" = {self.n}")
         pairs = zip(self.variables, self.effects)
         if self.kind == "qip":
             yield from _wrap(" sdef: ", [_term(e, self.var_name(p)) for p, e in pairs]

@@ -107,12 +107,6 @@ def stats_from_values(values: Iterable[float]) -> PairStats:
     return PairStats(S=S, Q=Q, n=count, sigma_hat=sigma, degenerate=sigma == 0.0)
 
 
-def assignment_stats(a: Assignment, em: EffectMatrix) -> PairStats:
-    """S, Q, n and sigma_hat of an assignment."""
-    validate_assignment(a, em)
-    return em.pair_stats(a.pairs)
-
-
 def z_statistic(stats: PairStats) -> float:
     """Z = (S/sqrt(n)) / sigma_hat, with signed-infinity degenerate limits."""
     if stats.n < 2:

@@ -74,6 +74,19 @@ class TestSharedList:
                 greedy_max(build_sorted_list(em), n, case)
         assert len(calls) == 1
 
+    def test_max_case1_builds_no_mirror(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return stable_order(*args)
+
+        monkeypatch.setattr(greedy, "stable_order", counted)
+        em = make_em({(i, j): float((i + j) % 3) for i in range(5) for j in range(5)})
+        for n in (2, 3, 4, 5):
+            greedy_max(build_sorted_list(em), n, "case1")
+        assert calls == []
+
     def test_arrays_are_read_only(self):
         yl = ylist_of({(0, 0): 1.0, (1, 1): -1.0})
         for lst in (yl, yl.mirror):
@@ -123,6 +136,74 @@ class TestGreedyMinCase2:
         sol = greedy_min(yl, 2, "case2")
         assert z_statistic(sol.stats) == -math.inf
         assert sol.stats.degenerate
+
+
+_REASONS = {"positive": "smallest remaining effect is positive",
+            "exhausted": "eligible pairs exhausted before n assignments",
+            "sum": "selected effect sum is positive"}
+
+
+def first_assignable(effects, n, sign):
+    """Reference case 2: the first n disjoint pairs in (sign * value, i, j) order.
+
+    ``sign`` -1 is case 2 of the negated map, which maximization case 1 solves.
+    Returns the pairs, or the key of the reason the case fails.
+    """
+    rows, cols, picks = set(), set(), []
+    for i, j in sorted(effects, key=lambda p: (sign * effects[p], p)):
+        if i in rows or j in cols:
+            continue
+        if sign * effects[(i, j)] > 0.0:
+            return "positive"
+        rows.add(i)
+        cols.add(j)
+        picks.append((i, j))
+        if len(picks) == n:
+            break
+    else:
+        return "exhausted"
+    if sign * math.fsum(effects[p] for p in picks) > 0.0:
+        return "sum"
+    return picks
+
+
+class TestCase2Scan:
+    def test_both_directions_match_the_reference(self, rng):
+        kinds = (lambda: rng.choice((-1.0, -0.0, 0.0, 1.0, 2.0)),
+                 lambda: rng.choice((-0.0, 0.0)),
+                 lambda: 1.5,
+                 lambda: float(rng.randint(-2, 2)),
+                 lambda: rng.uniform(-5.0, 5.0))
+        feasible = 0
+        for _ in range(400):
+            nt, nc = rng.randint(1, 7), rng.randint(1, 7)
+            draw = rng.choice(kinds)
+            effects = {(i, j): draw() for i in range(nt) for j in range(nc)
+                       if rng.random() < 0.7}
+            yl = build_sorted_list(make_em(effects, nt, nc))
+            for n in range(2, 6):
+                for sol, sign in ((greedy_min(yl, n, "case2"), 1.0),
+                                  (greedy_max(yl, n, "case1"), -1.0)):
+                    want = first_assignable(effects, n, sign)
+                    if isinstance(want, str):
+                        assert sol == Infeasible(_REASONS[want])
+                        continue
+                    feasible += 1
+                    assert sol.assignment.pairs == frozenset(want)
+                    S = math.fsum(effects[p] for p in want)
+                    # a zero sum reads +0.0 in both directions
+                    assert repr(sol.stats.S) == repr(S + 0.0)
+        assert feasible > 800, feasible
+
+    def test_max_ties_from_the_top_in_index_order(self):
+        # the two top entries tie, and -0.0 ties 0.0: each tie goes to the
+        # lower (i, j) first, as in the mirrored list
+        yl = ylist_of({(0, 0): 0.0, (0, 1): 2.0, (1, 0): 2.0, (1, 1): -0.0, (2, 2): 0.0})
+        sol = greedy_max(yl, 2, "case1")
+        assert sorted(sol.assignment.pairs) == [(0, 1), (1, 0)]
+        sol = greedy_max(ylist_of({(0, 0): -0.0, (1, 1): 0.0, (2, 2): -0.0}), 2, "case1")
+        assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
+        assert repr(sol.stats.S) == "0.0"
 
 
 class TestGreedyMinCase1:

@@ -19,6 +19,7 @@ from robustz.matching import (
     partition_blocks,
     write_coordinate_list,
 )
+from robustz.qip_export import export_qip
 
 from conftest import make_em
 
@@ -213,7 +214,6 @@ class TestBuildMatchMatrix:
         assert build_match_matrix(ds, [CovariateRule("x", "exact")]).nnz == 1
 
     def test_constructor_rejects_bad_pair_arrays(self):
-        ids_t, ids_c = ("t0", "t1"), ("c0", "c1", "c2")
         bad = [
             ([0, 2], [0, 0], "out of range"),
             ([0, 1], [0, 3], "out of range"),
@@ -222,15 +222,18 @@ class TestBuildMatchMatrix:
             ([0, 1, 0], [1, 0, 2], r"\(0, 2\) out of \(i, j\) order"),
             ([0, 0], [2, 1], r"\(0, 1\) out of \(i, j\) order"),
         ]
-        for rows, cols, message in bad:
-            with pytest.raises(MatchingError, match=message):
-                MatchMatrix(ids_t, ids_c, rows, cols)
-        mm = MatchMatrix(ids_t, ids_c, [0, 0, 1], [0, 2, 1])
-        assert mm.row_start.tolist() == [0, 2, 3]
-        assert (mm.matched_treated, mm.matched_control) == (2, 3)
-        assert mm.position(0, 2) == 1
-        with pytest.raises(KeyError):
-            mm.position(1, 0)
+        # ids, or counts that stand for synthetic ids: the same checks
+        for ids_t, ids_c in ((("t0", "t1"), ("c0", "c1", "c2")), (2, 3)):
+            for rows, cols, message in bad:
+                with pytest.raises(MatchingError, match=message):
+                    MatchMatrix(ids_t, ids_c, rows, cols)
+            mm = MatchMatrix(ids_t, ids_c, [0, 0, 1], [0, 2, 1])
+            assert mm.row_start.tolist() == [0, 2, 3]
+            assert (mm.n_treated, mm.n_control) == (2, 3)
+            assert (mm.matched_treated, mm.matched_control) == (2, 3)
+            assert mm.position(0, 2) == 1
+            with pytest.raises(KeyError):
+                mm.position(1, 0)
 
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 10))
     @settings(max_examples=200)
@@ -305,6 +308,16 @@ class TestBuildEffectMatrix:
         for effects in maps:
             em = make_em(effects)
             assert em.order.tolist() == np.argsort(em.values, kind="stable").tolist()
+
+    def test_from_effects_ids_are_synthetic(self):
+        em = make_em({(2, 0): -1.0, (0, 1): 1.0}, 3, 2)
+        assert em.match.treated_ids == ("t0", "t1", "t2")
+        assert em.match.control_ids == ("c0", "c1")
+        assert em.match.treated_ids is em.match.treated_ids  # built once
+        assert make_em({(1, 3): 0.5}).match.control_ids == ("c0", "c1", "c2", "c3")
+        doc = export_qip(em, 2, "min", "case1").sidecar()
+        assert [(v["name"], v["treated_id"], v["control_id"]) for v in doc["variables"]] == [
+            ("a_0_1", "t0", "c1"), ("a_2_0", "t2", "c0")]
 
     def test_arrays_are_read_only(self):
         em = make_em({(0, 0): 1.0, (1, 1): -1.0})

@@ -1,6 +1,7 @@
 """Case ladder, robust test assembly, sweeps and the feasible-n search."""
 
 import json
+import math
 import random
 from collections import Counter
 
@@ -189,7 +190,10 @@ class TestOrderingInvariants:
         assert bounds == 5766
 
     def test_oracle_sandwich(self, rng):
-        checked = 0
+        def slack(*values):  # criterion 1's relative slack
+            return 1e-9 * max(1.0, *(abs(v) for v in values if math.isfinite(v)))
+
+        checked = exact = greedy_exact = 0
         for _ in range(300):
             em, n = random_instance(rng)
             if em.nnz > 20:
@@ -204,8 +208,18 @@ class TestOrderingInvariants:
             z_lo, z_hi = z_statistic(lo.stats), z_statistic(hi.stats)
             assert bf_min <= z_lo + 1e-9 * max(1.0, abs(bf_min), abs(z_lo))
             assert z_hi <= bf_max + 1e-9 * max(1.0, abs(bf_max), abs(z_hi))
+            # any valid witness passes the sandwich; the count of witnesses that
+            # reach the brute-force extreme is what can show a poor one. Case 3
+            # alone reaches it as often here, so the greedy rungs' own count
+            # is pinned as well
+            for sol, z, extreme in ((lo, z_lo, bf_min), (hi, z_hi, bf_max)):
+                hit = abs(z - extreme) <= slack(extreme, z)
+                exact += hit
+                greedy_exact += hit and sol.case.endswith(("case1", "case2"))
             checked += 1
         assert checked > 100
+        assert exact >= 367, (exact, checked)
+        assert greedy_exact >= 217, greedy_exact
 
     def test_reflection_identity_at_solver_level(self, rng):
         for _ in range(200):

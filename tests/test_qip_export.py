@@ -85,6 +85,22 @@ class TestQipStructure:
         assert " card: " in text
         assert " sign: s >= 0" in text
 
+    def test_long_rows_wrap_at_six_terms(self):
+        # a complete 45x45 map: the card row names all 2,025 variables
+        em = make_em({(i, j): float((7 * i + j) % 11 - 5) for i in range(45) for j in range(45)})
+        specs = [export_qip(em, 45, direction, case) for direction, case in COMBOS]
+        specs.append(export_ilp(em, 45, "max", b_l=100.0))
+        for spec in specs:
+            lines = list(spec.lp_lines())
+            for line in lines:
+                names = [t for t in line.split() if t == "s" or t.startswith("a_")]
+                assert len(names) <= 6, line
+            card, _, rhs = _expression(lines, "card").rpartition(" = ")
+            assert rhs == "45"
+            assert card.split() == [t for p in spec.variables for t in ("+", spec.var_name(p))]
+            row_7 = _expression(lines, "row_7").split()
+            assert row_7[-2:] == ["<=", "1"] and row_7.count("+") == 45
+
     def test_s_free_in_every_qip_model(self):
         em = make_em(FULL_2X2)
         for direction, case in COMBOS:

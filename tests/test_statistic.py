@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from robustz.statistic import (
     Assignment,
     DegenerateStatisticError,
-    assignment_stats,
     classify_robustness,
     gamma_roots,
     normal_upper_tail,
@@ -18,6 +17,7 @@ from robustz.statistic import (
     p_values,
     robustness_margin,
     stats_from_values,
+    validate_assignment,
     z_statistic,
 )
 
@@ -25,9 +25,11 @@ from conftest import make_em, simpson_upper_tail, z_by_mean_std
 
 
 class TestAssignmentStats:
+    """The stats of an assignment's pairs, as the linear rung reads them."""
+
     def test_basic_values(self):
         em = make_em({(0, 0): 4, (1, 1): 1})
-        stats = assignment_stats(Assignment(frozenset({(0, 0), (1, 1)})), em)
+        stats = em.pair_stats({(0, 0), (1, 1)})
         assert stats.S == 5.0
         assert stats.Q == 17.0
         assert stats.sigma_hat == pytest.approx(1.5, abs=1e-12)
@@ -35,24 +37,35 @@ class TestAssignmentStats:
 
     def test_cancellation(self):
         em = make_em({(0, 0): 3.25, (1, 1): -3.25})
-        stats = assignment_stats(Assignment(frozenset({(0, 0), (1, 1)})), em)
+        stats = em.pair_stats({(0, 0), (1, 1)})
         assert stats.S == 0.0
 
     def test_zero_variance_is_degenerate(self):
         em = make_em({(0, 0): 2, (1, 1): 2})
-        stats = assignment_stats(Assignment(frozenset({(0, 0), (1, 1)})), em)
+        stats = em.pair_stats({(0, 0), (1, 1)})
         assert stats.degenerate
         assert stats.sigma_hat == 0.0
+
+
+class TestValidateAssignment:
+    def test_accepts_one_to_one_eligible_pairs(self):
+        em = make_em({(0, 0): 4, (0, 1): 1, (1, 1): 2})
+        validate_assignment(Assignment(frozenset({(0, 0), (1, 1)})), em)
 
     def test_rejects_ineligible_pair(self):
         em = make_em({(0, 0): 4, (1, 1): 1})
         with pytest.raises(ValueError, match="not eligible"):
-            assignment_stats(Assignment(frozenset({(0, 1), (1, 0)})), em)
+            validate_assignment(Assignment(frozenset({(0, 1), (1, 0)})), em)
 
     def test_rejects_duplicate_row(self):
         em = make_em({(0, 0): 4, (0, 1): 1, (1, 1): 2})
-        with pytest.raises(ValueError, match="used twice"):
-            assignment_stats(Assignment(frozenset({(0, 0), (0, 1)})), em)
+        with pytest.raises(ValueError, match="treated index 0 used twice"):
+            validate_assignment(Assignment(frozenset({(0, 0), (0, 1)})), em)
+
+    def test_rejects_duplicate_column(self):
+        em = make_em({(0, 0): 4, (1, 0): 1, (1, 1): 2})
+        with pytest.raises(ValueError, match="control index 0 used twice"):
+            validate_assignment(Assignment(frozenset({(0, 0), (1, 0)})), em)
 
 
 class TestZStatistic:

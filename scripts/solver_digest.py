@@ -25,12 +25,15 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   controls, 2 to k eligible controls per treated unit with k drawn from
   2-8 per instance (11 of the maps are deficient: the maximum matching
   is smaller than both matched sides), in every fourth instance a few
-  rows of 80-140 pairs (wider than the assignment solver's per-row
-  relaxation crossover), and effects drawn as U(-100, 100), integers in
-  [-3, 3] or U(-10, 10) rounded to 3 decimals. These have long
-  alternating paths; the digest covers ``hungarian_min``/
-  ``hungarian_max`` and ``run_test`` at n = maximum matching - {0, 2},
-  which reaches case 3 in both directions and, twice, the fallback.
+  rows of 80-140 pairs (far wider than caliper matching usually gives,
+  so the assignment solver's relaxation loop also runs on wide rows),
+  and effects drawn as U(-100, 100), integers in [-3, 3] or U(-10, 10)
+  rounded to 3 decimals. These have long alternating paths; the digest
+  covers ``hungarian_min``/``hungarian_max``, ``run_test`` at n =
+  maximum matching - {0, 2}, which reaches case 3 in both directions
+  and, twice, the fallback, and ``greedy_min``/``greedy_max`` in both
+  cases at n = 10, 20 and 40 (each capped at the maximum matching),
+  whose case-1 couples walks run for up to 20 rounds.
 
 Assignments enter as sorted pair lists and errors as their type and
 message.
@@ -63,6 +66,7 @@ NS = (2, 3, 4, 5)
 MEDIUM_SEED = 20261019
 SHUFFLE_SEED = 20261020
 MEDIUM_INSTANCES = 40
+MEDIUM_GREEDY_NS = (10, 20, 40)
 
 
 def _instance(rng: random.Random) -> EffectMatrix:
@@ -179,6 +183,9 @@ def digest() -> tuple[str, str]:
         top = hungarian_min(em).cardinality
         out = [_call(hungarian_min, em), _call(hungarian_max, em)]
         out += [_call(run_test, em, n, 0.05) for n in (top, top - 2)]
+        ylist = build_sorted_list(em)
+        out += [_canon(fn(ylist, n, case)) for n in sorted({min(n, top) for n in MEDIUM_GREEDY_NS})
+                for fn in (greedy_min, greedy_max) for case in ("case1", "case2")]
         h.update("\n".join(out).encode())
         h.update(b"\0")
     return h.hexdigest(), models.hexdigest()

@@ -259,6 +259,8 @@ def _cmd_sweep(args) -> int:
         mode = "sweep"
     elif args.binary_search:
         n_min, n_max, _ = _parse_range(args.binary_search, want_step=False)
+        if n_min > n_max:
+            raise UsageError(f"invalid search range {n_min}:{n_max}")
         mode = "binary_search"
     elif spec.mode == "sweep":
         n_min, n_max, step = spec.n_min, spec.n_max, spec.step

@@ -77,10 +77,10 @@ class TreatmentRule:
 class NSpec:
     """Pair-count selection: a fixed n, a sweep range, or the largest feasible n.
 
-``binary_search`` (the name is kept for compatibility) reports the
-largest n with n disjoint eligible pairs, found with one ladder and at
-most one assignment-solver pass.
-"""
+    ``binary_search`` (the name is kept for compatibility) reports the
+    largest n with n disjoint eligible pairs, found with one ladder and at
+    most one assignment-solver pass.
+    """
 
     mode: str                 # "fixed", "sweep", "binary_search"
     n: int | None = None

@@ -118,15 +118,15 @@ def _views(ylist: SortedEffectList) -> tuple[memoryview, memoryview, memoryview]
 
 
 class _ListState:
-    """Doubly linked view of the sorted list with lazy conflict removal, for case 1.
+    """Doubly linked view of the sorted list, for case 1.
 
-    Entries whose row or column is already used are unlinked the first
-    time a walk touches them, so repeated scans stay near-linear overall.
-    The links are read through memoryviews, as the list is.
+    An entry is dead once its row or column is used. A walk skips dead
+    entries and points the links it passed at the entry where it stopped
+    (trail compression), so repeated scans stay near-linear overall. The
+    links are read through memoryviews, as the list is.
     """
 
-    __slots__ = ("values", "rows", "cols", "m", "nxt", "prv", "removed",
-                 "row_used", "col_used")
+    __slots__ = ("values", "rows", "cols", "m", "nxt", "prv", "row_used", "col_used")
 
     def __init__(self, ylist: SortedEffectList):
         self.values, self.rows, self.cols = _views(ylist)
@@ -134,36 +134,20 @@ class _ListState:
         self.m = m
         self.nxt = memoryview(np.arange(1, m + 1))
         self.prv = memoryview(np.arange(-1, m - 1))
-        self.removed = bytearray(m)
         self.row_used = bytearray(ylist.n_treated)
         self.col_used = bytearray(ylist.n_control)
-
-    def unlink(self, k: int) -> None:
-        if self.removed[k]:
-            return
-        self.removed[k] = 1
-        p, nx = self.prv[k], self.nxt[k]
-        if p >= 0:
-            self.nxt[p] = nx
-        if nx < self.m:
-            self.prv[nx] = p
 
     def assign(self, k: int) -> None:
         self.row_used[self.rows[k]] = 1
         self.col_used[self.cols[k]] = 1
-        self.unlink(k)
 
     def _seek(self, k: int, links: memoryview, end: int):
         """First assignable index from k along ``links`` (stop at ``end``), else None.
 
-        Entries passed over are unlinked and path-compressed to the stop.
+        The dead entries passed over are linked straight to the stop.
         """
         trail = []
-        while k != end:
-            if not self.removed[k]:
-                if not (self.row_used[self.rows[k]] or self.col_used[self.cols[k]]):
-                    break
-                self.unlink(k)
+        while k != end and (self.row_used[self.rows[k]] or self.col_used[self.cols[k]]):
             trail.append(k)
             k = links[k]
         for t in trail:

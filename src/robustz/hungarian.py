@@ -22,8 +22,11 @@ from a heap-ordered Dijkstra over the columns:
   column to leave the heap ends the shortest path (ties to the lowest
   column) and the search stops there (the shortest-augmenting-path
   stop of Jonker and Volgenant, Computing 38, 1987).
-* A popped row's pairs are relaxed in a Python loop when it has at most
-  ``WIDE_ROW`` of them and with one numpy slice otherwise.
+* A popped row's pairs are relaxed in one Python loop. On rows of a few
+  dozen pairs, as caliper matching gives, the loop is faster than a
+  numpy slice. Rows of hundreds of pairs relax more slowly than a slice
+  would (about twice the solve time at 300 pairs per row); that trade
+  stands until a benchmark workload has such rows.
 
 Neither direction's matching depends on n, so each is solved once per
 effect matrix and shared by every test on it.
@@ -40,17 +43,6 @@ import numpy as np
 
 from .matching import EffectMatrix
 from .statistic import Assignment
-
-# Widest row whose pairs are relaxed in a Python loop rather than one numpy
-# slice. Degree ladder on random square maps (every row the same width,
-# U(-100, 100) effects), the full solve with the loop alone over the solve
-# with numpy alone, best of 3 each, two runs on a 2-core Intel Xeon: at
-# side 300, widths 16-32 read 0.42-0.64, 48 0.57-0.94, 64 0.91-1.00, 96
-# 1.03-1.20, 128 1.24-1.26, 192 1.12-1.43; at side 600, 32 read 0.51-0.96,
-# 64 0.90-1.10, 96 1.20-1.22, 128 1.05-1.24. The loop wins below 64 and
-# numpy from 96 up.
-WIDE_ROW = 64
-
 
 @dataclass(frozen=True)
 class CostMatching:
@@ -96,20 +88,20 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     sorted once by (cost, row), and the seed only moves forward past rows
     that got matched, since a matched row stays matched. The state
     (``dist``, ``pred``, the matches) is held in Python lists, and a
-    popped column's distance becomes -inf, which marks it visited. Rows
-    wider than ``WIDE_ROW`` (a measured crossover; see its comment) relax
-    with numpy against ``dist_a``, a copy of ``dist`` kept only when such
-    a row exists.
+    popped column's distance becomes -inf, which marks it visited. The
+    arrays ``v_a`` and ``dist_a`` only seed each Dijkstra: during a search
+    ``dist`` is the one copy of the distances, and every popped row
+    relaxes its pairs in the same Python loop (see the module docstring
+    for why there is no numpy path).
     """
     if em.nnz == 0:
         raise ValueError("empty eligibility: no pairs to assign")
     n_rows, n_cols = em.n_treated, em.n_control
-    start = em.match.row_start.tolist()  # Python ints: numpy scalar indexing slows the loops
+    start = em.match.row_start.tolist()
     cols = em.match.cols
     costs = -em.values if negate else em.values
     cols_l, costs_l = cols.tolist(), costs.tolist()
     row_pairs = [list(zip(cols_l[lo:hi], costs_l[lo:hi])) for lo, hi in zip(start, start[1:])]
-    wide = max(map(len, row_pairs)) > WIDE_ROW
     inf = math.inf
 
     v_a = np.zeros(n_cols)  # a free column's potential stays 0: it is popped only as a sink
@@ -148,26 +140,11 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
                 found, found_d = j, dj  # the sink: no later pop is shorter
                 break
             dist[j] = -inf
-            if wide:
-                dist_a[j] = -inf
             popped.append((j, dj))
             ui = u[i]
-            if len(row_pairs[i]) <= WIDE_ROW:
-                for c, cost in row_pairs[i]:
-                    d = dj + cost - ui - v[c]
-                    if d < dist[c]:
-                        dist[c] = d
-                        pred[c] = i
-                        heappush(heap, (d, c))
-                        if wide:
-                            dist_a[c] = d
-            else:
-                cols_i = cols[start[i]:start[i + 1]]
-                nd = dj + costs[start[i]:start[i + 1]] - ui - v_a[cols_i]
-                better = nd < dist_a[cols_i]
-                cols_i, nd = cols_i[better], nd[better]
-                dist_a[cols_i] = nd
-                for c, d in zip(cols_i.tolist(), nd.tolist()):
+            for c, cost in row_pairs[i]:
+                d = dj + cost - ui - v[c]
+                if d < dist[c]:
                     dist[c] = d
                     pred[c] = i
                     heappush(heap, (d, c))

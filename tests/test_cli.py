@@ -174,11 +174,18 @@ class TestSweep:
         assert main(["sweep", "--config", str(negative_fixture),
                      "--sweep", "2:3", "--binary-search", "2:3"]) == 1
 
-    def test_invalid_range_usage_error(self, negative_fixture, capsys):
-        assert main(["sweep", "--config", str(negative_fixture),
-                     "--sweep", "1:3"]) == 1
-        assert main(["sweep", "--config", str(negative_fixture),
-                     "--sweep", "3:2"]) == 1
+    def test_invalid_range_usage_error(self, negative_fixture, tmp_path, capsys):
+        # checked before the work: no CSV header or --out file
+        out = tmp_path / "sweep.csv"
+        for option, text, message in (("--sweep", "1:3", "invalid sweep range 1:3:1"),
+                                      ("--sweep", "3:2", "invalid sweep range 3:2:1"),
+                                      ("--binary-search", "10:5", "invalid search range 10:5")):
+            argv = ["sweep", "--config", str(negative_fixture), option, text, "--out", str(out)]
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"usage error: {message}\n"
+            assert not out.exists()
 
     def test_bad_alpha_usage_error(self, negative_fixture, tmp_path, capsys):
         # checked before the work: no report, CSV header or --out file

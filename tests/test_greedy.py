@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from robustz.greedy import (
     greedy_min,
 )
 from robustz.matching import stable_order
-from robustz.statistic import validate_assignment, z_statistic
+from robustz.statistic import stats_from_values, validate_assignment, z_statistic
 
 from conftest import brute_force_extrema, make_em, random_instance
 
@@ -247,6 +248,112 @@ class TestGreedyMinCase1:
         # anchor 1@(1,1); the only disjoint partner is 4@(0,0)
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
         assert z_statistic(sol.stats) == pytest.approx(2.3570, abs=1e-4)
+
+
+_CASE1_REASONS = {"exhausted": "eligible pairs exhausted before n assignments",
+                  "negative": "largest remaining effect is negative",
+                  "anchor": "no anchor admits a nonnegative couple",
+                  "single": "no remaining effect keeps the sum nonnegative"}
+
+
+def couples_walk(effects, n, sign):
+    """Reference case 1: the couples walk, rescanning every live entry each step.
+
+    Entries are ordered by (sign * value, i, j); an entry is live while its
+    row and column are unused. ``sign`` -1 is case 1 of the negated map,
+    which maximization case 2 solves. Returns the picked (value, pair)
+    entries in pick order and the number of barred anchors, or the key of
+    the reason the case fails.
+    """
+    entries = sorted((sign * v, p) for p, v in effects.items())
+    rows, cols, picks, barred_total = set(), set(), [], 0
+
+    def live():
+        return [e for e in entries if e[1][0] not in rows and e[1][1] not in cols]
+
+    def take(e):
+        picks.append(e)
+        rows.add(e[1][0])
+        cols.add(e[1][1])
+
+    running = 0.0
+    rounds = (n + 1) // 2
+    for r in range(rounds):
+        if n % 2 == 1 and r == rounds - 1:
+            base = [v for v, _ in picks]
+            single = next((e for e in live()
+                           if e[0] >= -running and math.fsum(base + [e[0]]) >= 0.0), None)
+            if single is None:
+                return "single"
+            take(single)
+            running += single[0]
+            continue
+        alive = live()
+        if not alive:
+            return "exhausted"
+        if alive[-1][0] < 0.0:
+            return "negative"
+        barred = set()
+        while True:
+            unbarred = [e for e in alive if e[1] not in barred]
+            if not unbarred:
+                return "anchor"
+            low, high = unbarred[0], unbarred[-1]
+            anchor = low if abs(low[0]) <= high[0] else high
+            a_row, a_col = anchor[1]
+            # the partner may be a barred entry: only anchors are barred
+            partner = next((e for e in alive if e[0] >= -anchor[0]
+                            and e[1][0] != a_row and e[1][1] != a_col), None)
+            if partner is not None:
+                break
+            barred.add(anchor[1])
+            barred_total += 1
+        take(anchor)
+        take(partner)
+        running += anchor[0] + partner[0]
+    return picks, barred_total
+
+
+class TestCase1Walk:
+    def test_both_directions_match_the_rescan_reference(self):
+        # tie-heavy maps up to 30 x 30: many anchors get barred, and walks of
+        # up to 15 rounds compress the links over and over
+        rng = random.Random(20261019)
+        kinds = (lambda: rng.choice((-0.0, 0.0)),
+                 lambda: float(rng.randint(-3, 3)),
+                 lambda: rng.choice((-3.0, -2.0, -1.0, -0.0, 0.0, 3.0)))
+        feasible = long_walks = barred = no_anchor = 0
+        for _ in range(160):
+            nt, nc = rng.randint(2, 30), rng.randint(2, 30)
+            density = rng.uniform(0.1, 1.0)
+            draw = rng.choice(kinds)
+            effects = {(i, j): draw() for i in range(nt) for j in range(nc)
+                       if rng.random() < density}
+            if not effects:
+                continue
+            yl = build_sorted_list(make_em(effects, nt, nc))
+            side = min(nt, nc)
+            for n in sorted({2, 3, rng.randint(4, max(4, side)), max(4, side)}):
+                for sol, sign in ((greedy_min(yl, n, "case1"), 1.0),
+                                  (greedy_max(yl, n, "case2"), -1.0)):
+                    want = couples_walk(effects, n, sign)
+                    if isinstance(want, str):
+                        assert sol == Infeasible(_CASE1_REASONS[want])
+                        no_anchor += want == "anchor"
+                        continue
+                    picks, barred_here = want
+                    feasible += 1
+                    long_walks += n >= 12
+                    barred += barred_here
+                    stats = stats_from_values(v for v, _ in picks)
+                    if sign < 0.0:
+                        stats = replace(stats, S=-stats.S + 0.0)
+                    assert sol.assignment.pairs == frozenset(p for _, p in picks)
+                    assert repr(sol.stats) == repr(stats)
+                    assert sol.case == ("min_case1" if sign > 0.0 else "max_case2")
+        counts = (feasible, long_walks, barred, no_anchor)
+        # 1,022, 156, 58 and 66 at this seed
+        assert feasible > 800 and long_walks > 100 and barred > 30 and no_anchor > 30, counts
 
 
 class TestGreedyMax:

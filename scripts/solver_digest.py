@@ -31,9 +31,11 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   rounded to 3 decimals. These have long alternating paths; the digest
   covers ``hungarian_min``/``hungarian_max``, ``run_test`` at n =
   maximum matching - {0, 2}, which reaches case 3 in both directions
-  and, twice, the fallback, and ``greedy_min``/``greedy_max`` in both
-  cases at n = 10, 20 and 40 (each capped at the maximum matching),
-  whose case-1 couples walks run for up to 20 rounds.
+  and, twice, the fallback, and at n = 10, 20 and 40 (each capped at
+  the maximum matching) ``greedy_min``/``greedy_max`` in both cases,
+  whose case-1 couples walks run for up to 20 rounds, and
+  ``case3_selection`` in both directions, whose replays run over long
+  alternating paths.
 
 Assignments enter as sorted pair lists and errors as their type and
 message.
@@ -66,7 +68,7 @@ NS = (2, 3, 4, 5)
 MEDIUM_SEED = 20261019
 SHUFFLE_SEED = 20261020
 MEDIUM_INSTANCES = 40
-MEDIUM_GREEDY_NS = (10, 20, 40)
+MEDIUM_NS = (10, 20, 40)
 
 
 def _instance(rng: random.Random) -> EffectMatrix:
@@ -184,8 +186,10 @@ def digest() -> tuple[str, str]:
         out = [_call(hungarian_min, em), _call(hungarian_max, em)]
         out += [_call(run_test, em, n, 0.05) for n in (top, top - 2)]
         ylist = build_sorted_list(em)
-        out += [_canon(fn(ylist, n, case)) for n in sorted({min(n, top) for n in MEDIUM_GREEDY_NS})
-                for fn in (greedy_min, greedy_max) for case in ("case1", "case2")]
+        for n in sorted({min(n, top) for n in MEDIUM_NS}):
+            out += [_canon(fn(ylist, n, case))
+                    for fn in (greedy_min, greedy_max) for case in ("case1", "case2")]
+            out += [_call(case3_selection, em, n, "min"), _call(case3_selection, em, n, "max")]
         h.update("\n".join(out).encode())
         h.update(b"\0")
     return h.hexdigest(), models.hexdigest()

@@ -9,6 +9,9 @@ stage; here they are only parsed and validated.
 
 Rows with missing values in any configured column are rejected rather
 than imputed: silently filling values would bias the match structure.
+So are rows whose field count differs from the header's and headers
+that name a configured column twice, which would otherwise be read by
+dropping fields or taking the last copy.
 """
 
 from __future__ import annotations
@@ -273,14 +276,18 @@ def load_dataset(csv_path, config: RunConfig) -> Dataset:
         for col in dict.fromkeys([rule.column, config.outcome_column, *covariate_cols]):
             if col not in index:
                 raise DataError(f"{csv_path}: missing column {col!r}")
+            if header.count(col) > 1:
+                raise DataError(f"{csv_path}: column {col!r} appears {header.count(col)} "
+                                f"times in the header")
 
         units = []
         excluded = 0
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue  # blank line (e.g. trailing newline)
-            if len(row) < len(header):
-                raise DataError(f"{csv_path} row {row_no}: expected {len(header)} fields")
+            if len(row) != len(header):
+                raise DataError(f"{csv_path} row {row_no}: expected {len(header)} fields, "
+                                f"got {len(row)}")
             raw_t = row[index[rule.column]]
             is_treated = rule.treated_predicate.matches(raw_t, rule.column)
             is_control = rule.control_predicate.matches(raw_t, rule.column)

@@ -2,9 +2,12 @@
 
 The sign regime without a quadratic bound only asks whether an n-pair
 assignment with the right effect-sum sign exists. That is an assignment
-problem: solve for a minimum (or maximum) total-effect matching and take
-the n cheapest (or dearest) of its pairs. The case ladder checks the
-sign of their sum and reports the Z statistic of that selection.
+problem over exactly n pairs: the minimum (or maximum) total-effect
+n-matching has the least (or greatest) effect sum S of any n-pair
+assignment. The solver below passes through such a matching at its n-th
+augmentation, so the case ladder replays the first n augmentations of
+the direction's solve, checks the sign of their S and reports the Z
+statistic of that selection.
 
 The matching itself is found with successive shortest augmenting paths
 under dual potentials, which tolerates negative costs directly (no
@@ -48,14 +51,25 @@ from .statistic import Assignment
 class CostMatching:
     """A min-cost (or max-cost) matching of maximum cardinality.
 
+    ``augmentations`` is the solver's log: per augmentation, in order, the
+    (row, column) pairs its path matched, one per row on the path (a path
+    re-matches its rows and unmatches none). Replaying the first k
+    entries, each row taking the column of its latest entry, gives the
+    matching the solver held after k augmentations. That is a minimum-cost
+    k-matching, because each augmentation follows a globally shortest
+    augmenting path from every free row. The log holds a few pairs per
+    augmentation, where snapshots of the matching would hold k each.
+
     ``live_pops`` counts the Dijkstra's heap pops that settled a column,
-    summed over all augmentations: the solver's work, not its result, so
-    it takes no part in equality or repr.
+    summed over all augmentations. Both fields record how the matching
+    was reached, not the matching, so they take no part in equality or
+    repr.
     """
 
     pairs: tuple[tuple[int, int, float], ...]
     total_cost: float
     cardinality: int
+    augmentations: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
     live_pops: int = field(compare=False, repr=False)
 
 
@@ -119,6 +133,7 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     seed_cost = np.array([by_cost[k] if k < end else inf for k, end in zip(seed_at, col_end)])
     seed_row = [by_row[k] if k < end else n_rows for k, end in zip(seed_at, col_end)]
     live_pops = 0
+    augmentations = []
 
     while True:  # until no free row has an augmenting path
         dist_a = (seed_cost - free_u) - v_a
@@ -158,13 +173,16 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
         moved = [j for j, _ in popped]
         v_a[moved] = [v[j] for j in moved]
 
+        path = []
         j = found
         while True:
             i = pred[j]
+            path.append((i, j))
             match_col[j] = i
             match_row[i], j = j, match_row[i]
             if j < 0:
                 break
+        augmentations.append(tuple(path))
         u[i] = free_u
         for c, _ in row_pairs[i]:
             if seed_row[c] == i:
@@ -178,7 +196,7 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
              for i, j in enumerate(match_row) if j >= 0]
     total = math.fsum(c for _, _, c in pairs)
     return CostMatching(pairs=tuple(pairs), total_cost=total, cardinality=len(pairs),
-                        live_pops=live_pops)
+                        augmentations=tuple(augmentations), live_pops=live_pops)
 
 
 def _matching(em: EffectMatrix, negate: bool) -> CostMatching:
@@ -205,13 +223,13 @@ def hungarian_max(em: EffectMatrix) -> CostMatching:
 
 
 def case3_selection(em: EffectMatrix, n: int, direction: str):
-    """The n pairs of the direction's optimal matching, or None if < n exist.
+    """The direction's optimal n-pair assignment, or None if < n pairs exist.
 
-    Selection order is cost-ascending for min and cost-descending for max,
-    ties broken by (i, j), which biases the pick toward the sign constraint.
-    The pick is a heuristic: the n best pairs of a full matching need not
-    be the best n-matching, and where several full matchings share the
-    optimal total, the solver's tie rules decide which one is read.
+    Replays the first n augmentations of the direction's solve, so the
+    selection is a minimum (max: maximum) total-effect n-matching and its
+    effect sum S is the least (greatest) of any n-pair assignment, however
+    ties fall. Among assignments of equal S, which one is read (and so its
+    Z) follows the solver's tie rules.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -220,7 +238,7 @@ def case3_selection(em: EffectMatrix, n: int, direction: str):
     matching = hungarian_min(em) if direction == "min" else hungarian_max(em)
     if matching.cardinality < n:
         return None
-    sign = 1.0 if direction == "min" else -1.0
-    ranked = sorted(matching.pairs, key=lambda p: sign * p[2])  # stable: pairs are (i, j)-ordered
-    return Assignment(pairs=frozenset((i, j) for i, j, _ in ranked[:n]))
-
+    row_col = {}
+    for path in matching.augmentations[:n]:
+        row_col.update(path)
+    return Assignment(pairs=frozenset(row_col.items()))

@@ -7,12 +7,13 @@ it. Every rung builds an assignment, and the first one that meets its
 case's sign condition is the direction's witness; the reported
 extremal statistic is a witness's Z, never a level on its own.
 
-The linear case reads the direction's optimal matching once. When it
-has fewer than n pairs no rung can find n disjoint pairs, and the
-direction has none. When all three cases fail otherwise, the linear
-case's selection is returned flagged ``fallback``, so a sweep never
-reports a spurious "no pairs" while the cardinality constraint is
-satisfiable.
+The linear case takes the direction's optimal n-pair assignment, read
+off the assignment solver's n-th augmentation; the solver runs once per
+effect matrix and direction. When its maximum matching has fewer than n
+pairs no rung can find n disjoint pairs, and the direction has none.
+When all three cases fail otherwise, the linear case's selection is
+returned flagged ``fallback``, so a sweep never reports a spurious "no
+pairs" while the cardinality constraint is satisfiable.
 """
 
 from __future__ import annotations

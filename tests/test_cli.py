@@ -96,6 +96,18 @@ class TestMatch:
         path.write_text("{oops")
         assert main(["match", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("grp,blk,y\nt,a,0,9\nc,a,4\n", "row 1: expected 3 fields, got 4"),
+        ("grp,blk,y\nt,a\nc,a,4\n", "row 1: expected 3 fields, got 2"),
+        ("grp,blk,y,blk\nt,a,0,a\nc,a,4,a\n", "column 'blk' appears 2 times in the header"),
+    ], ids=["long_row", "short_row", "repeated_column"])
+    def test_malformed_csv_exit_1(self, negative_fixture, capsys, text, message):
+        (negative_fixture.parent / "data.csv").write_text(text)
+        for command in (["match"], ["test", "--n", "2"]):
+            assert main([*command, "--config", str(negative_fixture)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+
     def test_non_finite_caliper_covariate_exit_1(self, tmp_path, capsys):
         caliper = {"covariate_rules": [{"column": "blk", "kind": "caliper", "tolerance": 1}]}
         for bad in ("nan", "inf"):

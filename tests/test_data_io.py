@@ -91,6 +91,18 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="missing column"):
             load_dataset(config.data_path, config)
 
+    @pytest.mark.parametrize("text, message", [
+        ("flyash,cement,strength\n30,100,41.5,9\n0,90,1\n", "row 1: expected 3 fields, got 4"),
+        ("flyash,cement,strength\n30,100,41.5\n0,90\n", "row 2: expected 3 fields, got 2"),
+        ("flyash,cement,strength,cement\n30,100,41.5,1\n0,90,1,2\n",
+         "column 'cement' appears 2 times in the header"),
+    ], ids=["long_row", "short_row", "repeated_column"])
+    def test_malformed_csv(self, tmp_path, text, message):
+        config = load_config(base_config(tmp_path))
+        write_csv(tmp_path, text)
+        with pytest.raises(DataError, match=message):
+            load_dataset(config.data_path, config)
+
     def test_non_numeric_outcome(self, tmp_path):
         config = load_config(base_config(tmp_path))
         write_csv(tmp_path, "flyash,cement,strength\n30,100,bad\n0,90,1\n")

@@ -35,6 +35,28 @@ def brute_min_total(costs, rows, cols):
     return best_card, best_total
 
 
+def brute_k_extremes(effects, n_rows):
+    """{k: (min, max) total over k-matchings}, by a row-by-row walk over used-column sets."""
+    reach = {0: (0.0, 0.0)}  # used columns as a bitmask -> (min, max) total
+    for i in range(n_rows):
+        grown = dict(reach)  # row i left unmatched
+        for mask, (lo, hi) in reach.items():
+            for (r, j), c in effects.items():
+                if r != i or mask >> j & 1:
+                    continue
+                key = mask | 1 << j
+                old_lo, old_hi = grown.get(key, (math.inf, -math.inf))
+                grown[key] = (min(old_lo, lo + c), max(old_hi, hi + c))
+        reach = grown
+    best = {}
+    for mask, (lo, hi) in reach.items():
+        k = bin(mask).count("1")
+        old_lo, old_hi = best.get(k, (math.inf, -math.inf))
+        best[k] = (min(old_lo, lo), max(old_hi, hi))
+    del best[0]
+    return best
+
+
 class TestHungarianDense:
     def test_dominant_diagonal(self):
         em = make_em({(0, 0): 1, (0, 1): 10, (1, 0): 10, (1, 1): 1})
@@ -172,6 +194,52 @@ class TestCase3:
             sol = solve(em, 2, direction)
             assert sol.case == f"{direction}_case3"
             assert z_statistic(sol.stats) == 0.0
+
+    def test_equal_sum_matchings_keep_the_solvers_tie_rule(self):
+        # both full matchings of test_negative_instance_reports_its_witness's
+        # map have S = -5: the selection's S is exact, but which of them it
+        # reads (and so its Z) is the solver's tie rule, not the lesser Z
+        em = make_em({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
+        stats = [em.pair_stats(p) for p in ({(0, 0), (1, 1)}, {(0, 1), (1, 0)})]
+        assert [s.S for s in stats] == [-5.0, -5.0]
+        assert [z_statistic(s) for s in stats] == pytest.approx([-2.3570, -7.0711], abs=1e-4)
+        selection = case3_selection(em, 2, "min")
+        assert selection.pairs == {(0, 0), (1, 1)}
+        assert z_statistic(em.pair_stats(selection.pairs)) == pytest.approx(-2.3570, abs=1e-4)
+
+    def test_every_prefix_is_an_optimal_k_matching(self):
+        rng = random.Random(20261019)
+        checks = deficient = 0
+        for index in range(600):
+            nt, nc = rng.randint(2, 6), rng.randint(2, 6)
+            density = rng.uniform(0.2, 1.0)
+            kind = index % 3
+            effects = {}
+            for i in range(nt):
+                for j in range(nc):
+                    if rng.random() < density:
+                        if kind == 0:
+                            effects[(i, j)] = rng.uniform(-10.0, 10.0)
+                        elif kind == 1:
+                            effects[(i, j)] = float(rng.randint(-3, 3))
+                        else:
+                            effects[(i, j)] = rng.choice((-1.0, -0.0, 0.0, 1.0, 2.0))
+            if not effects:
+                continue
+            em = make_em(effects, nt, nc)
+            best = brute_k_extremes(effects, nt)
+            top = max(best)
+            deficient += top < min(em.match.matched_treated, em.match.matched_control)
+            for direction, pick in (("min", 0), ("max", 1)):
+                assert case3_selection(em, top + 1, direction) is None
+                for k in range(1, top + 1):
+                    selection = case3_selection(em, k, direction)
+                    validate_assignment(selection, em)
+                    assert selection.n == k
+                    total = math.fsum(effects[p] for p in selection.pairs)
+                    assert total == pytest.approx(best[k][pick], abs=1e-9), (index, direction, k)
+                    checks += 1
+        assert checks > 3000 and deficient >= 10  # 3,552 and 15 at this seed
 
     def test_matching_too_small_infeasible(self):
         em = make_em({(0, 0): -1.0}, 2, 2)

@@ -242,10 +242,12 @@ class TestClassificationAgainstOracle:
     their Z values rather than the ladder levels is what keeps the count
     low (371 misses on this generator when levels were reported, 346 of
     them ``absolute_robust`` where the exact class is ``not_robust``).
-    The threshold tightens as case 3 and the extremes become exact.
+    The threshold tightens as the extremes become exact: reading case 3
+    off the solver's n-th augmentation, so that its S is exact, took it
+    from 32 to 26 (``alpha -> not`` from 22 to 16).
     """
 
-    MAX_MISSES = 32  # 32 at this generator: 22 alpha -> not, 7 absolute -> not, 3 absolute -> alpha
+    MAX_MISSES = 26  # 26 at this generator: 16 alpha -> not, 7 absolute -> not, 3 absolute -> alpha
 
     def test_misses_within_threshold(self):
         rng = random.Random(5)

@@ -13,8 +13,9 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   2} (the last two are tie-heavy; the signed zeros compare equal, so they
   share tie runs, and a zero effect sum must read +0.0 in both
   directions). Per instance the digest covers the reprs of
-  ``hungarian_min``/``hungarian_max``, ``partition_blocks`` (blocks and
-  ``identical_rows`` flags), ``enumerate_extrema`` at n = 2,
+  ``hungarian_min``/``hungarian_max`` (with the search order each took:
+  its ``augmentations`` log and ``live_pops``), ``partition_blocks``
+  (blocks and ``identical_rows`` flags), ``enumerate_extrema`` at n = 2,
   ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
   in both cases (with ``pair_stats`` of each greedy assignment's pairs in
   a seeded shuffled order), ``case3_selection`` and ``solve`` with its
@@ -29,7 +30,8 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   so the assignment solver's relaxation loop also runs on wide rows),
   and effects drawn as U(-100, 100), integers in [-3, 3] or U(-10, 10)
   rounded to 3 decimals. These have long alternating paths; the digest
-  covers ``hungarian_min``/``hungarian_max``, ``run_test`` at n =
+  covers ``hungarian_min``/``hungarian_max`` (also with their logs and
+  ``live_pops``), ``run_test`` at n =
   maximum matching - {0, 2}, which reaches case 3 in both directions
   and, twice, the fallback, and at n = 10, 20 and 40 (each capped at
   the maximum matching) ``greedy_min``/``greedy_max`` in both cases,
@@ -55,7 +57,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from robustz.greedy import GreedySolution, build_sorted_list, greedy_max, greedy_min  # noqa: E402
-from robustz.hungarian import case3_selection, hungarian_max, hungarian_min  # noqa: E402
+from robustz.hungarian import (CostMatching, case3_selection, hungarian_max,  # noqa: E402
+                               hungarian_min)
 from robustz.matching import EffectMatrix, partition_blocks  # noqa: E402
 from robustz.oracle import enumerate_extrema  # noqa: E402
 from robustz.orchestrator import find_max_feasible_n, run_test, solve  # noqa: E402
@@ -109,6 +112,8 @@ def _medium_instance(rng: random.Random, index: int) -> EffectMatrix:
 
 
 def _canon(result) -> str:
+    if isinstance(result, CostMatching):  # the log and pop count take no part in its repr
+        return repr((result, result.augmentations, result.live_pops))
     if isinstance(result, GreedySolution):
         return repr((result.case, sorted(result.assignment.pairs), result.stats))
     if isinstance(result, Assignment):

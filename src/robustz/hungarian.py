@@ -31,8 +31,11 @@ from a heap-ordered Dijkstra over the columns:
   would (about twice the solve time at 300 pairs per row); that trade
   stands until a benchmark workload has such rows.
 
-Neither direction's matching depends on n, so each is solved once per
-effect matrix and shared by every test on it.
+Neither direction's matching depends on n, so each effect matrix has
+one pass per direction, shared by every test on it and advanced only as
+far as it is read: ``case3_selection`` at n stops the pass after its
+n-th augmentation, and a larger n, or ``hungarian_min``/
+``hungarian_max`` (which need maximum cardinality), resume it.
 """
 
 from __future__ import annotations
@@ -73,13 +76,20 @@ class CostMatching:
     live_pops: int = field(compare=False, repr=False)
 
 
-# solved matchings by effect matrix, then by negate; no strong reference to the matrix
-_SOLVED: weakref.WeakKeyDictionary[EffectMatrix, dict[bool, CostMatching]] = (
+# passes by effect matrix, then by negate; no strong reference to the matrix
+_SOLVED: weakref.WeakKeyDictionary[EffectMatrix, dict[bool, _Pass]] = (
     weakref.WeakKeyDictionary())
 
 
-def _solve_assignment(em: EffectMatrix, negate: bool):
-    """Match rows to columns minimizing total (possibly negated) cost.
+def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.ndarray,
+                      cols: np.ndarray, costs: np.ndarray):
+    """Match rows to columns minimizing total cost, one augmentation per step.
+
+    A generator over the eligible pairs' arrays (``costs`` aligned with
+    ``rows``/``cols``): it yields each augmentation's path, the (row,
+    column) pairs it matched, and returns ``(match_row, live_pops)`` once
+    no free row has an augmenting path. It holds no reference to the
+    matrix, so a suspended pass does not keep the matrix alive.
 
     One Dijkstra per augmentation, seeded from every still-free row at
     distance zero, so each augmentation uses the globally shortest
@@ -100,20 +110,19 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     Each Dijkstra is seeded per column with the least cost over the free
     rows' pairs, its lowest row as predecessor. Each column's pairs are
     sorted once by (cost, row), and the seed only moves forward past rows
-    that got matched, since a matched row stays matched. The state
-    (``dist``, ``pred``, the matches) is held in Python lists, and a
-    popped column's distance becomes -inf, which marks it visited. The
-    arrays ``v_a`` and ``dist_a`` only seed each Dijkstra: during a search
-    ``dist`` is the one copy of the distances, and every popped row
-    relaxes its pairs in the same Python loop (see the module docstring
-    for why there is no numpy path).
+    that got matched, since a matched row stays matched. ``dist`` starts
+    as ``dist_a = (seed_cost - free_u) - v_a`` over every column, but the
+    heap gets only the columns with ``dist_a`` at most ``bound``, the
+    least ``dist_a`` of a free column: that column's own entry ends the
+    search at the latest, so no larger seed could pop before the sink.
+    When no free column has a finite seed, every finite column is seeded.
+    The state (``dist``, ``pred``, the matches) is held in Python lists,
+    and a popped column's distance becomes -inf, which marks it visited;
+    during a search ``dist`` is the one copy of the distances, and every
+    popped row relaxes its pairs in the same Python loop (see the module
+    docstring for why there is no numpy path).
     """
-    if em.nnz == 0:
-        raise ValueError("empty eligibility: no pairs to assign")
-    n_rows, n_cols = em.n_treated, em.n_control
-    start = em.match.row_start.tolist()
-    cols = em.match.cols
-    costs = -em.values if negate else em.values
+    start = row_start.tolist()
     cols_l, costs_l = cols.tolist(), costs.tolist()
     row_pairs = [list(zip(cols_l[lo:hi], costs_l[lo:hi])) for lo, hi in zip(start, start[1:])]
     inf = math.inf
@@ -124,20 +133,24 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
     free_u = costs.min().item()  # every reduced cost starts nonnegative
     match_row = [-1] * n_rows
     match_col = [-1] * n_cols
+    free_col = np.ones(n_cols, dtype=bool)
     # each column's pairs by (cost, row); a column's seed is its first pair
     # from a free row, and rows only ever leave the free set, so it only advances
-    order = np.lexsort((em.match.rows, costs, cols))
-    by_row, by_cost = em.match.rows[order].tolist(), costs[order].tolist()
+    order = np.lexsort((rows, costs, cols))
+    by_row = rows[order].tolist()
+    by_cost = [costs_l[k] for k in order.tolist()]  # the float objects row_pairs holds
     col_end = np.searchsorted(cols[order], np.arange(1, n_cols + 1)).tolist()
     seed_at = [0] + col_end[:-1]
     seed_cost = np.array([by_cost[k] if k < end else inf for k, end in zip(seed_at, col_end)])
     seed_row = [by_row[k] if k < end else n_rows for k, end in zip(seed_at, col_end)]
+    # the suspended pass keeps only what its searches read
+    del start, cols_l, costs_l, order, row_start, rows, cols, costs
     live_pops = 0
-    augmentations = []
 
     while True:  # until no free row has an augmenting path
         dist_a = (seed_cost - free_u) - v_a
-        reached = np.flatnonzero(np.isfinite(dist_a))
+        bound = dist_a[free_col].min(initial=inf)
+        reached = np.flatnonzero(dist_a <= bound if bound < inf else dist_a < inf)
         heap = list(zip(dist_a[reached].tolist(), reached.tolist()))
         heapify(heap)
         dist = dist_a.tolist()
@@ -165,13 +178,14 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
                     heappush(heap, (d, c))
 
         if found < 0:
-            break  # no augmenting path from any free row: cardinality is maximal
+            return match_row, live_pops  # no augmenting path from any free row
         for j, d in popped:
             u[match_col[j]] += found_d - d
             v[j] -= found_d - d
         free_u += found_d
         moved = [j for j, _ in popped]
         v_a[moved] = [v[j] for j in moved]
+        free_col[found] = False
 
         path = []
         j = found
@@ -182,7 +196,6 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
             match_row[i], j = j, match_row[i]
             if j < 0:
                 break
-        augmentations.append(tuple(path))
         u[i] = free_u
         for c, _ in row_pairs[i]:
             if seed_row[c] == i:
@@ -191,16 +204,38 @@ def _solve_assignment(em: EffectMatrix, negate: bool):
                     k += 1
                 seed_at[c] = k
                 seed_cost[c], seed_row[c] = (by_cost[k], by_row[k]) if k < end else (inf, n_rows)
-
-    pairs = [(i, j, em.values[em.match.position(i, j)].item())
-             for i, j in enumerate(match_row) if j >= 0]
-    total = math.fsum(c for _, _, c in pairs)
-    return CostMatching(pairs=tuple(pairs), total_cost=total, cardinality=len(pairs),
-                        augmentations=tuple(augmentations), live_pops=live_pops)
+        yield tuple(path)
 
 
-def _matching(em: EffectMatrix, negate: bool) -> CostMatching:
-    """The direction's matching, solved once per effect matrix.
+class _Pass:
+    """One direction's solve of one matrix, advanced only as far as it is read.
+
+    ``log`` holds the paths of the augmentations made so far, in order;
+    ``matching`` is set once the pass has run to maximum cardinality.
+    """
+
+    def __init__(self, em: EffectMatrix, negate: bool):
+        if em.nnz == 0:
+            raise ValueError("empty eligibility: no pairs to assign")
+        self.log: list[tuple[tuple[int, int], ...]] = []
+        self.matching: CostMatching | None = None
+        self.end = None  # (match_row, live_pops) once no path is left
+        self._paths = _augmenting_paths(em.n_treated, em.n_control, em.match.row_start,
+                                        em.match.rows, em.match.cols,
+                                        -em.values if negate else em.values)
+
+    def reach(self, n: float) -> bool:
+        """Advance to n augmentations; False if the pass ends first."""
+        while len(self.log) < n and self.end is None:
+            try:
+                self.log.append(next(self._paths))
+            except StopIteration as stop:
+                self.end = stop.value
+        return len(self.log) >= n
+
+
+def _pass(em: EffectMatrix, negate: bool) -> _Pass:
+    """The direction's pass over the matrix, started once per effect matrix.
 
     Neither direction's matching depends on n, so the feasible-n search,
     the reported test and every n of a sweep share one pass each. The
@@ -208,8 +243,25 @@ def _matching(em: EffectMatrix, negate: bool) -> CostMatching:
     """
     by_direction = _SOLVED.setdefault(em, {})
     if negate not in by_direction:
-        by_direction[negate] = _solve_assignment(em, negate)
+        by_direction[negate] = _Pass(em, negate)
     return by_direction[negate]
+
+
+def _matching(em: EffectMatrix, negate: bool) -> CostMatching:
+    """The direction's pass, run to maximum cardinality."""
+    run = _pass(em, negate)
+    if run.matching is None:
+        run.reach(math.inf)
+        match_row, live_pops = run.end
+        match_row = np.array(match_row)
+        rows = np.flatnonzero(match_row >= 0)
+        cols = match_row[rows]
+        values = em.values[em.match.positions(rows, cols)].tolist()
+        pairs = tuple(zip(rows.tolist(), cols.tolist(), values))
+        run.matching = CostMatching(pairs=pairs, total_cost=math.fsum(values),
+                                    cardinality=len(pairs), augmentations=tuple(run.log),
+                                    live_pops=live_pops)
+    return run.matching
 
 
 def hungarian_min(em: EffectMatrix) -> CostMatching:
@@ -225,7 +277,8 @@ def hungarian_max(em: EffectMatrix) -> CostMatching:
 def case3_selection(em: EffectMatrix, n: int, direction: str):
     """The direction's optimal n-pair assignment, or None if < n pairs exist.
 
-    Replays the first n augmentations of the direction's solve, so the
+    Replays the first n augmentations of the direction's pass, which runs
+    only that far unless an earlier call took it further, so the
     selection is a minimum (max: maximum) total-effect n-matching and its
     effect sum S is the least (greatest) of any n-pair assignment, however
     ties fall. Among assignments of equal S, which one is read (and so its
@@ -235,10 +288,10 @@ def case3_selection(em: EffectMatrix, n: int, direction: str):
         raise ValueError(f"unknown direction {direction!r}")
     if em.nnz == 0:
         return None
-    matching = hungarian_min(em) if direction == "min" else hungarian_max(em)
-    if matching.cardinality < n:
+    run = _pass(em, negate=direction == "max")
+    if not run.reach(n):
         return None
     row_col = {}
-    for path in matching.augmentations[:n]:
+    for path in run.log[:n]:
         row_col.update(path)
     return Assignment(pairs=frozenset(row_col.items()))

@@ -150,6 +150,24 @@ class MatchMatrix:
                 return int(k)
         raise KeyError((i, j))
 
+    def positions(self, rows, cols) -> np.ndarray:
+        """Indices of eligible pairs (rows[k], cols[k]); KeyError for the first other pair.
+
+        One ``searchsorted`` over the pairs' (i, j) codes, which the arrays
+        hold in increasing order.
+        """
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        nc = self.n_control
+        code = self.rows * nc + self.cols
+        want = rows * nc + cols
+        found = np.searchsorted(code, want)
+        ok = (rows >= 0) & (rows < self.n_treated) & (cols >= 0) & (cols < nc) & (found < len(code))
+        ok[ok] = code[found[ok]] == want[ok]
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            raise KeyError((rows[bad[0]].item(), cols[bad[0]].item()))
+        return found
+
 
 class EffectMatrix:
     """Treatment effects of the eligible pairs of a MatchMatrix, as a column.
@@ -186,8 +204,8 @@ class EffectMatrix:
 
     def pair_stats(self, pairs: Iterable[tuple[int, int]]) -> PairStats:
         """S, Q, n and sigma_hat of the effects of eligible pairs, given in any order."""
-        positions = [self.match.position(i, j) for i, j in pairs]
-        return stats_from_values(self.values[positions].tolist())
+        ij = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        return stats_from_values(self.values[self.match.positions(ij[:, 0], ij[:, 1])].tolist())
 
     @classmethod
     def from_effects(cls, effects: Mapping[tuple[int, int], float],

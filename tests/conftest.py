@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+import robustz.hungarian as hungarian
 from robustz.matching import EffectMatrix
 
 
@@ -118,6 +119,19 @@ def random_instance(rng: random.Random, max_side: int = 5, n_lo: int = 2,
                 effects[(i, j)] = rng.uniform(lo, hi)
     n = rng.randint(n_lo, min(n_hi, max(n_lo, min(nt, nc))))
     return make_em(effects, nt, nc), n
+
+
+def count_pass_starts(monkeypatch) -> list[bool]:
+    """From now on, record the ``negate`` flag of every assignment-solver pass started."""
+    calls = []
+    original = hungarian._Pass
+
+    def counted(em, negate):
+        calls.append(negate)
+        return original(em, negate)
+
+    monkeypatch.setattr(hungarian, "_Pass", counted)
+    return calls
 
 
 @pytest.fixture

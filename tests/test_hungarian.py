@@ -1,20 +1,23 @@
 """Assignment solver tests: exactness, deficiency handling, case 3."""
 
+import gc
 import itertools
 import math
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+import robustz.hungarian as hungarian
 import robustz.orchestrator as orchestrator
 from robustz.greedy import GreedySolution, Infeasible
 from robustz.hungarian import case3_selection, hungarian_max, hungarian_min
-from robustz.orchestrator import FALLBACK, NoPairsPossible, solve
+from robustz.orchestrator import FALLBACK, NoPairsPossible, run_test, solve
 from robustz.statistic import validate_assignment, z_statistic
 
-from conftest import make_em, max_matching_size, random_instance
+from conftest import count_pass_starts, make_em, max_matching_size, random_instance
 
 
 def brute_min_total(costs, rows, cols):
@@ -273,6 +276,63 @@ class TestCase3:
                     assert sign * sol.stats.S <= 0.0 and sign * z <= 0.0
                 else:
                     assert sol.case == FALLBACK and sign * sol.stats.S > 0.0
+
+
+class TestResumablePass:
+    """One pass per matrix and direction, advanced only as far as it is read."""
+
+    @staticmethod
+    def _effects(side=40, degree=5):
+        rng = np.random.default_rng(3)
+        effects = {}
+        for i in range(side):
+            cols = rng.choice(side, size=degree, replace=False).tolist()
+            effects.update(((i, j), v) for j, v in zip(cols, rng.uniform(-100, 100, degree).tolist()))
+        return effects
+
+    def _em(self):
+        em = make_em(self._effects(), 40, 40)
+        assert max_matching_size(em) == 40
+        return em
+
+    def test_case3_runs_only_n_augmentations(self):
+        em = self._em()
+        for direction, negate in (("min", False), ("max", True)):
+            for n in (30, 34):
+                assert case3_selection(em, n, direction).n == n
+                assert len(hungarian._SOLVED[em][negate].log) == n
+            assert case3_selection(em, 31, direction).n == 31  # read off the log
+            assert len(hungarian._SOLVED[em][negate].log) == 34
+
+    def test_full_solve_resumes_the_pass(self, monkeypatch):
+        fresh = {solver: solver(self._em()) for solver in (hungarian_min, hungarian_max)}
+        em = self._em()
+        calls = count_pass_starts(monkeypatch)
+        for solver, direction in ((hungarian_min, "min"), (hungarian_max, "max")):
+            selection = case3_selection(em, 36, direction)
+            full = solver(em)
+            want = fresh[solver]
+            assert (full.pairs, full.total_cost, full.cardinality) == (
+                want.pairs, want.total_cost, want.cardinality)
+            assert full.augmentations == want.augmentations
+            assert full.live_pops == want.live_pops
+            assert case3_selection(em, 36, direction) == selection
+            assert case3_selection(em, 41, direction) is None
+        assert calls == [False, True]
+
+    def test_a_suspended_pass_does_not_hold_the_matrix(self):
+        gc.collect()
+        before = len(hungarian._SOLVED)
+        em = self._em()
+        result = run_test(em, 36, 0.05)
+        assert (result.case_used_min, result.case_used_max) == ("min_case3", "max_case3")
+        assert len(hungarian._SOLVED) == before + 1
+        assert all(len(run.log) == 36 for run in hungarian._SOLVED[em].values())
+        ref = weakref.ref(em)
+        del em
+        gc.collect()
+        assert ref() is None
+        assert len(hungarian._SOLVED) == before
 
 
 # every sixth TestScipyOracle map has rows wider than this, far wider than

@@ -20,6 +20,7 @@ from robustz.matching import (
     write_coordinate_list,
 )
 from robustz.qip_export import export_qip
+from robustz.statistic import stats_from_values
 
 from conftest import make_em
 
@@ -324,6 +325,31 @@ class TestBuildEffectMatrix:
         for array in (em.values, em.order):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[1]
+
+    def test_positions_equal_the_per_pair_lookup(self, rng):
+        for _ in range(200):
+            nt, nc = rng.randint(1, 9), rng.randint(1, 9)
+            em = make_em({(i, j): rng.uniform(-10.0, 10.0) for i in range(nt) for j in range(nc)
+                          if rng.random() < 0.5}, nt, nc)
+            mm = em.match
+            pairs = list(zip(mm.rows.tolist(), mm.cols.tolist()))
+            rng.shuffle(pairs)
+            pairs = pairs[:rng.randint(0, len(pairs))]
+            expected = [mm.position(i, j) for i, j in pairs]
+            assert mm.positions([i for i, _ in pairs], [j for _, j in pairs]).tolist() == expected
+            stats = em.pair_stats(pairs)
+            assert stats == stats_from_values(em.values[expected].tolist())
+            # (i, n_control) shares its code with (i + 1, 0): the range check tells them apart
+            absent = [(i, j) for i in range(-1, nt + 1) for j in range(-1, nc + 1)
+                      if not (0 <= i < nt and 0 <= j < nc) or (i, j) not in em.effect]
+            bad = rng.choice(absent)
+            with pytest.raises(KeyError) as caught:
+                mm.position(*bad)
+            assert caught.value.args == (bad,)
+            for first in (pairs + [bad, absent[0]], [bad] + pairs):
+                with pytest.raises(KeyError) as caught:
+                    em.pair_stats(first)
+                assert caught.value.args == (bad,)
 
     def test_matched_control_counts_distinct_columns(self, rng):
         assert make_em({}, 3, 4).match.matched_control == 0

@@ -29,7 +29,8 @@ from robustz.statistic import (
     z_statistic,
 )
 
-from conftest import brute_force_extrema, make_em, max_matching_size, random_instance
+from conftest import (brute_force_extrema, count_pass_starts, make_em, max_matching_size,
+                      random_instance)
 
 POSITIVE = {(0, 0): 4.0, (0, 1): 3.0, (1, 0): 2.0, (1, 1): 1.0}
 NEGATIVE = {(0, 0): -4.0, (0, 1): -2.0, (1, 0): -3.0, (1, 1): -1.0}
@@ -419,7 +420,7 @@ class TestFindMaxFeasibleN:
 
 
 class TestSharedAssignmentPasses:
-    """Each direction's matching is solved once per effect matrix."""
+    """Each direction has one pass per effect matrix."""
 
     # max matching 3 of 4 matched units per side (rows 0 and 3 share
     # column 0 only); the greedy cases take the trap pairs (2, 0) and
@@ -431,18 +432,6 @@ class TestSharedAssignmentPasses:
                      (3, 3): -1.0}
 
     @staticmethod
-    def _count_passes(monkeypatch):
-        calls = []
-        original = hungarian._solve_assignment
-
-        def counted(em, negate):
-            calls.append(negate)
-            return original(em, negate)
-
-        monkeypatch.setattr(hungarian, "_solve_assignment", counted)
-        return calls
-
-    @staticmethod
     def _reaches_case3(em, n):
         traces = {d: [] for d in ("min", "max")}
         for direction, trace in traces.items():
@@ -452,7 +441,7 @@ class TestSharedAssignmentPasses:
     def test_search_and_reported_test_share_two_passes(self, monkeypatch):
         em = make_em(self.TRAPS)
         assert self._reaches_case3(make_em(self.TRAPS), 3)  # on its own matrix: em stays unsolved
-        calls = self._count_passes(monkeypatch)
+        calls = count_pass_starts(monkeypatch)
         n = find_max_feasible_n(em)
         assert n == 3
         run_test(em, n, 0.05)
@@ -461,7 +450,7 @@ class TestSharedAssignmentPasses:
     def test_sweep_reaching_case3_costs_two_passes(self, monkeypatch):
         em = make_em(self.CASE3_EVERY_N)
         assert all(self._reaches_case3(make_em(self.CASE3_EVERY_N), n) for n in (2, 3, 4))
-        calls = self._count_passes(monkeypatch)
+        calls = count_pass_starts(monkeypatch)
         rows = sweep(em, 2, 4)
         assert [r.no_pairs for r in rows] == [False, False, False]
         assert sorted(calls) == [False, True]
@@ -469,7 +458,7 @@ class TestSharedAssignmentPasses:
     def test_min_side_without_n_pairs_skips_the_max_ladder(self, monkeypatch):
         # three matched units per side, but rows 0 and 1 share column 0 only
         em = make_em({(0, 0): 1.0, (1, 0): 2.0, (2, 0): 3.0, (2, 1): 4.0, (2, 2): 5.0})
-        calls = self._count_passes(monkeypatch)
+        calls = count_pass_starts(monkeypatch)
         with pytest.raises(NoPairsError, match="no assignment of 3 disjoint eligible pairs"):
             run_test(em, 3, 0.05)
         assert calls == [False]
@@ -483,7 +472,7 @@ class TestSharedAssignmentPasses:
         assert calls == [False]
 
     def test_a_new_matrix_is_solved_again(self, monkeypatch):
-        calls = self._count_passes(monkeypatch)
+        calls = count_pass_starts(monkeypatch)
         first = hungarian_min(make_em(POSITIVE))
         second = hungarian_min(make_em(POSITIVE))
         assert first == second

@@ -19,10 +19,11 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from itertools import chain
 
 from . import __version__
-from .data_io import RunConfig, load_config, load_dataset
+from .data_io import NSpec, RunConfig, load_config, load_dataset
 from .matching import (
     build_effect_matrix,
     build_match_matrix,
@@ -130,40 +131,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_n(args, config: RunConfig) -> int:
-    if args.n is not None:
-        n = args.n
-    elif config.n_spec.mode == "fixed":
-        n = config.n_spec.n
-    else:
-        raise UsageError("--n is required unless the configuration fixes n")
-    if n < 2:
-        raise UsageError(f"n must be >= 2, got {n}")
-    return n
-
-
-def _resolve_alpha(args, config: RunConfig) -> float:
-    alpha = args.alpha if args.alpha is not None else config.alpha
-    if not 0.0 < alpha < 1.0:  # NaN as well
-        raise UsageError(f"alpha must be in (0, 1), got {alpha!r}")
-    return alpha
-
-
-def _parse_range(text: str, want_step: bool):
+def _range_spec(mode: str, text: str) -> NSpec:
+    """The NSpec of a ``--sweep MIN:MAX[:STEP]`` or ``--binary-search MIN:MAX`` value."""
     parts = text.split(":")
-    if want_step and len(parts) not in (2, 3) or not want_step and len(parts) != 2:
+    if len(parts) not in ((2, 3) if mode == "sweep" else (2,)):
         raise UsageError(f"malformed range {text!r}")
     try:
         values = [int(p) for p in parts]
     except ValueError:
         raise UsageError(f"malformed range {text!r}") from None
-    if len(values) == 2:
-        values.append(1)
-    return values[0], values[1], values[2]
+    return NSpec(mode, None, *values)
 
 
-def _cmd_match(args) -> int:
-    config = load_config(args.config)
+def _cmd_match(args, config: RunConfig) -> int:
     dataset = load_dataset(config.data_path, config)
     match = build_match_matrix(dataset, list(config.covariate_rules))
     em = build_effect_matrix(match, dataset)
@@ -190,16 +170,13 @@ def _cmd_match(args) -> int:
     return EXIT_OK
 
 
-def _cmd_test(args) -> int:
-    config = load_config(args.config)
-    n = _resolve_n(args, config)
-    alpha = _resolve_alpha(args, config)
+def _cmd_test(args, config: RunConfig) -> int:
     with _open_out(args.out) as out:
         em = _load_matrices(config)
         start = time.perf_counter()
-        result = run_test(em, n, alpha)
+        result = run_test(em, config.n_spec.n, config.alpha)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        _emit(_test_doc(result, alpha, elapsed_ms), out)
+        _emit(_test_doc(result, config.alpha, elapsed_ms), out)
     return EXIT_OK
 
 
@@ -246,62 +223,32 @@ def _sweep_csv_line(row) -> str:
             f"{r.classification},{row.elapsed_ms:.3f}")
 
 
-def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    alpha = _resolve_alpha(args, config)
-
+def _cmd_sweep(args, config: RunConfig) -> int:
     spec = config.n_spec
-    if args.sweep and args.binary_search:
-        raise UsageError("--sweep and --binary-search are mutually exclusive")
-    mode = None
-    if args.sweep:
-        n_min, n_max, step = _parse_range(args.sweep, want_step=True)
-        mode = "sweep"
-    elif args.binary_search:
-        n_min, n_max, _ = _parse_range(args.binary_search, want_step=False)
-        if n_min > n_max:
-            raise UsageError(f"invalid search range {n_min}:{n_max}")
-        mode = "binary_search"
-    elif spec.mode == "sweep":
-        n_min, n_max, step = spec.n_min, spec.n_max, spec.step
-        mode = "sweep"
-    elif spec.mode == "binary_search":
-        n_min = spec.n_min
-        n_max = spec.n_max
-        mode = "binary_search"
-    else:
-        raise UsageError("configuration fixes n; use 'test' or pass --sweep/--binary-search")
-    if mode == "sweep" and (n_min < 2 or n_min > n_max or step < 1):
-        raise UsageError(f"invalid sweep range {n_min}:{n_max}:{step}")
-
     with _open_out(args.out) as out:
         em = _load_matrices(config)
-        if mode == "binary_search":
-            best = find_max_feasible_n(em, n_min, n_max)
+        if spec.mode == "binary_search":
+            best = find_max_feasible_n(em, spec.n_min, spec.n_max)
             if best is None:
                 print("no n in range is feasible", file=sys.stderr)
                 return EXIT_NO_PAIRS
             ns = [best]
         else:
-            ns = list(range(n_min, n_max + 1, step))
+            ns = list(range(spec.n_min, spec.n_max + 1, spec.step))
 
-        for line in chain([SWEEP_HEADER], map(_sweep_csv_line, iter_sweep(em, ns, alpha))):
+        for line in chain([SWEEP_HEADER], map(_sweep_csv_line, iter_sweep(em, ns, config.alpha))):
             print(line, flush=True)
             if out:
                 out.write(line + "\n")
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    config = load_config(args.config)
-    n = _resolve_n(args, config)
-    budget = args.oracle_budget if args.oracle_budget is not None else config.oracle_budget
-    if budget < 1:
-        raise UsageError(f"oracle budget must be positive, got {budget}")
+def _cmd_oracle(args, config: RunConfig) -> int:
+    n = config.n_spec.n
     with _open_out(args.out) as out:
         em = _load_matrices(config)
         try:
-            result = enumerate_extrema(em, n, budget)
+            result = enumerate_extrema(em, n, config.oracle_budget)
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_NO_PAIRS
@@ -319,13 +266,14 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args) -> int:
-    config = load_config(args.config)
-    n = _resolve_n(args, config)
+def _cmd_export(args, config: RunConfig) -> int:
+    n = config.n_spec.n
     if args.kind == "qip" and not args.case:
         raise UsageError("--case is required for qip export")
     if args.kind == "ilp" and args.b_l is None:
         raise UsageError("--b-l is required for ilp export")
+    if args.kind == "ilp" and not args.b_l > 0:  # NaN as well
+        raise UsageError(f"--b-l must be positive, got {args.b_l!r}")
     em = _load_matrices(config)
     if args.kind == "qip":
         spec = export_qip(em, n, args.direction, args.case)
@@ -356,11 +304,35 @@ _COMMANDS = {
 }
 
 
+def _resolve(args) -> RunConfig:
+    """The configuration with the command's flags applied, every value checked."""
+    config = load_config(args.config)
+    flags = {k: v for k, v in vars(args).items() if v not in (None, "")}
+    if "sweep" in flags and "binary_search" in flags:
+        raise UsageError("--sweep and --binary-search are mutually exclusive")
+    changes = {k: flags[k] for k in ("alpha", "oracle_budget") if k in flags}
+    try:
+        if "n" in flags:
+            changes["n_spec"] = NSpec(mode="fixed", n=flags["n"])
+        for mode in ("sweep", "binary_search"):
+            if mode in flags:
+                changes["n_spec"] = _range_spec(mode, flags[mode])
+        config = replace(config, **changes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    fixed = config.n_spec.mode == "fixed"
+    if args.command == "sweep" and fixed:
+        raise UsageError("configuration fixes n; use 'test' or pass --sweep/--binary-search")
+    if args.command in ("test", "oracle", "export") and not fixed:
+        raise UsageError("--n is required unless the configuration fixes n")
+    return config
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _resolve(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,8 +27,6 @@ from .data_types import DataError, Dataset, Unit
 from .matching import CovariateRule, MatchingError
 from .oracle import DEFAULT_BUDGET as DEFAULT_ORACLE_BUDGET
 
-DEFAULT_ALPHA = 0.05
-
 _COMPARE = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
             ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 _OPS = tuple(_COMPARE)
@@ -76,13 +74,25 @@ class TreatmentRule:
     control_predicate: Predicate
 
 
+# the fields each pair-count mode reads
+_N_FIELDS = {"fixed": ("n",), "sweep": ("n_min", "n_max", "step"),
+             "binary_search": ("n_min", "n_max")}
+
+
+def _mode_fields(mode) -> tuple[str, ...]:
+    if not isinstance(mode, str) or mode not in _N_FIELDS:
+        raise ValueError(f"mode must be 'fixed', 'sweep' or 'binary_search', got {mode!r}")
+    return _N_FIELDS[mode]
+
+
 @dataclass(frozen=True)
 class NSpec:
     """Pair-count selection: a fixed n, a sweep range, or the largest feasible n.
 
     ``binary_search`` (the name is kept for compatibility) reports the
     largest n with n disjoint eligible pairs, found with one ladder and at
-    most one assignment-solver pass.
+    most one assignment-solver pass; an absent ``n_max`` leaves the range
+    open. A request outside these rules raises ``ValueError``.
     """
 
     mode: str                 # "fixed", "sweep", "binary_search"
@@ -91,16 +101,40 @@ class NSpec:
     n_max: int | None = None
     step: int = 1
 
+    def __post_init__(self):
+        for name in _mode_fields(self.mode):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "n_max" and value is None
+                                           and self.mode == "binary_search"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.mode == "fixed":
+            if self.n < 2:
+                raise ValueError(f"n must be >= 2, got {self.n}")
+        elif self.mode == "sweep":
+            if not 2 <= self.n_min <= self.n_max or self.step < 1:
+                raise ValueError(f"invalid sweep range {self.n_min}:{self.n_max}:{self.step}")
+        elif self.n_min < 2 or self.n_max is not None and self.n_max < self.n_min:
+            n_max = "" if self.n_max is None else self.n_max
+            raise ValueError(f"invalid search range {self.n_min}:{n_max}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run request; an alpha outside (0, 1) or a budget below 1 raises ``ValueError``."""
+
     data_path: str
     treatment_rule: TreatmentRule
     outcome_column: str
     covariate_rules: tuple[CovariateRule, ...]
-    alpha: float = DEFAULT_ALPHA
+    alpha: float = 0.05
     n_spec: NSpec = field(default_factory=lambda: NSpec(mode="binary_search", n_min=2))
     oracle_budget: int = DEFAULT_ORACLE_BUDGET
+
+    def __post_init__(self):
+        if not isinstance(self.alpha, (int, float)) or not 0.0 < self.alpha < 1.0:  # NaN as well
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        if type(self.oracle_budget) is not int or self.oracle_budget < 1:
+            raise ValueError(f"oracle_budget must be a positive integer, got {self.oracle_budget!r}")
 
     def columns(self) -> list[str]:
         cols = [self.treatment_rule.column, self.outcome_column]
@@ -152,42 +186,16 @@ def _parse_covariate_rule(obj, where: str) -> CovariateRule:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_n_spec(obj, where: str) -> NSpec:
+def _parse_n_spec(obj) -> NSpec:
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    mode = obj.get("mode")
-    if mode == "fixed":
-        _reject_unknown(obj, {"mode", "n"}, where)
-        n = obj.get("n")
-        if not isinstance(n, int) or n < 2:
-            raise ConfigError(f"{where}: fixed mode needs an integer n >= 2")
-        return NSpec(mode="fixed", n=n)
-    if mode == "sweep":
-        _reject_unknown(obj, {"mode", "n_min", "n_max", "step"}, where)
-        n_min, n_max = obj.get("n_min"), obj.get("n_max")
-        step = obj.get("step", 1)
-        if not (isinstance(n_min, int) and isinstance(n_max, int)):
-            raise ConfigError(f"{where}: sweep mode needs integer n_min and n_max")
-        if n_min > n_max:
-            raise ConfigError(f"{where}: n_min={n_min} exceeds n_max={n_max}")
-        if n_min < 2:
-            raise ConfigError(f"{where}: n_min must be >= 2")
-        if not isinstance(step, int) or isinstance(step, bool) or step < 1:
-            raise ConfigError(f"{where}: step must be a positive integer")
-        return NSpec(mode="sweep", n_min=n_min, n_max=n_max, step=step)
-    if mode == "binary_search":
-        _reject_unknown(obj, {"mode", "n_min", "n_max"}, where)
-        n_min = obj.get("n_min", 2)
-        n_max = obj.get("n_max")
-        if not isinstance(n_min, int) or n_min < 2:
-            raise ConfigError(f"{where}: n_min must be an integer >= 2")
-        if n_max is not None:
-            if not isinstance(n_max, int):
-                raise ConfigError(f"{where}: n_max must be an integer")
-            if n_min > n_max:
-                raise ConfigError(f"{where}: n_min={n_min} exceeds n_max={n_max}")
-        return NSpec(mode="binary_search", n_min=n_min, n_max=n_max)
-    raise ConfigError(f"{where}: mode must be 'fixed', 'sweep' or 'binary_search'")
+        raise ConfigError("n_spec must be an object")
+    try:
+        _reject_unknown(obj, {"mode", *_mode_fields(obj.get("mode"))}, "n_spec")
+        return NSpec(**{"n_min": 2, **obj} if obj["mode"] == "binary_search" else obj)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"n_spec: {exc}") from None
 
 
 def load_config(json_path) -> RunConfig:
@@ -229,16 +237,9 @@ def load_config(json_path) -> RunConfig:
         _parse_covariate_rule(r, f"covariate_rules[{k}]") for k, r in enumerate(rules_obj)
     )
 
-    alpha = doc.get("alpha", DEFAULT_ALPHA)
-    if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha!r}")
-
-    n_spec = _parse_n_spec(doc["n_spec"], "n_spec") if "n_spec" in doc \
-        else NSpec(mode="binary_search", n_min=2)
-
-    budget = doc.get("oracle_budget", DEFAULT_ORACLE_BUDGET)
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise ConfigError(f"oracle_budget must be a positive integer, got {budget!r}")
+    optional = {k: doc[k] for k in ("alpha", "oracle_budget") if k in doc}
+    if "n_spec" in doc:
+        optional["n_spec"] = _parse_n_spec(doc["n_spec"])
 
     data_path = doc["data_path"]
     if not isinstance(data_path, str) or not data_path:
@@ -247,15 +248,16 @@ def load_config(json_path) -> RunConfig:
         data_path = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(json_path)),
                                                   data_path))
 
-    return RunConfig(
-        data_path=data_path,
-        treatment_rule=treatment_rule,
-        outcome_column=doc["outcome_column"],
-        covariate_rules=covariate_rules,
-        alpha=float(alpha),
-        n_spec=n_spec,
-        oracle_budget=budget,
-    )
+    try:
+        return RunConfig(
+            data_path=data_path,
+            treatment_rule=treatment_rule,
+            outcome_column=doc["outcome_column"],
+            covariate_rules=covariate_rules,
+            **optional,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_dataset(csv_path, config: RunConfig) -> Dataset:
@@ -273,7 +275,7 @@ def load_dataset(csv_path, config: RunConfig) -> Dataset:
         except StopIteration:
             raise DataError(f"{csv_path}: empty file") from None
         index = {name: k for k, name in enumerate(header)}
-        for col in dict.fromkeys([rule.column, config.outcome_column, *covariate_cols]):
+        for col in dict.fromkeys(config.columns()):
             if col not in index:
                 raise DataError(f"{csv_path}: missing column {col!r}")
             if header.count(col) > 1:

@@ -227,10 +227,7 @@ def _min_case2(ylist: SortedEffectList, n: int, mirrored: bool = False):
             break
     else:
         return Infeasible("eligible pairs exhausted before n assignments")
-    picked = [sign * values[k] for k in chosen]
-    if math.fsum(picked) > 0.0:
-        return Infeasible("selected effect sum is positive")
-    return _solution_from(rows, cols, chosen, picked, "min_case2")
+    return _solution_from(rows, cols, chosen, [sign * values[k] for k in chosen], "min_case2")
 
 
 def _min_case1(state: _ListState, n: int):

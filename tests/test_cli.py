@@ -5,6 +5,7 @@ import json
 import pytest
 
 from robustz.cli import main
+from robustz.data_io import ConfigError, load_config
 
 TIMING_FIELDS = ("ms",)
 
@@ -353,3 +354,75 @@ class TestExport:
                      "--kind", kind, "--direction", "min"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and missing in err
+
+    @pytest.mark.parametrize("bound", ["-5", "0", "nan"])
+    def test_bad_bound_checked_before_loading(self, tmp_path, capsys, bound):
+        config = write_fixture(tmp_path, [(0.0, "a", True), (1.0, "a", False)],
+                               {"data_path": "nowhere.csv"})
+        assert main(["export", "--config", str(config), "--n", "2", "--kind", "ilp",
+                     "--direction", "min", "--b-l", bound]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --b-l must be positive")
+
+
+# (n_spec object, the same request as CLI flags, accepted?)
+PAIR_COUNT_REQUESTS = [
+    ({"mode": "fixed", "n": 1}, ["test", "--n", "1"], False),
+    ({"mode": "fixed", "n": 2}, ["test", "--n", "2"], True),
+    ({"mode": "sweep", "n_min": 2, "n_max": 3}, ["sweep", "--sweep", "2:3"], True),
+    ({"mode": "sweep", "n_min": 1, "n_max": 3}, ["sweep", "--sweep", "1:3"], False),
+    ({"mode": "sweep", "n_min": 3, "n_max": 2}, ["sweep", "--sweep", "3:2"], False),
+    ({"mode": "sweep", "n_min": 2, "n_max": 3, "step": 0}, ["sweep", "--sweep", "2:3:0"], False),
+    ({"mode": "binary_search", "n_min": 2, "n_max": 4}, ["sweep", "--binary-search", "2:4"], True),
+    ({"mode": "binary_search", "n_min": 1, "n_max": 3}, ["sweep", "--binary-search", "1:3"], False),
+    ({"mode": "binary_search", "n_min": 5, "n_max": 4}, ["sweep", "--binary-search", "5:4"], False),
+]
+
+
+class TestRunRequest:
+    """The configuration and the flags state one request, checked by one set of rules."""
+
+    @pytest.mark.parametrize("n_spec, argv, accepted", PAIR_COUNT_REQUESTS,
+                             ids=[" ".join(r[1][1:]) for r in PAIR_COUNT_REQUESTS])
+    def test_config_and_flags_agree(self, tmp_path, capsys, n_spec, argv, accepted):
+        # the data file does not exist: an accepted request fails on reading it
+        config = write_fixture(tmp_path, [(0.0, "a", True), (1.0, "a", False)],
+                               {"data_path": "nowhere.csv"})
+        assert main([argv[0], "--config", str(config), *argv[1:]]) == 1
+        flag_err = capsys.readouterr().err
+        assert flag_err.startswith("usage error:") is not accepted
+        try:
+            load_config(write_fixture(tmp_path, [], {"n_spec": n_spec}))
+        except ConfigError as exc:
+            assert not accepted
+            assert flag_err == f"usage error: {str(exc).removeprefix('n_spec: ')}\n"
+        else:
+            assert accepted
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--n", "2", "--alpha", "1.5"],
+        ["test", "--n", "2", "--alpha", "nan"],
+        ["test", "--n", "1"],
+        ["sweep", "--sweep", "2:3", "--alpha", "1.5"],
+        ["sweep", "--sweep", "2:3", "--alpha", "nan"],
+        ["sweep", "--sweep", "1:3"],
+        ["sweep", "--sweep", "3:2"],
+        ["sweep", "--sweep", "2:3:0"],
+        ["sweep", "--binary-search", "1:3"],
+        ["sweep", "--binary-search", "5:4"],
+        ["oracle", "--n", "1"],
+        ["oracle", "--n", "2", "--oracle-budget", "0"],
+        ["export", "--n", "1", "--kind", "qip", "--direction", "min", "--case", "case1"],
+        ["export", "--n", "2", "--kind", "ilp", "--direction", "min", "--b-l", "-5"],
+    ], ids=" ".join)
+    def test_bad_value_checked_before_out_and_data(self, tmp_path, capsys, argv):
+        config = write_fixture(tmp_path, [(0.0, "a", True), (1.0, "a", False)],
+                               {"data_path": "nowhere.csv"})
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main([argv[0], "--config", str(config), *argv[1:],
+                     "--out", str(out_dir / "result")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:")
+        assert captured.out == ""
+        assert list(out_dir.iterdir()) == []

@@ -1,10 +1,11 @@
 """Ingestion tests: CSV loading, treatment rules, config validation."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from robustz.data_io import ConfigError, Predicate, load_config, load_dataset
+from robustz.data_io import ConfigError, NSpec, Predicate, load_config, load_dataset
 from robustz.data_types import DataError
 
 
@@ -201,8 +202,24 @@ class TestLoadConfig:
 
     def test_sweep_range_validated(self, tmp_path):
         path = base_config(tmp_path, n_spec={"mode": "sweep", "n_min": 9, "n_max": 3})
-        with pytest.raises(ConfigError, match="n_min"):
+        with pytest.raises(ConfigError, match="invalid sweep range 9:3:1"):
             load_config(path)
+
+    @pytest.mark.parametrize("n_spec", [
+        {"n": 3},
+        {"mode": "bogus", "n": 3},
+        {"mode": ["fixed"], "n": 3},
+        {"mode": "fixed", "n": 3, "n_min": 2},
+        {"mode": "fixed", "n": True},
+        {"mode": "sweep", "n_min": 2, "n_max": "4"},
+        {"mode": "binary_search", "n_min": 1},
+        {"mode": "binary_search", "n_max": 4.0},
+        [],
+    ], ids=["no_mode", "unknown_mode", "list_mode", "unknown_key", "bool_n", "text_n_max",
+            "open_search_from_1", "float_n_max", "not_an_object"])
+    def test_n_spec_rejected(self, tmp_path, n_spec):
+        with pytest.raises(ConfigError, match="n_spec"):
+            load_config(base_config(tmp_path, n_spec=n_spec))
 
     def test_unknown_top_level_field(self, tmp_path):
         path = base_config(tmp_path, extra_field=1)
@@ -290,3 +307,34 @@ class TestLoadConfig:
         assert len(concrete.covariate_rules) == 7
         bike = load_config(os.path.join(root, "configs", "bike.json"))
         assert [r.kind for r in bike.covariate_rules].count("exact") == 3
+
+
+class TestRunRequestRules:
+    """NSpec and RunConfig check themselves, however they are built."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "fixed", "n": 1}, "n must be >= 2, got 1"),
+        ({"mode": "fixed"}, "n must be an integer, got None"),
+        ({"mode": "sweep", "n_min": 2, "n_max": 5, "step": False}, "step must be an integer"),
+        ({"mode": "sweep", "n_min": 4, "n_max": 3}, "invalid sweep range 4:3:1"),
+        ({"mode": "binary_search", "n_min": 1}, "invalid search range 1:$"),
+        ({"mode": "binary_search", "n_min": 3, "n_max": 2}, "invalid search range 3:2"),
+        ({"mode": "exhaustive", "n": 3}, "mode must be"),
+    ])
+    def test_n_spec_rules(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            NSpec(**kwargs)
+
+    def test_open_search_range(self):
+        assert NSpec(mode="binary_search", n_min=2).n_max is None
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"alpha": float("nan")}, "alpha must be in"),
+        ({"alpha": "0.05"}, "alpha must be in"),
+        ({"oracle_budget": 0}, "oracle_budget must be a positive integer, got 0"),
+        ({"oracle_budget": 5.0}, "oracle_budget must be a positive integer"),
+    ])
+    def test_replace_rechecks(self, tmp_path, changes, message):
+        config = load_config(base_config(tmp_path))
+        with pytest.raises(ValueError, match=message):
+            replace(config, **changes)

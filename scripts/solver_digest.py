@@ -18,10 +18,11 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   (blocks and ``identical_rows`` flags), ``enumerate_extrema`` at n = 2,
   ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
   in both cases (with ``pair_stats`` of each greedy assignment's pairs in
-  a seeded shuffled order), ``case3_selection`` and ``solve`` with its
-  trace in both directions, and ``run_test``. The models digest covers,
-  per instance, the LP lines, sidecar, objective value and constraint
-  flags of the four quadratic models and two linear models at n = 2.
+  a seeded shuffled order), ``case3_selection`` and ``solve`` with every
+  attempt it traced in both directions, and ``run_test``. The models
+  digest covers, per instance, the LP lines, sidecar, objective value and
+  constraint flags of the four quadratic models and two linear models at
+  n = 2.
 * 40 medium instances: 30-150 treated units and within 10 of that many
   controls, 2 to k eligible controls per treated unit with k drawn from
   2-8 per instance (11 of the maps are deficient: the maximum matching
@@ -39,8 +40,8 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   ``case3_selection`` in both directions, whose replays run over long
   alternating paths.
 
-Assignments enter as sorted pair lists and errors as their type and
-message.
+Assignments enter as sorted pair lists, ladder attempts as their case,
+pairs, stats and reason, and errors as their type and message.
 
 Usage: python3 scripts/solver_digest.py   (takes no options)
 """
@@ -56,7 +57,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from robustz.greedy import GreedySolution, build_sorted_list, greedy_max, greedy_min  # noqa: E402
+from robustz.greedy import Attempt, build_sorted_list, greedy_max, greedy_min  # noqa: E402
 from robustz.hungarian import (CostMatching, case3_selection, hungarian_max,  # noqa: E402
                                hungarian_min)
 from robustz.matching import EffectMatrix, partition_blocks  # noqa: E402
@@ -114,8 +115,9 @@ def _medium_instance(rng: random.Random, index: int) -> EffectMatrix:
 def _canon(result) -> str:
     if isinstance(result, CostMatching):  # the log and pop count take no part in its repr
         return repr((result, result.augmentations, result.live_pops))
-    if isinstance(result, GreedySolution):
-        return repr((result.case, sorted(result.assignment.pairs), result.stats))
+    if isinstance(result, Attempt):
+        pairs = None if result.assignment is None else sorted(result.assignment.pairs)
+        return repr((result.case, pairs, result.stats, result.reason))
     if isinstance(result, Assignment):
         return repr(sorted(result.pairs))
     if isinstance(result, TestResult):
@@ -135,11 +137,11 @@ def _call(fn, *args) -> str:
 
 def _solve_traced(em: EffectMatrix, n: int, direction: str) -> str:
     trace: list = []
-    return _call(solve, em, n, direction, trace) + repr(trace)
+    return _call(solve, em, n, direction, trace) + repr([_canon(a) for a in trace])
 
 
 def _shuffled_pair_stats(em: EffectMatrix, result, rng: random.Random) -> str:
-    if not isinstance(result, GreedySolution):
+    if result.assignment is None:
         return "-"
     pairs = sorted(result.assignment.pairs)
     rng.shuffle(pairs)

@@ -31,8 +31,7 @@ from .statistic import (
     z_statistic,
 )
 from .greedy import (
-    GreedySolution,
-    Infeasible,
+    Attempt,
     SortedEffectList,
     build_sorted_list,
     greedy_max,
@@ -41,7 +40,6 @@ from .greedy import (
 from .hungarian import CostMatching, hungarian_max, hungarian_min
 from .orchestrator import (
     NoPairsError,
-    NoPairsPossible,
     SweepRow,
     find_max_feasible_n,
     iter_sweep,

@@ -307,7 +307,7 @@ _COMMANDS = {
 def _resolve(args) -> RunConfig:
     """The configuration with the command's flags applied, every value checked."""
     config = load_config(args.config)
-    flags = {k: v for k, v in vars(args).items() if v not in (None, "")}
+    flags = {k: v for k, v in vars(args).items() if v is not None}
     if "sweep" in flags and "binary_search" in flags:
         raise UsageError("--sweep and --binary-search are mutually exclusive")
     changes = {k: flags[k] for k in ("alpha", "oracle_budget") if k in flags}

@@ -75,15 +75,17 @@ class SortedEffectList:
 
 
 @dataclass(frozen=True)
-class Infeasible:
-    reason: str
+class Attempt:
+    """One ladder rung's outcome, the same record for every rung.
 
+    ``reason`` is set when the rung failed: it built no ``assignment``, or
+    the one it built has an effect sum of the wrong sign.
+    """
 
-@dataclass(frozen=True)
-class GreedySolution:
-    assignment: Assignment
-    stats: PairStats
     case: str
+    assignment: Assignment | None = None
+    stats: PairStats | None = None
+    reason: str | None = None
 
 
 # one sorted list per effect matrix; no strong reference to the matrix
@@ -178,13 +180,9 @@ def _candidate(state: _ListState, k: int, links: memoryview, end: int, barred: s
     return k
 
 
-def _solution_from(rows, cols, chosen: list[int], picked, case: str) -> GreedySolution:
+def _solution_from(rows, cols, chosen: list[int], picked, case: str) -> Attempt:
     pairs = [(rows[k], cols[k]) for k in chosen]
-    return GreedySolution(
-        assignment=Assignment(pairs=frozenset(pairs)),
-        stats=stats_from_values(picked),
-        case=case,
-    )
+    return Attempt(case, Assignment(pairs=frozenset(pairs)), stats_from_values(picked))
 
 
 def _top_down(values: memoryview):
@@ -220,13 +218,13 @@ def _min_case2(ylist: SortedEffectList, n: int, mirrored: bool = False):
         if row_used[i] or col_used[j]:
             continue
         if sign * values[k] > 0.0:
-            return Infeasible("smallest remaining effect is positive")
+            return Attempt("min_case2", reason="smallest remaining effect is positive")
         row_used[i] = col_used[j] = 1
         chosen.append(k)
         if len(chosen) == n:
             break
     else:
-        return Infeasible("eligible pairs exhausted before n assignments")
+        return Attempt("min_case2", reason="eligible pairs exhausted before n assignments")
     return _solution_from(rows, cols, chosen, [sign * values[k] for k in chosen], "min_case2")
 
 
@@ -245,7 +243,7 @@ def _min_case1(state: _ListState, n: int):
             while k is not None and math.fsum(base + [state.values[k]]) < 0.0:
                 k = state.forward(state.nxt[k])
             if k is None:
-                return Infeasible("no remaining effect keeps the sum nonnegative")
+                return Attempt("min_case1", reason="no remaining effect keeps the sum nonnegative")
             state.assign(k)
             chosen.append(k)
             running += state.values[k]
@@ -253,13 +251,13 @@ def _min_case1(state: _ListState, n: int):
         barred: set = set()
         top = _candidate(state, state.m - 1, state.prv, -1, barred)
         if top is None:
-            return Infeasible("eligible pairs exhausted before n assignments")
+            return Attempt("min_case1", reason="eligible pairs exhausted before n assignments")
         if state.values[top] < 0.0:
-            return Infeasible("largest remaining effect is negative")
+            return Attempt("min_case1", reason="largest remaining effect is negative")
         while True:
             low = _candidate(state, 0, state.nxt, state.m, barred)
             if low is None:
-                return Infeasible("no anchor admits a nonnegative couple")
+                return Attempt("min_case1", reason="no anchor admits a nonnegative couple")
             high = _candidate(state, state.m - 1, state.prv, -1, barred)
             anchor = low if abs(state.values[low]) <= state.values[high] else high
             q = _partner(state, -state.values[anchor], anchor=anchor)
@@ -276,7 +274,7 @@ def _min_case1(state: _ListState, n: int):
 
 
 def greedy_min(ylist: SortedEffectList, n: int, case: str):
-    """Minimization greedy for one sign regime; GreedySolution or Infeasible."""
+    """Minimization greedy for one sign regime, as an ``Attempt``."""
     if n < 2:
         raise ValueError(f"greedy solver needs n >= 2, got n={n}")
     if case not in ("case1", "case2"):
@@ -300,10 +298,5 @@ def greedy_max(ylist: SortedEffectList, n: int, case: str):
         mirrored = _min_case2(ylist, n, mirrored=True)
     else:
         mirrored = _min_case1(_ListState(ylist.mirror), n)
-    if isinstance(mirrored, Infeasible):
-        return mirrored
-    return GreedySolution(
-        assignment=mirrored.assignment,
-        stats=replace(mirrored.stats, S=-mirrored.stats.S + 0.0),
-        case=f"max_{case}",
-    )
+    stats = None if mirrored.stats is None else replace(mirrored.stats, S=-mirrored.stats.S + 0.0)
+    return replace(mirrored, case=f"max_{case}", stats=stats)

@@ -3,9 +3,10 @@
 Per direction the ladder tries the sign regimes in the order that can
 only improve the level: minimization runs case 2 (level <= 0), then the
 linear case (level 0), then case 1 (level >= 0); maximization mirrors
-it. Every rung builds an assignment, and the first one that meets its
-case's sign condition is the direction's witness; the reported
-extremal statistic is a witness's Z, never a level on its own.
+it. Each rung is one ``Attempt``: it builds an assignment, or says why
+it could not, and the first one that meets its case's sign condition is
+the direction's witness. The test's bounds are the extreme Z values over
+every assignment either ladder built, never a level on its own.
 
 The linear case takes the direction's optimal n-pair assignment, read
 off the assignment solver's n-th augmentation; the solver runs once per
@@ -21,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from .greedy import GreedySolution, Infeasible, build_sorted_list, greedy_max, greedy_min
+from .greedy import Attempt, build_sorted_list, greedy_max, greedy_min
 from .hungarian import case3_selection, hungarian_min
 from .matching import EffectMatrix
 from .statistic import (
@@ -34,28 +35,38 @@ from .statistic import (
 FALLBACK = "fallback"
 
 
-@dataclass(frozen=True)
-class NoPairsPossible:
-    reason: str
-
-
 class NoPairsError(RuntimeError):
     """A direction could not produce n disjoint eligible pairs."""
 
 
-# rungs per direction, in the order that can only improve the level: a tag
-# and the greedy case, or None for the linear case. Names, not functions, so
-# a rebinding of the solvers in this module's namespace is seen at call time.
-_LADDERS = {
-    "min": (("min_case2", "case2"), ("min_case3", None), ("min_case1", "case1")),
-    "max": (("max_case1", "case1"), ("max_case3", None), ("max_case2", "case2")),
-}
+# greedy cases per direction, in the order that can only improve the level;
+# None is the linear case. Names, not functions, so a rebinding of the
+# solvers in this module's namespace is seen at call time.
+_LADDERS = {"min": ("case2", None, "case1"), "max": ("case1", None, "case2")}
 
 
-def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None):
-    """Best witness for one direction: GreedySolution or NoPairsPossible.
+def _label(attempt: Attempt) -> str:
+    """The case a result names: the attempt's rung, or FALLBACK if it failed that rung."""
+    return attempt.case if attempt.reason is None else FALLBACK
 
-    ``trace``, when given, collects the case tags in attempt order.
+
+def _linear(em: EffectMatrix, n: int, direction: str) -> Attempt:
+    """The linear rung: the direction's optimal n-pair assignment and its sign check."""
+    tag = f"{direction}_case3"
+    selection = case3_selection(em, n, direction)
+    if selection is None:
+        return Attempt(tag, reason=f"no assignment of {n} disjoint eligible pairs exists")
+    stats = em.pair_stats(selection.pairs)
+    wrong = stats.S > 0.0 if direction == "min" else stats.S < 0.0
+    return Attempt(tag, selection, stats, "effect sum has the wrong sign" if wrong else None)
+
+
+def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None) -> Attempt:
+    """The direction's witness: the first rung's Attempt that meets its sign condition.
+
+    Without one it is the linear rung's, labelled FALLBACK, and without an
+    assignment no n disjoint pairs exist. ``trace``, when given, collects
+    every rung's Attempt in ladder order.
     """
     if n < 2:
         raise ValueError(f"solver needs n >= 2, got n={n}")
@@ -64,56 +75,51 @@ def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None):
 
     ylist = build_sorted_list(em)
     greedy = greedy_min if direction == "min" else greedy_max
-    sign = 1.0 if direction == "min" else -1.0
-    for tag, case in _LADDERS[direction]:
+    for case in _LADDERS[direction]:
+        attempt = _linear(em, n, direction) if case is None else greedy(ylist, n, case)
         if trace is not None:
-            trace.append(tag)
-        if case is not None:
-            result = greedy(ylist, n, case)
-            if not isinstance(result, Infeasible):
-                return result
-            continue
-        selection = case3_selection(em, n, direction)
-        if selection is None:  # no rung can find n disjoint pairs
-            return NoPairsPossible(f"no assignment of {n} disjoint eligible pairs exists")
-        linear = GreedySolution(selection, em.pair_stats(selection.pairs), tag)
-        if sign * linear.stats.S <= 0.0:  # the effect sum has the direction's sign
-            return linear
-
-    if trace is not None:
-        trace.append(FALLBACK)
-    return replace(linear, case=FALLBACK)
+            trace.append(attempt)
+        if attempt.reason is None:
+            return attempt
+        if case is None:
+            if attempt.assignment is None:  # no rung can find n disjoint pairs
+                return attempt
+            linear = attempt
+    return replace(linear, case=_label(linear))
 
 
 def run_test(em: EffectMatrix, n: int, alpha: float) -> TestResult:
     """Both directions at one n, with P-values and robustness class.
 
-    Each bound is the Z of an assignment the ladders built: ``z_min`` is
-    the lesser of the two witnesses' Z values and ``z_max`` the greater,
-    so the interval never claims more than the assignments support. On
-    equal values the direction's own ladder stays the source.
+    ``z_min``/``z_max`` are the least and greatest Z over every attempt of
+    both ladders that built an assignment, so the interval never claims
+    more than the built assignments support. On equal Z the direction's
+    own witness stays the source, then the other direction's witness, then
+    the other attempts in ladder order.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    low = solve(em, n, "min")
+    pool: list[Attempt] = []
+    low = solve(em, n, "min", pool)
     # both directions reach the same maximum cardinality, so a min side
     # without n disjoint pairs settles the max side too
-    if isinstance(low, NoPairsPossible):
+    if low.assignment is None:
         raise NoPairsError(low.reason)
-    high = solve(em, n, "max")
-    if isinstance(high, NoPairsPossible):
+    high = solve(em, n, "max", pool)
+    if high.assignment is None:
         raise NoPairsError(high.reason)
-    z_low, z_high = z_statistic(low.stats), z_statistic(high.stats)
-    # min/max keep the first of equal values: the direction's own ladder
-    z_min, src_min = min((z_low, low), (z_high, high), key=lambda c: c[0])
-    z_max, src_max = max((z_high, high), (z_low, low), key=lambda c: c[0])
+    others = [a for a in pool if a.assignment not in (None, low.assignment, high.assignment)]
+    # min/max keep the first of equal values, so the order is the tie rule
+    scored = [(z_statistic(a.stats), a) for a in (low, high, *others)]
+    z_min, src_min = min(scored, key=lambda c: c[0])
+    z_max, src_max = max([scored[1], scored[0], *scored[2:]], key=lambda c: c[0])
     p_min, p_max = p_values(z_max, z_min)
     return TestResult(
         n=n,
         z_min=z_min,
         z_max=z_max,
-        case_used_min=src_min.case,
-        case_used_max=src_max.case,
+        case_used_min=_label(src_min),
+        case_used_max=_label(src_max),
         p_min=p_min,
         p_max=p_max,
         classification=classify_robustness(p_min, p_max, alpha),
@@ -168,7 +174,7 @@ def find_max_feasible_n(em: EffectMatrix, n_min: int = 2,
 
     Feasibility is matchability, so the answer is the maximum matching
     size capped by the range, and one direction's ladder decides it:
-    ``solve`` returns NoPairsPossible only after case 3 has found fewer
+    ``solve`` returns no assignment only after case 3 has found fewer
     than n disjoint pairs, any other outcome is an assignment of n
     disjoint pairs (found by some case or by the fallback), and the min
     and max solves reach the same maximum cardinality. ``n_max`` defaults
@@ -182,7 +188,7 @@ def find_max_feasible_n(em: EffectMatrix, n_min: int = 2,
     low = max(n_min, 2)
     if top < low:
         return None
-    if not isinstance(solve(em, top, "min"), NoPairsPossible):
+    if solve(em, top, "min").assignment is not None:
         return top
     if top == low:
         return None

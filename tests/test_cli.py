@@ -200,6 +200,20 @@ class TestSweep:
             assert captured.err == f"usage error: {message}\n"
             assert not out.exists()
 
+    def test_empty_range_is_a_usage_error(self, tmp_path, capsys):
+        # an empty value is given, not absent; the data path is never read
+        config = write_fixture(tmp_path, [], {"data_path": "missing.csv"})
+        out = tmp_path / "sweep.csv"
+        for options, message in ((["--sweep", ""], "malformed range ''"),
+                                 (["--sweep", "", "--binary-search", "2:3"],
+                                  "--sweep and --binary-search are mutually exclusive")):
+            argv = ["sweep", "--config", str(config), *options, "--out", str(out)]
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"usage error: {message}\n"
+            assert not out.exists()
+
     def test_bad_alpha_usage_error(self, negative_fixture, tmp_path, capsys):
         # checked before the work: no report, CSV header or --out file
         out = tmp_path / "report.out"

@@ -11,8 +11,7 @@ import pytest
 
 from robustz import greedy
 from robustz.greedy import (
-    GreedySolution,
-    Infeasible,
+    Attempt,
     build_sorted_list,
     greedy_max,
     greedy_min,
@@ -115,12 +114,12 @@ class TestGreedyMinCase2:
 
     def test_stops_when_minimum_turns_positive(self):
         yl = ylist_of({(0, 0): -1, (0, 1): 2, (1, 0): 2, (1, 1): 3})
-        assert isinstance(greedy_min(yl, 2, "case2"), Infeasible)
+        assert greedy_min(yl, 2, "case2").assignment is None
 
     def test_exhaustion_is_infeasible(self):
         yl = ylist_of({(0, 0): -1.0})
         result = greedy_min(yl, 2, "case2")
-        assert isinstance(result, Infeasible)
+        assert result.assignment is None
         assert "exhausted" in result.reason
 
     def test_zero_effects_assignable(self):
@@ -187,7 +186,8 @@ class TestCase2Scan:
                                   (greedy_max(yl, n, "case1"), -1.0)):
                     want = first_assignable(effects, n, sign)
                     if isinstance(want, str):
-                        assert sol == Infeasible(_REASONS[want])
+                        tag = "min_case2" if sign > 0.0 else "max_case1"
+                        assert sol == Attempt(tag, reason=_REASONS[want])
                         continue
                     feasible += 1
                     assert sol.assignment.pairs == frozenset(want)
@@ -219,7 +219,7 @@ class TestGreedyMinCase1:
     def test_all_negative_is_infeasible(self):
         yl = ylist_of({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
         result = greedy_min(yl, 2, "case1")
-        assert isinstance(result, Infeasible)
+        assert result.assignment is None
         assert "negative" in result.reason
 
     def test_odd_n_final_single(self):
@@ -338,7 +338,8 @@ class TestCase1Walk:
                                   (greedy_max(yl, n, "case2"), -1.0)):
                     want = couples_walk(effects, n, sign)
                     if isinstance(want, str):
-                        assert sol == Infeasible(_CASE1_REASONS[want])
+                        tag = "min_case1" if sign > 0.0 else "max_case2"
+                        assert sol == Attempt(tag, reason=_CASE1_REASONS[want])
                         no_anchor += want == "anchor"
                         continue
                     picks, barred_here = want
@@ -366,7 +367,7 @@ class TestGreedyMax:
 
     def test_case1_needs_nonnegative_sum(self):
         yl = ylist_of({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
-        assert isinstance(greedy_max(yl, 2, "case1"), Infeasible)
+        assert greedy_max(yl, 2, "case1").assignment is None
 
     def test_case2_matches_oracle_maximum(self):
         yl = ylist_of({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
@@ -381,7 +382,7 @@ class TestGreedyMax:
             greedy_min(yl, 1, "case2")
 
 
-def _check_solution(sol: GreedySolution, em, n: int):
+def _check_solution(sol: Attempt, em, n: int):
     validate_assignment(sol.assignment, em)
     assert sol.assignment.n == n
     if sol.case.endswith("case1"):
@@ -400,7 +401,7 @@ class TestRandomizedProperties:
             for case in ("case1", "case2"):
                 for solver in (greedy_min, greedy_max):
                     sol = solver(yl, n, case)
-                    if isinstance(sol, GreedySolution):
+                    if sol.assignment is not None:
                         _check_solution(sol, em, n)
 
     def test_reflection_symmetry(self, rng):
@@ -416,8 +417,8 @@ class TestRandomizedProperties:
             for case in ("case1", "case2"):
                 fwd = greedy_max(build_sorted_list(em), n, case)
                 bwd = greedy_min(build_sorted_list(neg), n, mirror[case])
-                if isinstance(fwd, Infeasible):
-                    assert isinstance(bwd, Infeasible)
+                if fwd.assignment is None:
+                    assert bwd.assignment is None
                 else:
                     z_fwd, z_bwd = z_statistic(fwd.stats), z_statistic(bwd.stats)
                     assert z_fwd == -z_bwd or z_fwd == z_bwd == 0.0
@@ -436,12 +437,12 @@ class TestRandomizedProperties:
             yl = build_sorted_list(em)
             for case in ("case1", "case2"):
                 lo = greedy_min(yl, n, case)
-                if isinstance(lo, GreedySolution):
+                if lo.assignment is not None:
                     z = z_statistic(lo.stats)
                     assert z >= bf_min - 1e-9 * max(1.0, abs(z), abs(bf_min))
                     checked += 1
                 hi = greedy_max(yl, n, case)
-                if isinstance(hi, GreedySolution):
+                if hi.assignment is not None:
                     z = z_statistic(hi.stats)
                     assert z <= bf_max + 1e-9 * max(1.0, abs(z), abs(bf_max))
                     checked += 1
@@ -455,11 +456,11 @@ class TestRandomizedProperties:
             for case in ("case1", "case2"):
                 a = greedy_min(yl1, n, case)
                 b = greedy_min(yl2, n, case)
-                if isinstance(a, GreedySolution):
+                if a.assignment is not None:
                     assert a.assignment.pairs == b.assignment.pairs
                     assert z_statistic(a.stats) == z_statistic(b.stats)
                 else:
-                    assert isinstance(b, Infeasible)
+                    assert b.assignment is None
 
 
 class TestRestrictedOptimality:
@@ -482,11 +483,11 @@ class TestRestrictedOptimality:
             yl = build_sorted_list(em)
             if sign < 0:
                 sol = greedy_min(yl, n, "case2")
-                assert isinstance(sol, GreedySolution)
+                assert sol.assignment is not None
                 assert z_statistic(sol.stats) == pytest.approx(bf_min, abs=1e-9)
             else:
                 sol = greedy_max(yl, n, "case1")
-                assert isinstance(sol, GreedySolution)
+                assert sol.assignment is not None
                 assert z_statistic(sol.stats) == pytest.approx(bf_max, abs=1e-9)
 
 
@@ -507,10 +508,13 @@ class TestScalingSmoke:
                 effects[(rng.randrange(side), rng.randrange(side))] = rng.uniform(-10, 10)
             em = make_em(effects, side, side)
             yl = build_sorted_list(em)
-            start = time.perf_counter()
-            greedy_min(yl, n, "case2")
-            greedy_min(yl, n, "case1")
-            times.append(time.perf_counter() - start)
+            samples = []
+            for _ in range(5):  # the least of a few repeats: one call pair can hit a stall
+                start = time.perf_counter()
+                greedy_min(yl, n, "case2")
+                greedy_min(yl, n, "case1")
+                samples.append(time.perf_counter() - start)
+            times.append(min(samples))
         bound = [max(n, math.log(s)) * s for s in sizes]
         constants = [t / b for t, b in zip(times, bound)]
         assert max(constants) <= 8 * min(constants)

@@ -9,12 +9,11 @@ import pytest
 
 import robustz.hungarian as hungarian
 import robustz.orchestrator as orchestrator
-from robustz.greedy import GreedySolution, build_sorted_list, greedy_max, greedy_min
+from robustz.greedy import build_sorted_list, greedy_max, greedy_min
 from robustz.hungarian import hungarian_min
 from robustz.orchestrator import (
     FALLBACK,
     NoPairsError,
-    NoPairsPossible,
     find_max_feasible_n,
     run_test,
     solve,
@@ -43,45 +42,46 @@ class TestSolve:
     def test_ladder_order_min(self):
         trace = []
         sol = solve(make_em(POSITIVE), 2, "min", trace=trace)
-        assert trace == ["min_case2", "min_case3", "min_case1"]
+        assert [a.case for a in trace] == ["min_case2", "min_case3", "min_case1"]
         assert sol.case == "min_case1"
         assert z_statistic(sol.stats) == pytest.approx(2.3570, abs=1e-4)
 
     def test_ladder_order_max(self):
         trace = []
         sol = solve(make_em(NEGATIVE), 2, "max", trace=trace)
-        assert trace == ["max_case1", "max_case3", "max_case2"]
+        assert [a.case for a in trace] == ["max_case1", "max_case3", "max_case2"]
         assert sol.case == "max_case2"
         assert z_statistic(sol.stats) == pytest.approx(-2.3570, abs=1e-4)
 
     def test_first_feasible_case_wins(self):
         trace = []
         sol = solve(make_em(NEGATIVE), 2, "min", trace=trace)
-        assert trace == ["min_case2"]
+        assert [a.case for a in trace] == ["min_case2"]
         assert z_statistic(sol.stats) == pytest.approx(-2.3570, abs=1e-4)
 
     def test_no_pairs_when_matching_too_small(self):
         em = make_em({(0, 0): 1.0, (0, 1): 2.0}, 1, 2)
         result = solve(em, 2, "min")
-        assert isinstance(result, NoPairsPossible)
+        assert result.assignment is None
 
     def test_no_pairs_stops_at_the_case3_rung(self):
         # both rows share column 0 only: no later rung can find 2 disjoint pairs
         em = make_em({(0, 0): 1.0, (1, 0): -2.0}, 2, 2)
         for direction, first in (("min", "min_case2"), ("max", "max_case1")):
             trace = []
-            assert isinstance(solve(em, 2, direction, trace), NoPairsPossible)
-            assert trace == [first, f"{direction}_case3"]
+            assert solve(em, 2, direction, trace).assignment is None
+            assert [a.case for a in trace] == [first, f"{direction}_case3"]
 
     def test_empty_eligibility_is_no_pairs(self):
         em = make_em({}, 2, 2)
-        assert isinstance(solve(em, 2, "min"), NoPairsPossible)
-        assert isinstance(solve(em, 2, "max"), NoPairsPossible)
+        assert solve(em, 2, "min").assignment is None
+        assert solve(em, 2, "max").assignment is None
 
     def test_fallback_returns_actual_z(self):
         trace = []
         sol = solve(make_em(FALLBACK_FIXTURE, 3, 3), 3, "min", trace=trace)
-        assert trace[-1] == FALLBACK
+        assert [a.case for a in trace] == ["min_case2", "min_case3", "min_case1"]
+        assert all(a.reason is not None for a in trace)
         assert sol.case == FALLBACK
         assert z_statistic(sol.stats) == pytest.approx(6.3020, abs=1e-3)
 
@@ -145,6 +145,51 @@ class TestRunTest:
         assert result.classification == "not_robust"
 
 
+class TestPooledBounds:
+    """Each bound is the extreme Z over every attempt of both ladders."""
+
+    # n = 2: the max ladder's case-3 selection {(0, 0), (1, 1)} (S = -3)
+    # fails its sign check, but its Z is the exact minimum; the other
+    # assignment (S = -4) gives the exact maximum
+    DROPPED_MIN = {(0, 0): -1.0, (0, 1): -6.0, (1, 0): 2.0, (1, 1): -2.0}
+
+    def test_failed_case3_selection_bounds_the_interval(self):
+        em = make_em(self.DROPPED_MIN)
+        exact = enumerate_extrema(em, 2)
+        result = run_test(em, 2, 0.05)
+        assert result.z_min == exact.z_min == pytest.approx(-4.2426, abs=1e-4)
+        assert result.z_max == exact.z_max == pytest.approx(-0.7071, abs=1e-4)
+        assert result.case_used_min == FALLBACK
+        assert result.assignment_min == Assignment(frozenset({(0, 0), (1, 1)}))
+        assert result.classification == "not_robust"
+
+    def test_bounds_are_extremes_of_the_built_attempts(self):
+        rng = random.Random(11)
+        widened = 0
+        for _ in range(1500):
+            em, n = random_instance(rng)
+            try:
+                result = run_test(em, n, 0.05)
+            except NoPairsError:
+                continue
+            traces = {d: [] for d in ("min", "max")}
+            witness = {d: solve(em, n, d, traces[d]) for d in traces}
+            zs = [z_statistic(a.stats) for d in traces for a in traces[d]
+                  if a.assignment is not None]
+            # each bound is a built attempt's Z, and none lies outside them
+            assert min(zs) == result.z_min and max(zs) == result.z_max
+            widened += (result.z_min < z_statistic(witness["min"].stats)
+                        or result.z_max > z_statistic(witness["max"].stats))
+        assert widened > 0
+
+    def test_greedy_witnesses_start_no_solver_pass(self, monkeypatch):
+        em = make_em({(0, 0): -4.0, (0, 1): 5.0, (1, 0): 6.0, (1, 1): -3.0})
+        calls = count_pass_starts(monkeypatch)
+        result = run_test(em, 2, 0.05)
+        assert (result.case_used_min, result.case_used_max) == ("min_case2", "max_case1")
+        assert calls == []
+
+
 class TestOrderingInvariants:
     def test_z_min_le_z_max_on_random_instances(self, rng):
         solved = 0
@@ -202,7 +247,7 @@ class TestOrderingInvariants:
             extrema = brute_force_extrema(em, n)
             lo = solve(em, n, "min")
             if extrema is None:
-                assert isinstance(lo, NoPairsPossible)
+                assert lo.assignment is None
                 continue
             hi = solve(em, n, "max")
             bf_min, bf_max = extrema
@@ -229,8 +274,8 @@ class TestOrderingInvariants:
                           em.n_treated, em.n_control)
             hi = solve(em, n, "max")
             lo = solve(neg, n, "min")
-            if isinstance(hi, NoPairsPossible):
-                assert isinstance(lo, NoPairsPossible)
+            if hi.assignment is None:
+                assert lo.assignment is None
             else:
                 z_hi, z_lo = z_statistic(hi.stats), z_statistic(lo.stats)
                 assert z_hi == -z_lo or z_hi == z_lo == 0.0
@@ -245,10 +290,12 @@ class TestClassificationAgainstOracle:
     them ``absolute_robust`` where the exact class is ``not_robust``).
     The threshold tightens as the extremes become exact: reading case 3
     off the solver's n-th augmentation, so that its S is exact, took it
-    from 32 to 26 (``alpha -> not`` from 22 to 16).
+    from 32 to 26 (``alpha -> not`` from 22 to 16); bounding over every
+    assignment both ladders built, failed case-3 selections included,
+    took it from 26 to 7.
     """
 
-    MAX_MISSES = 26  # 26 at this generator: 16 alpha -> not, 7 absolute -> not, 3 absolute -> alpha
+    MAX_MISSES = 7  # 7 at this generator, all alpha -> not
 
     def test_misses_within_threshold(self):
         rng = random.Random(5)
@@ -304,7 +351,7 @@ class TestPythonScalars:
             for solver in (greedy_min, greedy_max):
                 for case in ("case1", "case2"):
                     sol = solver(ylist, n, case)
-                    if isinstance(sol, GreedySolution):
+                    if sol.assignment is not None:
                         self._check_pairs(sol.assignment.pairs)
                         self._check_stats(sol.stats)
                         checked += 1
@@ -363,7 +410,7 @@ class TestFindMaxFeasibleN:
             for n in range(2, cap + 1):
                 lo = solve(em, n, "min")
                 hi = solve(em, n, "max")
-                if not isinstance(lo, NoPairsPossible) and not isinstance(hi, NoPairsPossible):
+                if lo.assignment is not None and hi.assignment is not None:
                     linear = n
             assert found == linear
             if expected >= 2:
@@ -436,7 +483,8 @@ class TestSharedAssignmentPasses:
         traces = {d: [] for d in ("min", "max")}
         for direction, trace in traces.items():
             solve(em, n, direction, trace)
-        return "min_case3" in traces["min"] and "max_case3" in traces["max"]
+        cases = {d: [a.case for a in trace] for d, trace in traces.items()}
+        return "min_case3" in cases["min"] and "max_case3" in cases["max"]
 
     def test_search_and_reported_test_share_two_passes(self, monkeypatch):
         em = make_em(self.TRAPS)
@@ -465,10 +513,8 @@ class TestSharedAssignmentPasses:
         # the min fallback reads the matching its linear rung solved: no second pass
         calls.clear()
         fallback = make_em(FALLBACK_FIXTURE, 3, 3)
-        traces = {d: [] for d in ("min", "max")}
-        for direction, trace in traces.items():
-            solve(fallback, 3, direction, trace)
-        assert traces["min"][-1] == FALLBACK
+        assert solve(fallback, 3, "min").case == FALLBACK
+        solve(fallback, 3, "max")
         assert calls == [False]
 
     def test_a_new_matrix_is_solved_again(self, monkeypatch):

@@ -17,14 +17,15 @@ on the ascending effect list:
   the running sum nonnegative.
 
 The maximization cases are the exact mirror image: negate every effect,
-solve the mirrored minimization case, negate the effect sum back. Case 1
-scans the ascending list from the top, which is case 2 on the negated
-list; case 2 walks the mirrored list. The sorted list, and the mirror
-once maximization case 2 needs it, depend on neither n nor the
-direction, so each is built once per effect matrix and shared by every
-later solve. Every selection removes all entries sharing the chosen row
-or column, so the output is always a valid one-to-one assignment, and
-its Z statistic is the level the case reaches.
+solve the mirrored minimization case on ``SortedEffectList.mirror``,
+negate the effect sum back. Maximization case 1 is minimization case 2
+of the negated list, and case 2 is its case 1. The sorted list and its
+mirror depend on neither n nor the direction, so each is built once per
+effect matrix and shared by every later solve. The value order, its
+(i, j) tie rule and its reflection all live here. Every selection
+removes all entries sharing the chosen row or column, so the output is
+always a valid one-to-one assignment, and its Z statistic is the level
+the case reaches.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matching import EffectMatrix, stable_order
+from .matching import EffectMatrix
 from .statistic import Assignment, PairStats, stats_from_values
 
 
@@ -64,14 +65,42 @@ class SortedEffectList:
     def mirror(self) -> "SortedEffectList":
         """The negated effects in ascending order, ties by (i, j); built once per list.
 
-        Only maximization case 2 walks it. Reversing the list would put tied
-        entries in descending (i, j) order, so each run of ties is put back
-        in list order.
+        Both maximization cases walk it. Without ties it is this list read
+        backwards: the values negated, ``rows`` and ``cols`` as reversed
+        views of this list's own. Reversing would put tied entries in
+        descending (i, j) order, so a list with ties is gathered in
+        ``stable_order`` instead, which puts each run of ties back in list
+        order.
         """
-        negated = -self.values
-        order = stable_order(negated, np.arange(len(negated) - 1, -1, -1))
-        return replace(self, values=_read_only(negated[order]),
+        order = slice(None, None, -1)
+        if (self.values[1:] == self.values[:-1]).any():
+            order = stable_order(-self.values, np.arange(len(self.values) - 1, -1, -1))
+        return replace(self, values=_read_only(-self.values[order]),
                        rows=_read_only(self.rows[order]), cols=_read_only(self.cols[order]))
+
+
+def stable_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, from any ``order`` that sorts ``values``.
+
+    numpy's stable sort of floats is a merge sort, several times slower
+    than its default sort. Without ties ``order`` is already the stable
+    order. Otherwise each run of equal values (``0.0`` and ``-0.0`` are
+    equal) is put back in index order by sorting the int64 key
+    ``run * m + order``. The keys are distinct, so numpy's default sort,
+    the fastest on them, gives the one ascending order.
+    """
+    m = len(order)
+    v = values[order]
+    changes = v[1:] != v[:-1]
+    if changes.all():
+        return order
+    run = np.zeros(m, dtype=np.int64)
+    np.cumsum(changes, out=run[1:])
+    run *= m  # below m * m, which fits in int64 for any m below 3e9
+    key = run + order
+    key.sort()
+    key -= run
+    return key
 
 
 @dataclass(frozen=True)
@@ -94,7 +123,7 @@ _SORTED: weakref.WeakKeyDictionary[EffectMatrix, SortedEffectList] = (
 
 
 def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
-    """All eligible effects (zeros included) in the matrix's value order.
+    """All eligible effects (zeros included) in ascending value order, ties by (i, j).
 
     The list does not depend on n or the direction, so it is built once per
     matrix and shared by every later call. The cache holds the matrix weakly;
@@ -102,7 +131,7 @@ def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
     """
     ylist = _SORTED.get(em)
     if ylist is None:
-        order = em.order
+        order = stable_order(em.values, np.argsort(em.values))
         ylist = SortedEffectList(
             _read_only(em.values[order]), _read_only(em.match.rows[order]),
             _read_only(em.match.cols[order]), em.n_treated, em.n_control)
@@ -185,39 +214,16 @@ def _solution_from(rows, cols, chosen: list[int], picked, case: str) -> Attempt:
     return Attempt(case, Assignment(pairs=frozenset(pairs)), stats_from_values(picked))
 
 
-def _top_down(values: memoryview):
-    """Indices of an ascending list from the largest value down.
-
-    Each run of equal values (``0.0 == -0.0``) comes in ascending index
-    order, which is the mirrored list's order.
-    """
-    k = len(values) - 1
-    while k >= 0:
-        v = values[k]
-        if k and values[k - 1] == v:
-            lo = bisect_left(values, v, 0, k)
-            yield from range(lo, k + 1)
-            k = lo
-        else:
-            yield k
-        k -= 1
-
-
-def _min_case2(ylist: SortedEffectList, n: int, mirrored: bool = False):
-    """Case 2 as one scan: the first n assignable entries in list order.
-
-    ``mirrored`` runs case 2 of the negated list without building it: the
-    list is read from the top (see ``_top_down``) and every value negated.
-    """
+def _min_case2(ylist: SortedEffectList, n: int):
+    """Case 2 as one scan: the first n assignable entries in list order."""
     values, rows, cols = _views(ylist)
-    sign = -1.0 if mirrored else 1.0
     row_used, col_used = bytearray(ylist.n_treated), bytearray(ylist.n_control)
     chosen = []
-    for k in _top_down(values) if mirrored else range(len(values)):
+    for k in range(len(values)):
         i, j = rows[k], cols[k]
         if row_used[i] or col_used[j]:
             continue
-        if sign * values[k] > 0.0:
+        if values[k] > 0.0:
             return Attempt("min_case2", reason="smallest remaining effect is positive")
         row_used[i] = col_used[j] = 1
         chosen.append(k)
@@ -225,7 +231,7 @@ def _min_case2(ylist: SortedEffectList, n: int, mirrored: bool = False):
             break
     else:
         return Attempt("min_case2", reason="eligible pairs exhausted before n assignments")
-    return _solution_from(rows, cols, chosen, [sign * values[k] for k in chosen], "min_case2")
+    return _solution_from(rows, cols, chosen, [values[k] for k in chosen], "min_case2")
 
 
 def _min_case1(state: _ListState, n: int):
@@ -285,18 +291,16 @@ def greedy_min(ylist: SortedEffectList, n: int, case: str):
 
 
 def greedy_max(ylist: SortedEffectList, n: int, case: str):
-    """Maximization greedy by reflection of the mirrored minimization case.
+    """Maximization greedy: the mirrored minimization case on ``ylist.mirror``, reflected.
 
-    Case 1 reads this list from the top; case 2 walks ``ylist.mirror``,
-    built on its first call and reused by every later one.
+    Case 1 runs minimization case 2 of the negated list and case 2 its
+    case 1; the effect sum is negated back. The mirror is built on the
+    first call and reused by every later one.
     """
     if n < 2:
         raise ValueError(f"greedy solver needs n >= 2, got n={n}")
     if case not in ("case1", "case2"):
         raise ValueError(f"unknown maximization case {case!r}")
-    if case == "case1":
-        mirrored = _min_case2(ylist, n, mirrored=True)
-    else:
-        mirrored = _min_case1(_ListState(ylist.mirror), n)
+    mirrored = greedy_min(ylist.mirror, n, "case2" if case == "case1" else "case1")
     stats = None if mirrored.stats is None else replace(mirrored.stats, S=-mirrored.stats.S + 0.0)
     return replace(mirrored, case=f"max_{case}", stats=stats)

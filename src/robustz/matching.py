@@ -173,13 +173,10 @@ class EffectMatrix:
     """Treatment effects of the eligible pairs of a MatchMatrix, as a column.
 
     ``values[k]`` is the effect of pair ``(match.rows[k], match.cols[k])``;
-    ``order`` lists the pairs by ascending value, ties by (i, j). It is
-    built here, once; an effect that is not finite or exceeds
-    ``MAX_EFFECT`` in magnitude raises MatchingError. Both arrays are
-    read-only: the solvers cache work per matrix (one sorted list, the
-    mirrored list once maximization case 2 needs it, one matching per
-    direction), which holds only while a matrix is not modified once
-    built.
+    an effect that is not finite or exceeds ``MAX_EFFECT`` in magnitude
+    raises MatchingError. ``values`` is read-only: the solvers cache work
+    per matrix (one sorted list, one matching per direction), which holds
+    only while a matrix is not modified once built.
     """
 
     def __init__(self, match: MatchMatrix, values):
@@ -192,9 +189,7 @@ class EffectMatrix:
             raise MatchingError(f"effect of pair ({match.rows[k]}, {match.cols[k]}) {what}")
         # a read-only view: the caller's own array keeps its flags
         self.match, self.values = match, values.view()
-        self.order = stable_order(values, np.argsort(values))
         self.values.setflags(write=False)
-        self.order.setflags(write=False)
         self.nnz, self.n_treated, self.n_control = match.nnz, match.n_treated, match.n_control
 
     @property
@@ -220,30 +215,6 @@ class EffectMatrix:
         by_ij = np.argsort(rows * nc + cols)  # the map's keys are distinct
         mm = MatchMatrix(nt, nc, rows[by_ij], cols[by_ij])
         return cls(mm, np.fromiter(effects.values(), dtype=np.float64, count=nnz)[by_ij])
-
-
-def stable_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``np.argsort(values, kind="stable")``, from any ``order`` that sorts ``values``.
-
-    numpy's stable sort of floats is a merge sort, several times slower
-    than its default sort. Without ties ``order`` is already the stable
-    order. Otherwise each run of equal values (``0.0`` and ``-0.0`` are
-    equal) is put back in index order by sorting the int64 key
-    ``run * m + order``. The keys are distinct, so numpy's default sort,
-    the fastest on them, gives the one ascending order.
-    """
-    m = len(order)
-    v = values[order]
-    changes = v[1:] != v[:-1]
-    if changes.all():
-        return order
-    run = np.zeros(m, dtype=np.int64)
-    np.cumsum(changes, out=run[1:])
-    run *= m  # below m * m, which fits in int64 for any m below 3e9
-    key = run + order
-    key.sort()
-    key -= run
-    return key
 
 
 class _EffectView(Mapping):

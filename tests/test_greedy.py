@@ -15,8 +15,8 @@ from robustz.greedy import (
     build_sorted_list,
     greedy_max,
     greedy_min,
+    stable_order,
 )
-from robustz.matching import stable_order
 from robustz.statistic import stats_from_values, validate_assignment, z_statistic
 
 from conftest import brute_force_extrema, make_em, random_instance
@@ -44,6 +44,7 @@ class TestSortedList:
         assert entries(yl) == [(2.0, 0, 1), (2.0, 1, 0)]
 
     def test_mirror_is_the_stable_sort_of_the_negated_list(self, rng):
+        paths = {"views": 0, "gathered": 0}
         for _ in range(100):
             em, _ = random_instance(rng)
             draw = rng.choice((lambda: rng.uniform(-5.0, 5.0), lambda: rng.randint(-2, 2),
@@ -53,6 +54,8 @@ class TestSortedList:
             assert entries(yl.mirror) == list(zip((-yl.values[order]).tolist(),
                                                   yl.rows[order].tolist(),
                                                   yl.cols[order].tolist()))
+            paths["views" if np.shares_memory(yl.mirror.rows, yl.rows) else "gathered"] += 1
+        assert all(paths.values()), paths
 
 
 class TestSharedList:
@@ -67,25 +70,29 @@ class TestSharedList:
             calls.append(1)
             return stable_order(*args)
 
-        monkeypatch.setattr(greedy, "stable_order", counted)
         em = make_em({(i, j): float(i - 2 * j) for i in range(5) for j in range(5)})
+        build_sorted_list(em)
+        monkeypatch.setattr(greedy, "stable_order", counted)
         for n in (2, 3, 4):
             for case in ("case1", "case2"):
                 greedy_max(build_sorted_list(em), n, case)
         assert len(calls) == 1
 
-    def test_max_case1_builds_no_mirror(self, monkeypatch):
+    def test_tie_free_mirror_shares_the_list_buffers(self, monkeypatch):
         calls = []
 
         def counted(*args):
             calls.append(1)
             return stable_order(*args)
 
+        yl = ylist_of({(i, j): float(5 * i - j) + 0.5 for i in range(5) for j in range(5)})
         monkeypatch.setattr(greedy, "stable_order", counted)
-        em = make_em({(i, j): float((i + j) % 3) for i in range(5) for j in range(5)})
-        for n in (2, 3, 4, 5):
-            greedy_max(build_sorted_list(em), n, "case1")
+        mirror = yl.mirror
         assert calls == []
+        assert np.shares_memory(mirror.rows, yl.rows) and np.shares_memory(mirror.cols, yl.cols)
+        for array in (mirror.values, mirror.rows, mirror.cols):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
 
     def test_arrays_are_read_only(self):
         yl = ylist_of({(0, 0): 1.0, (1, 1): -1.0})
@@ -380,6 +387,14 @@ class TestGreedyMax:
             greedy_max(yl, 1, "case1")
         with pytest.raises(ValueError):
             greedy_min(yl, 1, "case2")
+
+    def test_bad_request_builds_no_mirror(self):
+        yl = ylist_of({(0, 0): 1.0, (1, 1): -1.0})
+        with pytest.raises(ValueError, match=r"^greedy solver needs n >= 2, got n=1$"):
+            greedy_max(yl, 1, "x")
+        with pytest.raises(ValueError, match=r"^unknown maximization case 'x'$"):
+            greedy_max(yl, 2, "x")
+        assert "mirror" not in vars(yl)
 
 
 def _check_solution(sol: Attempt, em, n: int):

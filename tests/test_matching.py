@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from robustz import matching
 from robustz.data_types import Dataset, Unit
+from robustz.greedy import build_sorted_list
 from robustz.matching import (
     CovariateRule,
     MatchMatrix,
@@ -308,7 +309,11 @@ class TestBuildEffectMatrix:
             maps.append(random_map(lambda: rng.choice((0.0, -0.0, -1.0, 1.0)), side))
         for effects in maps:
             em = make_em(effects)
-            assert em.order.tolist() == np.argsort(em.values, kind="stable").tolist()
+            yl = build_sorted_list(em)
+            order = np.argsort(em.values, kind="stable")
+            assert (yl.values.tolist(), yl.rows.tolist(), yl.cols.tolist()) == (
+                em.values[order].tolist(), em.match.rows[order].tolist(),
+                em.match.cols[order].tolist())
 
     def test_from_effects_ids_are_synthetic(self):
         em = make_em({(2, 0): -1.0, (0, 1): 1.0}, 3, 2)
@@ -322,9 +327,8 @@ class TestBuildEffectMatrix:
 
     def test_arrays_are_read_only(self):
         em = make_em({(0, 0): 1.0, (1, 1): -1.0})
-        for array in (em.values, em.order):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[1]
+        with pytest.raises(ValueError, match="read-only"):
+            em.values[0] = em.values[1]
 
     def test_positions_equal_the_per_pair_lookup(self, rng):
         for _ in range(200):

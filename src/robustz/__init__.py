@@ -45,7 +45,6 @@ from .orchestrator import (
     iter_sweep,
     run_test,
     solve,
-    sweep,
 )
 from .oracle import BudgetExceededError, OracleResult, enumerate_extrema
 from .qip_export import ModelSpec, export_ilp, export_qip, read_solution, solution_to_values

@@ -36,17 +36,3 @@ class Dataset:
             raise DataError("empty treated group")
         if not any(not u.treatment for u in self.units):
             raise DataError("empty control group")
-
-    def treated_units(self) -> list[Unit]:
-        return [u for u in self.units if u.treatment]
-
-    def control_units(self) -> list[Unit]:
-        return [u for u in self.units if not u.treatment]
-
-    @property
-    def n_treated(self) -> int:
-        return sum(1 for u in self.units if u.treatment)
-
-    @property
-    def n_control(self) -> int:
-        return len(self.units) - self.n_treated

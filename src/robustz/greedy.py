@@ -195,7 +195,7 @@ def _partner(state: _ListState, threshold: float, anchor: int):
     k = state.forward(bisect_left(state.values, threshold))
     a_row, a_col = state.rows[anchor], state.cols[anchor]
     while k is not None:
-        if k != anchor and state.rows[k] != a_row and state.cols[k] != a_col:
+        if state.rows[k] != a_row and state.cols[k] != a_col:
             return k
         k = state.forward(state.nxt[k])
     return None

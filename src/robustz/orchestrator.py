@@ -19,6 +19,7 @@ pairs" while the cardinality constraint is satisfiable.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -68,6 +69,7 @@ def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None) -
     assignment no n disjoint pairs exist. ``trace``, when given, collects
     every rung's Attempt in ladder order.
     """
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"solver needs n >= 2, got n={n}")
     if direction not in _LADDERS:
@@ -141,31 +143,16 @@ class SweepRow:
         return self.result is None
 
 
-def _timed_test(em: EffectMatrix, n: int, alpha: float) -> SweepRow:
-    start = time.perf_counter()
-    try:
-        result = run_test(em, n, alpha)
-    except NoPairsError:
-        result = None
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return SweepRow(n=n, result=result, elapsed_ms=elapsed)
-
-
 def iter_sweep(em: EffectMatrix, ns, alpha: float = 0.05):
     """Yield one SweepRow per n, in input order (rows stream as computed)."""
     for n in ns:
-        yield _timed_test(em, n, alpha)
-
-
-def sweep(em: EffectMatrix, n_min: int, n_max: int, step: int = 1,
-          alpha: float = 0.05) -> list[SweepRow]:
-    """One test per n over the range; rows come back ordered by n."""
-    if n_min < 2 or n_min > n_max:
-        raise ValueError(f"invalid sweep range [{n_min}, {n_max}]")
-    if step < 1:
-        raise ValueError(f"sweep step must be >= 1, got {step}")
-    ns = list(range(n_min, n_max + 1, step))
-    return list(iter_sweep(em, ns, alpha))
+        start = time.perf_counter()
+        try:
+            result = run_test(em, n, alpha)
+        except NoPairsError:
+            result = None
+        elapsed = (time.perf_counter() - start) * 1000.0
+        yield SweepRow(n=n, result=result, elapsed_ms=elapsed)
 
 
 def find_max_feasible_n(em: EffectMatrix, n_min: int = 2,

@@ -212,8 +212,8 @@ def _load_study(config_name, data_file):
 def test_criterion_6_concrete_reproduction():
     """Concrete study: structural counts exact, statistics best effort."""
     config, dataset, match, em = _load_study("concrete.json", "concrete.csv")
-    assert dataset.n_treated == 501
-    assert dataset.n_control == 529
+    assert sum(u.treatment for u in dataset.units) == 501
+    assert sum(not u.treatment for u in dataset.units) == 529
     assert match.matched_treated == 68
     assert match.matched_control == 60
     assert match.nnz == 146

@@ -81,10 +81,10 @@ class TestLoadDataset:
         config = load_config(base_config(tmp_path))
         write_csv(tmp_path, FOUR_ROWS)
         ds = load_dataset(config.data_path, config)
-        assert ds.n_treated == 2
-        assert ds.n_control == 1
+        assert sum(u.treatment for u in ds.units) == 2
+        assert sum(not u.treatment for u in ds.units) == 1
         assert ds.excluded == 1
-        assert ds.n_treated + ds.n_control + ds.excluded == 4
+        assert len(ds.units) + ds.excluded == 4
 
     def test_missing_column(self, tmp_path):
         config = load_config(base_config(tmp_path))
@@ -136,13 +136,13 @@ class TestLoadDataset:
         config = load_config(base_config(tmp_path))
         write_csv(tmp_path, FOUR_ROWS + "\n\n")
         ds = load_dataset(config.data_path, config)
-        assert ds.n_treated + ds.n_control + ds.excluded == 4
+        assert len(ds.units) + ds.excluded == 4
 
     def test_bom_header_tolerated(self, tmp_path):
         config = load_config(base_config(tmp_path))
         (tmp_path / "data.csv").write_bytes(b"\xef\xbb\xbf" + FOUR_ROWS.encode())
         ds = load_dataset(config.data_path, config)
-        assert ds.n_treated == 2
+        assert sum(u.treatment for u in ds.units) == 2
 
     def test_deterministic(self, tmp_path):
         config = load_config(base_config(tmp_path))
@@ -181,8 +181,8 @@ class TestLoadDataset:
         write_csv(tmp_path, "x,y,c\n15,1.0,a\n5,2.0,a\n25,3.0,a\n")
         config = load_config(path)
         ds = load_dataset(config.data_path, config)
-        assert ds.n_treated == 1
-        assert ds.n_control == 1
+        assert sum(u.treatment for u in ds.units) == 1
+        assert sum(not u.treatment for u in ds.units) == 1
         assert ds.excluded == 1
 
 

@@ -148,7 +148,8 @@ class TestBuildMatchMatrix:
                 units.append((cov, k % 2 == 0 or rng.random() < 0.3, float(k)))
             units[1] = (units[1][0], False, 1.0)
             ds = dataset_from(units)
-            treated, control = ds.treated_units(), ds.control_units()
+            treated = [u for u in ds.units if u.treatment]
+            control = [u for u in ds.units if not u.treatment]
             expected = [
                 (i, j) for i, t in enumerate(treated) for j, c in enumerate(control)
                 if all(t.covariates[r.column] == c.covariates[r.column] if r.kind == "exact"
@@ -187,7 +188,8 @@ class TestBuildMatchMatrix:
                        "y": rng.choice([rng.randint(-2, 2), rng.choice(edges)])}
                 rows.append((cov, rng.random() < 0.5, float(k)))
             ds = dataset_from(rows)
-            treated, control = ds.treated_units(), ds.control_units()
+            treated = [u for u in ds.units if u.treatment]
+            control = [u for u in ds.units if not u.treatment]
             expected = [
                 (i, j) for i, t in enumerate(treated) for j, c in enumerate(control)
                 if t.covariates["g"] == c.covariates["g"]
@@ -459,8 +461,8 @@ class TestGridScale:
         assert mm.n_treated == 501
         assert mm.n_control == 529
         # spot-check a handful of pairs against the rule definition
-        treated = ds.treated_units()
-        control = ds.control_units()
+        treated = [u for u in ds.units if u.treatment]
+        control = [u for u in ds.units if not u.treatment]
         for i, j in zip(mm.rows[:20].tolist(), mm.cols[:20].tolist()):
             assert all(
                 abs(treated[i].covariates[r.column] - control[j].covariates[r.column])

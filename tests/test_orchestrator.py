@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import robustz.hungarian as hungarian
@@ -15,9 +16,9 @@ from robustz.orchestrator import (
     FALLBACK,
     NoPairsError,
     find_max_feasible_n,
+    iter_sweep,
     run_test,
     solve,
-    sweep,
 )
 from robustz.oracle import enumerate_extrema
 from robustz.statistic import (
@@ -58,6 +59,14 @@ class TestSolve:
         sol = solve(make_em(NEGATIVE), 2, "min", trace=trace)
         assert [a.case for a in trace] == ["min_case2"]
         assert z_statistic(sol.stats) == pytest.approx(-2.3570, abs=1e-4)
+
+    def test_n_must_be_an_integer(self):
+        # both greedy rungs answer at n = 3 here, so no slice would catch a float
+        em = make_em({(0, 0): -1.0, (1, 1): -2.0, (2, 2): -3.0, (0, 1): 5.0, (1, 2): 4.0,
+                      (2, 0): 6.0})
+        with pytest.raises(TypeError):
+            run_test(em, 3.0, 0.05)
+        assert run_test(em, np.int64(3), 0.05).n == 3
 
     def test_no_pairs_when_matching_too_small(self):
         em = make_em({(0, 0): 1.0, (0, 1): 2.0}, 1, 2)
@@ -367,19 +376,29 @@ class TestPythonScalars:
 
 class TestSweep:
     def test_range_with_no_pairs_tail(self):
-        rows = sweep(make_em(POSITIVE), 2, 3, 1, 0.05)
+        rows = list(iter_sweep(make_em(POSITIVE), [2, 3], 0.05))
         assert [r.n for r in rows] == [2, 3]
         assert not rows[0].no_pairs
         assert rows[1].no_pairs
 
     def test_step(self):
         em = make_em({(i, j): float(i + j + 1) for i in range(4) for j in range(4)})
-        rows = sweep(em, 2, 4, 2, 0.05)
+        rows = list(iter_sweep(em, range(2, 5, 2), 0.05))
         assert [r.n for r in rows] == [2, 4]
 
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            sweep(make_em(POSITIVE), 3, 2)
+    def test_rows_stream_one_test_at_a_time(self, monkeypatch):
+        ns = []
+        original = orchestrator.run_test
+
+        def counted(em, n, alpha):
+            ns.append(n)
+            return original(em, n, alpha)
+
+        monkeypatch.setattr(orchestrator, "run_test", counted)
+        em = make_em({(i, j): float(i + j + 1) for i in range(4) for j in range(4)})
+        row = next(iter_sweep(em, [2, 3, 4]))
+        assert row.n == 2 and not row.no_pairs
+        assert ns == [2]
 
 
 class TestFindMaxFeasibleN:
@@ -499,7 +518,7 @@ class TestSharedAssignmentPasses:
         em = make_em(self.CASE3_EVERY_N)
         assert all(self._reaches_case3(make_em(self.CASE3_EVERY_N), n) for n in (2, 3, 4))
         calls = count_pass_starts(monkeypatch)
-        rows = sweep(em, 2, 4)
+        rows = list(iter_sweep(em, [2, 3, 4]))
         assert [r.no_pairs for r in rows] == [False, False, False]
         assert sorted(calls) == [False, True]
 

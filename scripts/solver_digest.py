@@ -12,10 +12,15 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   U(-10, 10) floats, integers in [-3, 3] or values in {-1, -0.0, 0.0, 1,
   2} (the last two are tie-heavy; the signed zeros compare equal, so they
   share tie runs, and a zero effect sum must read +0.0 in both
-  directions). Per instance the digest covers the reprs of
-  ``hungarian_min``/``hungarian_max`` (with the search order each took:
-  its ``augmentations`` log and ``live_pops``), ``partition_blocks``
-  (blocks and ``identical_rows`` flags), ``enumerate_extrema`` at n = 2,
+  directions). Per instance the digest covers
+  ``hungarian_min``/``hungarian_max`` (each pass's full matching,
+  replayed from its log, as row-sorted (row, column, effect) triples,
+  their ``math.fsum`` and the cardinality, then the search order it
+  took: its ``augmentations`` log and ``live_pops``; the text is the
+  repr the pass's former frozen record printed, so digests from before
+  and after that record was merged into the pass compare equal),
+  ``partition_blocks`` (blocks and ``identical_rows`` flags),
+  ``enumerate_extrema`` at n = 2,
   ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
   in both cases (with ``pair_stats`` of each greedy assignment's pairs in
   a seeded shuffled order), ``case3_selection`` and ``solve`` with every
@@ -31,8 +36,8 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   so the assignment solver's relaxation loop also runs on wide rows),
   and effects drawn as U(-100, 100), integers in [-3, 3] or U(-10, 10)
   rounded to 3 decimals. These have long alternating paths; the digest
-  covers ``hungarian_min``/``hungarian_max`` (also with their logs and
-  ``live_pops``), ``run_test`` at n =
+  covers ``hungarian_min``/``hungarian_max`` (in the same text, also
+  with their logs and ``live_pops``), ``run_test`` at n =
   maximum matching - {0, 2}, which reaches case 3 in both directions
   and, twice, the fallback, and at n = 10, 20 and 40 (each capped at
   the maximum matching) ``greedy_min``/``greedy_max`` in both cases,
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -112,9 +118,20 @@ def _medium_instance(rng: random.Random, index: int) -> EffectMatrix:
     return EffectMatrix.from_effects(effects, nt, nc)
 
 
+def _cost_matching(em: EffectMatrix, m: CostMatching) -> str:
+    """A full pass as its record printed before the pass became the record.
+
+    The replay of the whole log, sorted by row, each pair with its
+    ``em.values`` entry; their ``math.fsum`` and the cardinality; then the
+    log and the pop count.
+    """
+    pairs = tuple((i, j, em.effect[(i, j)]) for i, j in sorted(m.assignment(m.cardinality).pairs))
+    total = math.fsum(v for _, _, v in pairs)
+    matching = f"CostMatching(pairs={pairs!r}, total_cost={total!r}, cardinality={m.cardinality!r})"
+    return f"({matching}, {tuple(m.augmentations)!r}, {m.live_pops!r})"
+
+
 def _canon(result) -> str:
-    if isinstance(result, CostMatching):  # the log and pop count take no part in its repr
-        return repr((result, result.augmentations, result.live_pops))
     if isinstance(result, Attempt):
         pairs = None if result.assignment is None else sorted(result.assignment.pairs)
         return repr((result.case, pairs, result.stats, result.reason))
@@ -128,11 +145,16 @@ def _canon(result) -> str:
     return repr(result)
 
 
-def _call(fn, *args) -> str:
+def _call(fn, *args, canon=_canon) -> str:
     try:
-        return _canon(fn(*args))
+        return canon(fn(*args))
     except Exception as exc:  # the error itself is part of the compared output
         return f"{type(exc).__name__}: {exc}"
+
+
+def _full_passes(em: EffectMatrix) -> list[str]:
+    return [_call(solver, em, canon=lambda m: _cost_matching(em, m))
+            for solver in (hungarian_min, hungarian_max)]
 
 
 def _solve_traced(em: EffectMatrix, n: int, direction: str) -> str:
@@ -170,8 +192,7 @@ def digest() -> tuple[str, str]:
     h, models = hashlib.sha256(), hashlib.sha256()
     for _ in range(INSTANCES):
         em = _instance(rng)
-        out = [_call(hungarian_min, em), _call(hungarian_max, em),
-               _call(partition_blocks, em.match), _call(enumerate_extrema, em, 2)]
+        out = [*_full_passes(em), _call(partition_blocks, em.match), _call(enumerate_extrema, em, 2)]
         ylist = build_sorted_list(em)
         for n in NS:
             for fn in (greedy_min, greedy_max):
@@ -190,7 +211,7 @@ def digest() -> tuple[str, str]:
     for index in range(MEDIUM_INSTANCES):
         em = _medium_instance(rng, index)
         top = hungarian_min(em).cardinality
-        out = [_call(hungarian_min, em), _call(hungarian_max, em)]
+        out = _full_passes(em)
         out += [_call(run_test, em, n, 0.05) for n in (top, top - 2)]
         ylist = build_sorted_list(em)
         for n in sorted({min(n, top) for n in MEDIUM_NS}):

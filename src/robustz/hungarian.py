@@ -32,17 +32,20 @@ from a heap-ordered Dijkstra over the columns:
   stands until a benchmark workload has such rows.
 
 Neither direction's matching depends on n, so each effect matrix has
-one pass per direction, shared by every test on it and advanced only as
-far as it is read: ``case3_selection`` at n stops the pass after its
-n-th augmentation, and a larger n, or ``hungarian_min``/
-``hungarian_max`` (which need maximum cardinality), resume it.
+one pass per direction, a ``CostMatching`` shared by every test on it
+and advanced only as far as it is read: ``case3_selection`` at n stops
+the pass after its n-th augmentation, and a larger n, or
+``hungarian_min``/``hungarian_max`` (which return the pass run to
+maximum cardinality), resume it. The pass keeps one record of the
+matching, its log of augmenting paths; ``assignment(k)`` replays the
+first k of them, and a caller that wants the effect sum reads it from
+that assignment's ``pair_stats``.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -50,34 +53,8 @@ import numpy as np
 from .matching import EffectMatrix
 from .statistic import Assignment
 
-@dataclass(frozen=True)
-class CostMatching:
-    """A min-cost (or max-cost) matching of maximum cardinality.
-
-    ``augmentations`` is the solver's log: per augmentation, in order, the
-    (row, column) pairs its path matched, one per row on the path (a path
-    re-matches its rows and unmatches none). Replaying the first k
-    entries, each row taking the column of its latest entry, gives the
-    matching the solver held after k augmentations. That is a minimum-cost
-    k-matching, because each augmentation follows a globally shortest
-    augmenting path from every free row. The log holds a few pairs per
-    augmentation, where snapshots of the matching would hold k each.
-
-    ``live_pops`` counts the Dijkstra's heap pops that settled a column,
-    summed over all augmentations. Both fields record how the matching
-    was reached, not the matching, so they take no part in equality or
-    repr.
-    """
-
-    pairs: tuple[tuple[int, int, float], ...]
-    total_cost: float
-    cardinality: int
-    augmentations: tuple[tuple[tuple[int, int], ...], ...] = field(compare=False, repr=False)
-    live_pops: int = field(compare=False, repr=False)
-
-
 # passes by effect matrix, then by negate; no strong reference to the matrix
-_SOLVED: weakref.WeakKeyDictionary[EffectMatrix, dict[bool, _Pass]] = (
+_SOLVED: weakref.WeakKeyDictionary[EffectMatrix, dict[bool, CostMatching]] = (
     weakref.WeakKeyDictionary())
 
 
@@ -87,9 +64,10 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
 
     A generator over the eligible pairs' arrays (``costs`` aligned with
     ``rows``/``cols``): it yields each augmentation's path, the (row,
-    column) pairs it matched, and returns ``(match_row, live_pops)`` once
-    no free row has an augmenting path. It holds no reference to the
-    matrix, so a suspended pass does not keep the matrix alive.
+    column) pairs it matched, and returns ``live_pops``, the number of
+    heap pops that settled a column, once no free row has an augmenting
+    path. It holds no reference to the matrix, so a suspended pass does
+    not keep the matrix alive.
 
     One Dijkstra per augmentation, seeded from every still-free row at
     distance zero, so each augmentation uses the globally shortest
@@ -178,7 +156,7 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
                     heappush(heap, (d, c))
 
         if found < 0:
-            return match_row, live_pops  # no augmenting path from any free row
+            return live_pops  # no augmenting path from any free row
         for j, d in popped:
             u[match_col[j]] += found_d - d
             v[j] -= found_d - d
@@ -207,34 +185,56 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
         yield tuple(path)
 
 
-class _Pass:
-    """One direction's solve of one matrix, advanced only as far as it is read.
+class CostMatching:
+    """One direction's pass over one matrix, advanced only as far as it is read.
 
-    ``log`` holds the paths of the augmentations made so far, in order;
-    ``matching`` is set once the pass has run to maximum cardinality.
+    ``augmentations`` is the solver's log: per augmentation, in order, the
+    (row, column) pairs its path matched, one per row on the path (a path
+    re-matches its rows and unmatches none). Replaying the first k
+    entries, each row taking the column of its latest entry, gives the
+    matching the solver held after k augmentations (``assignment(k)``).
+    That is a minimum-cost k-matching, because each augmentation follows a
+    globally shortest augmenting path from every free row. The log holds a
+    few pairs per augmentation, where snapshots of the matching would hold
+    k each.
+
+    ``live_pops`` is None while the pass can go on; once no augmenting
+    path is left it counts the Dijkstra's heap pops that settled a column,
+    summed over all augmentations, and ``cardinality`` is the maximum.
     """
 
     def __init__(self, em: EffectMatrix, negate: bool):
         if em.nnz == 0:
             raise ValueError("empty eligibility: no pairs to assign")
-        self.log: list[tuple[tuple[int, int], ...]] = []
-        self.matching: CostMatching | None = None
-        self.end = None  # (match_row, live_pops) once no path is left
+        self.augmentations: list[tuple[tuple[int, int], ...]] = []
+        self.live_pops: int | None = None
         self._paths = _augmenting_paths(em.n_treated, em.n_control, em.match.row_start,
                                         em.match.rows, em.match.cols,
                                         -em.values if negate else em.values)
 
+    @property
+    def cardinality(self) -> int:
+        """Augmentations made so far: the matching's size after them."""
+        return len(self.augmentations)
+
     def reach(self, n: float) -> bool:
         """Advance to n augmentations; False if the pass ends first."""
-        while len(self.log) < n and self.end is None:
+        while len(self.augmentations) < n and self.live_pops is None:
             try:
-                self.log.append(next(self._paths))
+                self.augmentations.append(next(self._paths))
             except StopIteration as stop:
-                self.end = stop.value
-        return len(self.log) >= n
+                self.live_pops = stop.value
+        return len(self.augmentations) >= n
+
+    def assignment(self, k: int) -> Assignment:
+        """The matching held after the first k augmentations, replayed from the log."""
+        row_col = {}
+        for path in self.augmentations[:k]:
+            row_col.update(path)
+        return Assignment(pairs=frozenset(row_col.items()))
 
 
-def _pass(em: EffectMatrix, negate: bool) -> _Pass:
+def _pass(em: EffectMatrix, negate: bool) -> CostMatching:
     """The direction's pass over the matrix, started once per effect matrix.
 
     Neither direction's matching depends on n, so the feasible-n search,
@@ -243,35 +243,22 @@ def _pass(em: EffectMatrix, negate: bool) -> _Pass:
     """
     by_direction = _SOLVED.setdefault(em, {})
     if negate not in by_direction:
-        by_direction[negate] = _Pass(em, negate)
+        by_direction[negate] = CostMatching(em, negate)
     return by_direction[negate]
 
 
-def _matching(em: EffectMatrix, negate: bool) -> CostMatching:
-    """The direction's pass, run to maximum cardinality."""
-    run = _pass(em, negate)
-    if run.matching is None:
-        run.reach(math.inf)
-        match_row, live_pops = run.end
-        match_row = np.array(match_row)
-        rows = np.flatnonzero(match_row >= 0)
-        cols = match_row[rows]
-        values = em.values[em.match.positions(rows, cols)].tolist()
-        pairs = tuple(zip(rows.tolist(), cols.tolist(), values))
-        run.matching = CostMatching(pairs=pairs, total_cost=math.fsum(values),
-                                    cardinality=len(pairs), augmentations=tuple(run.log),
-                                    live_pops=live_pops)
-    return run.matching
-
-
 def hungarian_min(em: EffectMatrix) -> CostMatching:
-    """Minimum total-effect matching of maximum cardinality."""
-    return _matching(em, negate=False)
+    """The minimum total-effect pass, run to maximum cardinality."""
+    run = _pass(em, negate=False)
+    run.reach(math.inf)
+    return run
 
 
 def hungarian_max(em: EffectMatrix) -> CostMatching:
-    """Maximum total-effect matching of maximum cardinality."""
-    return _matching(em, negate=True)
+    """The maximum total-effect pass, run to maximum cardinality."""
+    run = _pass(em, negate=True)
+    run.reach(math.inf)
+    return run
 
 
 def case3_selection(em: EffectMatrix, n: int, direction: str):
@@ -289,9 +276,4 @@ def case3_selection(em: EffectMatrix, n: int, direction: str):
     if em.nnz == 0:
         return None
     run = _pass(em, negate=direction == "max")
-    if not run.reach(n):
-        return None
-    row_col = {}
-    for path in run.log[:n]:
-        row_col.update(path)
-    return Assignment(pairs=frozenset(row_col.items()))
+    return run.assignment(n) if run.reach(n) else None

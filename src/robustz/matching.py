@@ -175,8 +175,9 @@ class EffectMatrix:
     ``values[k]`` is the effect of pair ``(match.rows[k], match.cols[k])``;
     an effect that is not finite or exceeds ``MAX_EFFECT`` in magnitude
     raises MatchingError. ``values`` is read-only: the solvers cache work
-    per matrix (one sorted list, one matching per direction), which holds
-    only while a matrix is not modified once built.
+    per matrix (one sorted list, one assignment-solver pass per
+    direction), which holds only while a matrix is not modified once
+    built.
     """
 
     def __init__(self, match: MatchMatrix, values):

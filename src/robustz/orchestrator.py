@@ -177,7 +177,5 @@ def find_max_feasible_n(em: EffectMatrix, n_min: int = 2,
         return None
     if solve(em, top, "min").assignment is not None:
         return top
-    if top == low:
-        return None
-    cardinality = hungarian_min(em).cardinality
+    cardinality = hungarian_min(em).cardinality  # that solve's linear rung ended the min pass
     return cardinality if cardinality >= low else None

@@ -124,13 +124,13 @@ def random_instance(rng: random.Random, max_side: int = 5, n_lo: int = 2,
 def count_pass_starts(monkeypatch) -> list[bool]:
     """From now on, record the ``negate`` flag of every assignment-solver pass started."""
     calls = []
-    original = hungarian._Pass
+    original = hungarian.CostMatching
 
     def counted(em, negate):
         calls.append(negate)
         return original(em, negate)
 
-    monkeypatch.setattr(hungarian, "_Pass", counted)
+    monkeypatch.setattr(hungarian, "CostMatching", counted)
     return calls
 
 

@@ -141,7 +141,8 @@ def test_criterion_3_hungarian_exactness():
             math.fsum(costs[(i, p)] for i, p in enumerate(perm))
             for perm in itertools.permutations(range(k))
         )
-        assert hungarian_min(em).total_cost == best
+        m = hungarian_min(em)
+        assert em.pair_stats(m.assignment(m.cardinality).pairs).S == best
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(3, f"(500 matrices, {elapsed:.1f}s)")

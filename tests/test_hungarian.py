@@ -20,6 +20,12 @@ from robustz.statistic import validate_assignment, z_statistic
 from conftest import count_pass_starts, make_em, max_matching_size, random_instance
 
 
+def full_matching(em, m):
+    """The pass's maximum-cardinality matching, sorted by row, and its effect sum."""
+    pairs = sorted(m.assignment(m.cardinality).pairs)
+    return pairs, em.pair_stats(pairs).S
+
+
 def brute_min_total(costs, rows, cols):
     """Min total over max-cardinality matchings by subset enumeration."""
     best_card = 0
@@ -63,22 +69,16 @@ def brute_k_extremes(effects, n_rows):
 class TestHungarianDense:
     def test_dominant_diagonal(self):
         em = make_em({(0, 0): 1, (0, 1): 10, (1, 0): 10, (1, 1): 1})
-        m = hungarian_min(em)
-        assert [(i, j) for i, j, _ in m.pairs] == [(0, 0), (1, 1)]
-        assert m.total_cost == 2.0
+        assert full_matching(em, hungarian_min(em)) == ([(0, 0), (1, 1)], 2.0)
 
     def test_anti_diagonal(self):
         em = make_em({(0, 0): 4, (0, 1): 1, (1, 0): 2, (1, 1): 3})
-        m = hungarian_min(em)
-        assert [(i, j) for i, j, _ in m.pairs] == [(0, 1), (1, 0)]
-        assert m.total_cost == 3.0
+        assert full_matching(em, hungarian_min(em)) == ([(0, 1), (1, 0)], 3.0)
 
     def test_three_by_three(self):
         grid = [[7, 5, 9], [8, 4, 6], [3, 9, 5]]
         em = make_em({(i, j): grid[i][j] for i in range(3) for j in range(3)})
-        m = hungarian_min(em)
-        assert m.total_cost == 14.0
-        assert [(i, j) for i, j, _ in m.pairs] == [(0, 1), (1, 2), (2, 0)]
+        assert full_matching(em, hungarian_min(em)) == ([(0, 1), (1, 2), (2, 0)], 14.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -93,7 +93,7 @@ class TestHungarianDense:
                 sum(costs[(i, p)] for i, p in enumerate(perm))
                 for perm in itertools.permutations(range(k))
             )
-            assert hungarian_min(em).total_cost == pytest.approx(best, abs=1e-9)
+            assert full_matching(em, hungarian_min(em))[1] == pytest.approx(best, abs=1e-9)
 
     def test_max_is_negated_min(self, rng):
         for _ in range(40):
@@ -101,8 +101,8 @@ class TestHungarianDense:
             costs = {(i, j): rng.uniform(-9, 9) for i in range(k) for j in range(k)}
             em = make_em(costs, k, k)
             neg = make_em({p: -c for p, c in costs.items()}, k, k)
-            assert hungarian_max(em).total_cost == pytest.approx(
-                -hungarian_min(neg).total_cost, abs=1e-9
+            assert full_matching(em, hungarian_max(em))[1] == pytest.approx(
+                -full_matching(neg, hungarian_min(neg))[1], abs=1e-9
             )
 
 
@@ -121,7 +121,7 @@ class TestHungarianSparse:
             card, total = brute_min_total(costs, range(nt), range(nc))
             m = hungarian_min(em)
             assert m.cardinality == card
-            assert m.total_cost == pytest.approx(total, abs=1e-9)
+            assert full_matching(em, m)[1] == pytest.approx(total, abs=1e-9)
 
     def test_cardinality_matches_independent_matcher(self, rng):
         for _ in range(60):
@@ -300,24 +300,29 @@ class TestResumablePass:
         for direction, negate in (("min", False), ("max", True)):
             for n in (30, 34):
                 assert case3_selection(em, n, direction).n == n
-                assert len(hungarian._SOLVED[em][negate].log) == n
+                assert hungarian._SOLVED[em][negate].cardinality == n
             assert case3_selection(em, 31, direction).n == 31  # read off the log
-            assert len(hungarian._SOLVED[em][negate].log) == 34
+            assert hungarian._SOLVED[em][negate].cardinality == 34
 
     def test_full_solve_resumes_the_pass(self, monkeypatch):
         fresh = {solver: solver(self._em()) for solver in (hungarian_min, hungarian_max)}
         em = self._em()
         calls = count_pass_starts(monkeypatch)
-        for solver, direction in ((hungarian_min, "min"), (hungarian_max, "max")):
+        for solver, direction, negate in ((hungarian_min, "min", False),
+                                          (hungarian_max, "max", True)):
             selection = case3_selection(em, 36, direction)
+            advanced = hungarian._SOLVED[em][negate]
             full = solver(em)
+            assert full is advanced  # resumed, not started again
             want = fresh[solver]
-            assert (full.pairs, full.total_cost, full.cardinality) == (
-                want.pairs, want.total_cost, want.cardinality)
+            assert full_matching(em, full) == full_matching(em, want)
+            assert full.cardinality == want.cardinality == 40
             assert full.augmentations == want.augmentations
             assert full.live_pops == want.live_pops
             assert case3_selection(em, 36, direction) == selection
             assert case3_selection(em, 41, direction) is None
+            for k in range(1, full.cardinality + 1):
+                assert full.assignment(k) == case3_selection(em, k, direction)
         assert calls == [False, True]
 
     def test_a_suspended_pass_does_not_hold_the_matrix(self):
@@ -327,7 +332,7 @@ class TestResumablePass:
         result = run_test(em, 36, 0.05)
         assert (result.case_used_min, result.case_used_max) == ("min_case3", "max_case3")
         assert len(hungarian._SOLVED) == before + 1
-        assert all(len(run.log) == 36 for run in hungarian._SOLVED[em].values())
+        assert all(run.cardinality == 36 for run in hungarian._SOLVED[em].values())
         ref = weakref.ref(em)
         del em
         gc.collect()
@@ -386,9 +391,10 @@ class TestScipyOracle:
             for solver, sign in ((hungarian_min, 1.0), (hungarian_max, -1.0)):
                 m = solver(em)
                 card, total = self._reference(effects, em.n_treated, em.n_control, sign)
+                pairs, cost = full_matching(em, m)
                 assert m.cardinality == card
-                assert m.total_cost == pytest.approx(total, rel=1e-9, abs=1e-9)
-                assert all((i, j) in effects and effects[(i, j)] == c for i, j, c in m.pairs)
-                assert len({i for i, _, _ in m.pairs}) == len({j for _, j, _ in m.pairs}) == card
+                assert cost == pytest.approx(total, rel=1e-9, abs=1e-9)
+                assert all(p in effects for p in pairs)
+                assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == card
             deficient += card < min(em.match.matched_treated, em.match.matched_control)
         assert deficient >= 10 and wide >= 8  # 15 and 9 at this seed

@@ -354,8 +354,13 @@ class TestPythonScalars:
                              em.n_treated, em.n_control)
             if em.nnz == 0:
                 continue
-            for i, j, cost in hungarian_min(em).pairs:
-                assert (type(i), type(j), type(cost)) == (int, int, float)
+            m = hungarian_min(em)
+            for path in m.augmentations:
+                self._check_pairs(path)
+            matched = m.assignment(m.cardinality).pairs
+            self._check_pairs(matched)
+            self._check_stats(em.pair_stats(matched))
+            assert type(m.live_pops) is int
             ylist = build_sorted_list(em)
             for solver in (greedy_min, greedy_max):
                 for case in ("case1", "case2"):
@@ -448,29 +453,30 @@ class TestFindMaxFeasibleN:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        calls = {"solve": 0, "hungarian_min": 0}
-        for name in calls:
-            original = getattr(orchestrator, name)
+        """``solve`` calls, and the ``negate`` flag of each solver pass started."""
+        solves = []
+        original = orchestrator.solve
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(orchestrator, name, counted)
-        return calls
+        monkeypatch.setattr(orchestrator, "solve", counted)
+        return solves, count_pass_starts(monkeypatch)
 
     def test_range_above_matching_skips_cardinality_pass(self, monkeypatch):
         # three matched units per side, but rows 0 and 1 share column 0 only
         em = make_em({(0, 0): 1.0, (1, 0): 2.0, (2, 0): 3.0, (2, 1): 4.0, (2, 2): 5.0})
         assert max_matching_size(em) == 2
-        calls = self._count_calls(monkeypatch)
+        solves, passes = self._count_calls(monkeypatch)
         assert find_max_feasible_n(em, 3, 3) is None
-        assert calls == {"solve": 1, "hungarian_min": 0}
+        assert (len(solves), passes) == (1, [False])
+        # the cardinality is read off the min pass that solve ended
         assert find_max_feasible_n(em) == 2
-        assert calls == {"solve": 2, "hungarian_min": 1}
+        assert (len(solves), passes) == (2, [False])
 
     def test_one_ladder_and_one_cardinality_pass(self, rng, monkeypatch):
-        calls = self._count_calls(monkeypatch)
+        solves, passes = self._count_calls(monkeypatch)
         for _ in range(60):
             em, _ = random_instance(rng, max_side=6, density=rng.uniform(0.2, 0.9))
             cap = min(em.match.matched_treated, em.match.matched_control)
@@ -478,9 +484,10 @@ class TestFindMaxFeasibleN:
             for n_min, n_max in ((2, None), (2, cap), (2, cap + 3), (3, 4), (size, size)):
                 if n_max is not None and n_min > n_max:
                     continue
-                calls.update(solve=0, hungarian_min=0)
+                solves.clear()
+                passes.clear()
                 found = find_max_feasible_n(em, n_min, n_max)
-                assert calls["solve"] <= 1 and calls["hungarian_min"] <= 1
+                assert len(solves) <= 1 and passes in ([], [False])
                 top = size if n_max is None else min(size, n_max)
                 assert found == (top if top >= max(n_min, 2) else None)
 
@@ -540,5 +547,6 @@ class TestSharedAssignmentPasses:
         calls = count_pass_starts(monkeypatch)
         first = hungarian_min(make_em(POSITIVE))
         second = hungarian_min(make_em(POSITIVE))
-        assert first == second
+        assert first is not second
+        assert (first.augmentations, first.live_pops) == (second.augmentations, second.live_pops)
         assert calls == [False, False]

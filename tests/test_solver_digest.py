@@ -1,0 +1,46 @@
+"""scripts/solver_digest.py still runs against the library's current API.
+
+The digest records a solver's exception as part of its output, so an API
+change that breaks the script would change the digest instead of failing
+it; the smoke run below fails on any error type the instances do not
+produce by design.
+"""
+
+import importlib.util
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _digest_module():
+    spec = importlib.util.spec_from_file_location(
+        "solver_digest", os.path.join(ROOT, "scripts", "solver_digest.py")
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_digest_smoke_run(monkeypatch):
+    mod = _digest_module()
+    monkeypatch.setattr(mod, "INSTANCES", 60)
+    monkeypatch.setattr(mod, "MEDIUM_INSTANCES", 2)
+    texts = []
+    original = mod._call
+
+    def recorded(fn, *args, **kwargs):
+        text = original(fn, *args, **kwargs)
+        texts.append((fn, text))
+        return text
+
+    monkeypatch.setattr(mod, "_call", recorded)
+    solvers, models = mod.digest()
+    assert re.fullmatch("[0-9a-f]{64}", solvers) and re.fullmatch("[0-9a-f]{64}", models)
+    # empty maps, no n-pair assignment and too-small models are the only expected errors
+    errors = {text.split(":")[0] for _, text in texts if re.match(r"\w+Error:", text)}
+    assert errors <= {"ValueError", "NoPairsError"}, errors
+    passes = [text for fn, text in texts if fn in (mod.hungarian_min, mod.hungarian_max)]
+    assert len(passes) == 2 * (60 + 2)
+    solved = [text for text in passes if not text.startswith("ValueError: empty eligibility")]
+    assert solved and all(text.startswith("(CostMatching(pairs=((") for text in solved)

@@ -19,7 +19,8 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   took: its ``augmentations`` log and ``live_pops``; the text is the
   repr the pass's former frozen record printed, so digests from before
   and after that record was merged into the pass compare equal),
-  ``partition_blocks`` (blocks and ``identical_rows`` flags),
+  ``partition_blocks`` (blocks and ``identical_rows`` flags, printed as
+  the repr of the one-field ``BlockPartition`` record it once returned),
   ``enumerate_extrema`` at n = 2,
   ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
   in both cases (with ``pair_stats`` of each greedy assignment's pairs in
@@ -125,10 +126,17 @@ def _cost_matching(em: EffectMatrix, m: CostMatching) -> str:
     ``em.values`` entry; their ``math.fsum`` and the cardinality; then the
     log and the pop count.
     """
-    pairs = tuple((i, j, em.effect[(i, j)]) for i, j in sorted(m.assignment(m.cardinality).pairs))
+    ij = sorted(m.assignment(m.cardinality).pairs)
+    at = em.match.positions([i for i, _ in ij], [j for _, j in ij])
+    pairs = tuple((i, j, v) for (i, j), v in zip(ij, em.values[at].tolist()))
     total = math.fsum(v for _, _, v in pairs)
     matching = f"CostMatching(pairs={pairs!r}, total_cost={total!r}, cardinality={m.cardinality!r})"
     return f"({matching}, {tuple(m.augmentations)!r}, {m.live_pops!r})"
+
+
+def _partition(blocks) -> str:
+    """The blocks as the repr of the one-field record they were once returned in."""
+    return f"BlockPartition(blocks={blocks!r})"
 
 
 def _canon(result) -> str:
@@ -192,7 +200,8 @@ def digest() -> tuple[str, str]:
     h, models = hashlib.sha256(), hashlib.sha256()
     for _ in range(INSTANCES):
         em = _instance(rng)
-        out = [*_full_passes(em), _call(partition_blocks, em.match), _call(enumerate_extrema, em, 2)]
+        out = [*_full_passes(em), _call(partition_blocks, em.match, canon=_partition),
+               _call(enumerate_extrema, em, 2)]
         ylist = build_sorted_list(em)
         for n in NS:
             for fn in (greedy_min, greedy_max):

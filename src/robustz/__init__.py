@@ -6,7 +6,6 @@ from .data_types import DataError, Dataset, Unit
 from .data_io import ConfigError, NSpec, Predicate, RunConfig, TreatmentRule, load_config, load_dataset
 from .matching import (
     Block,
-    BlockPartition,
     CovariateRule,
     EffectMatrix,
     MatchMatrix,

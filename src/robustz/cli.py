@@ -158,7 +158,7 @@ def _cmd_match(args, config: RunConfig) -> int:
         "matched_control": em.match.matched_control,
         "nnz": em.nnz,
         "blocks": len(blocks),
-        "identical_rows": blocks.identical_rows_all,
+        "identical_rows": all(b.identical_rows for b in blocks),
     }
     if em.nnz == 0:
         print(json.dumps(doc, indent=2))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable
 
@@ -150,19 +151,23 @@ class MatchMatrix:
                 return int(k)
         raise KeyError((i, j))
 
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        """The pairs' increasing (i, j) codes ``i * n_control + j``, built on first use."""
+        return self.rows * self.n_control + self.cols
+
     def positions(self, rows, cols) -> np.ndarray:
         """Indices of eligible pairs (rows[k], cols[k]); KeyError for the first other pair.
 
         One ``searchsorted`` over the pairs' (i, j) codes, which the arrays
-        hold in increasing order.
+        hold in increasing order; the codes are built once per matrix.
         """
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         nc = self.n_control
-        code = self.rows * nc + self.cols
         want = rows * nc + cols
-        found = np.searchsorted(code, want)
-        ok = (rows >= 0) & (rows < self.n_treated) & (cols >= 0) & (cols < nc) & (found < len(code))
-        ok[ok] = code[found[ok]] == want[ok]
+        found = np.searchsorted(self._codes, want)
+        ok = (rows >= 0) & (rows < self.n_treated) & (cols >= 0) & (cols < nc) & (found < self.nnz)
+        ok[ok] = self._codes[found[ok]] == want[ok]
         bad = np.flatnonzero(~ok)
         if len(bad):
             raise KeyError((rows[bad[0]].item(), cols[bad[0]].item()))
@@ -241,18 +246,6 @@ class Block:
     treated: tuple[int, ...]
     control: tuple[int, ...]
     identical_rows: bool
-
-
-@dataclass(frozen=True)
-class BlockPartition:
-    blocks: tuple[Block, ...]
-
-    @property
-    def identical_rows_all(self) -> bool:
-        return all(b.identical_rows for b in self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def _value_key(v):
@@ -384,36 +377,27 @@ def build_effect_matrix(match: MatchMatrix, dataset: Dataset) -> EffectMatrix:
     return EffectMatrix(match, values)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def partition_blocks(match: MatchMatrix) -> BlockPartition:
-    """Connected components of the eligibility graph.
+def partition_blocks(match: MatchMatrix) -> tuple[Block, ...]:
+    """Connected components of the eligibility graph, by smallest treated row.
 
     Each block carries an ``identical_rows`` flag: true when every treated
     row in the block has the same eligible column set, which is exactly the
     structure that exact matching induces.
     """
     nt = match.n_treated
-    uf = _UnionFind(nt + match.n_control)
+    parent = list(range(nt + match.n_control))  # union-find over rows, then columns
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
     cols = match.cols.tolist()
     for i, j in zip(match.rows.tolist(), cols):
-        uf.union(i, nt + j)
+        parent[find(nt + j)] = find(i)  # j's root joins i's
 
     # rows and columns are visited ascending, so every component lists its
     # members ascending and the components come out by smallest treated row
@@ -421,16 +405,16 @@ def partition_blocks(match: MatchMatrix) -> BlockPartition:
     comp_t: dict[int, list[int]] = {}
     comp_c: dict[int, list[int]] = {}
     for i in np.flatnonzero(np.diff(match.row_start)).tolist():
-        comp_t.setdefault(uf.find(i), []).append(i)
+        comp_t.setdefault(find(i), []).append(i)
     for j in np.unique(match.cols).tolist():
-        comp_c.setdefault(uf.find(nt + j), []).append(j)
+        comp_c.setdefault(find(nt + j), []).append(j)
 
     blocks = []
     for root, t_idx in comp_t.items():
         col_sets = {tuple(cols[start[i]:start[i + 1]]) for i in t_idx}
         blocks.append(Block(treated=tuple(t_idx), control=tuple(comp_c[root]),
                             identical_rows=len(col_sets) == 1))
-    return BlockPartition(blocks=tuple(blocks))
+    return tuple(blocks)
 
 
 def write_coordinate_list(em: EffectMatrix, path) -> None:

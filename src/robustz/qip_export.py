@@ -11,10 +11,10 @@ Two families are emitted in LP-style text (grammar in
 * the grid-linearized model: a linear effect-sum objective under the
   extra bound ``sum(effect^2 * a) <= b_l``.
 
-Every model carries one binary variable per eligible pair (eligibility
-is structural: ineligible pairs get no variable at all), row and column
-one-to-one constraints, the exact-cardinality constraint, and the sign
-constraint of its regime.
+Every model carries one binary variable per eligible pair of the effect
+matrix it holds (eligibility is structural: ineligible pairs get no
+variable at all), row and column one-to-one constraints, the
+exact-cardinality constraint, and the sign constraint of its regime.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
+
+import numpy as np
 
 from .matching import EffectMatrix
 
@@ -50,18 +53,38 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A model over assignment variables; every coefficient derives from the effects."""
+    """A model with one binary variable per eligible pair of the effect matrix it holds.
+
+    Every coefficient and id derives from ``em``, so no field can disagree with it.
+    """
 
     kind: str                     # "qip" or "ilp"
     direction: str
     case: str | None
     n: int
-    variables: tuple[tuple[int, int], ...]
-    effects: tuple[float, ...]    # aligned with variables
-    treated_ids: tuple[str, ...]
-    control_ids: tuple[str, ...]
+    em: EffectMatrix
     b_l: float | None = None
     bl_range_note: bool = False
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"model export needs n >= 2, got n={self.n}")
+        if self.em.nnz == 0:
+            raise ValueError("cannot export a model with no eligible pairs")
+        if self.kind == "qip" and (self.direction, self.case) not in _OBJECTIVE_SIGN:
+            raise ValueError(f"unknown direction/case combination ({self.direction!r}, {self.case!r})")
+        if self.kind == "ilp" and self.direction not in ("min", "max"):
+            raise ValueError(f"unknown direction {self.direction!r}")
+        if self.kind == "ilp" and not self.b_l > 0:  # NaN as well
+            raise ValueError(f"b_l must be positive, got {self.b_l!r}")
+
+    @cached_property
+    def variables(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.em.match.rows.tolist(), self.em.match.cols.tolist()))
+
+    def _pairs(self):
+        """``(variable, effect)`` in variable order."""
+        return zip(self.variables, self.em.values.tolist())
 
     @property
     def sense(self) -> str:
@@ -82,15 +105,15 @@ class ModelSpec:
         with the one square, of ``S_VAR``.
         """
         if self.kind == "ilp":
-            yield from ((e, p, None) for p, e in zip(self.variables, self.effects))
+            yield from ((e, p, None) for p, e in self._pairs())
             return
         sq = _OBJECTIVE_SIGN[(self.direction, self.case)]
-        yield from ((sq * e ** 2, p, None) for p, e in zip(self.variables, self.effects))
+        yield from ((sq * e ** 2, p, None) for p, e in self._pairs())
         yield -sq, S_VAR, S_VAR
 
     def effect_sum(self, values: Mapping[tuple[int, int], float]) -> float:
         """``S`` at an assignment vector (missing entries are 0)."""
-        return math.fsum(e * values.get(p, 0.0) for p, e in zip(self.variables, self.effects))
+        return math.fsum(e * values.get(p, 0.0) for p, e in self._pairs())
 
     def evaluate_objective(self, values: Mapping[tuple[int, int], float]) -> float:
         """Objective value at an assignment vector (missing entries are 0), ``s`` being its S."""
@@ -104,26 +127,18 @@ class ModelSpec:
 
     def check_constraints(self, values: Mapping[tuple[int, int], float]) -> dict:
         """Per-constraint satisfaction flags at a 0/1 assignment vector."""
-        get = values.get
-        row_sums: dict[int, float] = {}
-        col_sums: dict[int, float] = {}
-        total = 0.0
-        for i, j in self.variables:
-            v = get((i, j), 0.0)
-            row_sums[i] = row_sums.get(i, 0.0) + v
-            col_sums[j] = col_sums.get(j, 0.0) + v
-            total += v
+        x = np.array([values.get(p, 0.0) for p in self.variables], dtype=np.float64)
         effect_sum = self.effect_sum(values)
-        flags = {
-            "rows": all(s <= 1.0 for s in row_sums.values()),
-            "cols": all(s <= 1.0 for s in col_sums.values()),
-            "cardinality": total == float(self.n),
+        flags = {  # bincount and cumsum both add in pair order
+            "rows": bool((np.bincount(self.em.match.rows, weights=x) <= 1.0).all()),
+            "cols": bool((np.bincount(self.em.match.cols, weights=x) <= 1.0).all()),
+            "cardinality": bool(np.cumsum(x)[-1] == self.n),
         }
         flags["structural"] = flags["rows"] and flags["cols"] and flags["cardinality"]
         if self.sign_op is not None:
             flags["sign"] = effect_sum >= 0.0 if self.sign_op == ">=" else effect_sum <= 0.0
         if self.kind == "ilp":
-            qsum = math.fsum(e ** 2 * get(p, 0.0) for p, e in zip(self.variables, self.effects))
+            qsum = math.fsum(e ** 2 * values.get(p, 0.0) for p, e in self._pairs())
             flags["variance_bound"] = qsum <= self.b_l
         flags["all"] = all(v for k, v in flags.items() if k not in ("structural", "all"))
         return flags
@@ -161,7 +176,7 @@ class ModelSpec:
             yield from _wrap(f" col_{j}: ", cols[j], " <= 1")
         yield from _wrap(" card: ", [f"+ {self.var_name(p)}" for p in self.variables],
                          f" = {self.n}")
-        pairs = zip(self.variables, self.effects)
+        pairs = self._pairs()
         if self.kind == "qip":
             yield from _wrap(" sdef: ", [_term(e, self.var_name(p)) for p, e in pairs]
                              + [_term(-1.0, S_VAR)], " = 0")
@@ -180,7 +195,8 @@ class ModelSpec:
         def ids(p, effect):
             i, j = p
             return {"name": self.var_name(p), "i": i, "j": j, "effect": effect,
-                    "treated_id": self.treated_ids[i], "control_id": self.control_ids[j]}
+                    "treated_id": self.em.match.treated_ids[i],
+                    "control_id": self.em.match.control_ids[j]}
 
         doc = {
             "schema": SCHEMA,
@@ -189,10 +205,10 @@ class ModelSpec:
             "direction": self.direction,
             "case": self.case,
             "n": self.n,
-            "variables": [ids(p, e) for p, e in zip(self.variables, self.effects)],
+            "variables": [ids(p, e) for p, e in self._pairs()],
         }
         if self.kind == "ilp":
-            doc["b_l"] = self.b_l
+            doc["b_l"] = float(self.b_l)
             if self.bl_range_note:
                 doc["bl_grid_hint"] = list(BL_RANGE_HINT)
         return doc
@@ -219,39 +235,16 @@ def _wrap(head: str, terms: list[str], tail: str = "", per_line: int = 6):
         yield line + tail if k + per_line >= len(terms) else line
 
 
-def _model_fields(em: EffectMatrix, n: int) -> dict:
-    """The fields both exports take from the effect core: one variable per eligible pair."""
-    if n < 2:
-        raise ValueError(f"model export needs n >= 2, got n={n}")
-    if em.nnz == 0:
-        raise ValueError("cannot export a model with no eligible pairs")
-    return {
-        "n": n,
-        "variables": tuple(zip(em.match.rows.tolist(), em.match.cols.tolist())),
-        "effects": tuple(em.values.tolist()),
-        "treated_ids": em.match.treated_ids,
-        "control_ids": em.match.control_ids,
-    }
-
-
 def export_qip(em: EffectMatrix, n: int, direction: str, case: str) -> ModelSpec:
     """Quadratic coupling model for one direction/sign-regime pair."""
-    fields = _model_fields(em, n)
-    if (direction, case) not in _OBJECTIVE_SIGN:
-        raise ValueError(f"unknown direction/case combination ({direction!r}, {case!r})")
-    return ModelSpec(kind="qip", direction=direction, case=case, **fields)
+    return ModelSpec(kind="qip", direction=direction, case=case, n=n, em=em)
 
 
 def export_ilp(em: EffectMatrix, n: int, direction: str, b_l: float,
                bl_range_note: bool = False) -> ModelSpec:
     """Grid-linearized model: linear effect-sum objective under a variance bound."""
-    fields = _model_fields(em, n)
-    if direction not in ("min", "max"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if not b_l > 0:
-        raise ValueError(f"b_l must be positive, got {b_l!r}")
-    return ModelSpec(kind="ilp", direction=direction, case=None, b_l=float(b_l),
-                     bl_range_note=bl_range_note, **fields)
+    return ModelSpec(kind="ilp", direction=direction, case=None, n=n, em=em, b_l=b_l,
+                     bl_range_note=bl_range_note)
 
 
 def read_solution(path) -> dict[str, float]:

@@ -84,6 +84,16 @@ class TestMatch:
         config = write_fixture(tmp_path, [(1.0, "a", True), (2.0, "b", False)])
         assert main(["match", "--config", str(config)]) == 2
         assert "no good matches" in capsys.readouterr().err
+        out = tmp_path / "out"
+        for command in (["test", "--n", "2"], ["sweep", "--sweep", "2:3"], ["oracle", "--n", "2"],
+                        ["export", "--n", "2", "--kind", "qip", "--direction", "min",
+                         "--case", "case1"]):
+            assert main([command[0], "--config", str(config), *command[1:],
+                         "--out", str(out)]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.err == "no good matches\n"
+            assert captured.out == ""
+        assert not (tmp_path / "out.lp").exists()
 
     def test_coordinate_dump(self, negative_fixture, tmp_path, capsys):
         out = tmp_path / "coords.txt"
@@ -165,6 +175,17 @@ class TestTest:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["classification"] == "absolute_robust"
 
+    @pytest.mark.parametrize("y, z", [(3.0, "inf"), (0.0, "-inf")])
+    def test_equal_effects_report_infinite_z(self, tmp_path, capsys, y, z):
+        # every eligible effect is y - 1: sigma is 0, so Z is a signed infinity
+        config = write_fixture(tmp_path, [(y, "a", True), (y, "a", True),
+                                          (1.0, "a", False), (1.0, "a", False)])
+        assert main(["test", "--config", str(config), "--n", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [doc[k] for k in ("z_min", "z_max", "gamma_min", "gamma_max")] == [z] * 4
+        assert doc["degenerate_min"] and doc["degenerate_max"]
+        assert "allowable_gap" not in doc
+
 
 class TestSweep:
     def test_csv_with_no_pairs_row(self, negative_fixture, capsys):
@@ -175,6 +196,23 @@ class TestSweep:
         assert lines[1].startswith("2,")
         assert "absolute_robust" in lines[1]
         assert lines[2].startswith("3,,,,,no_pairs,")
+
+    def test_out_file_equals_stdout(self, negative_fixture, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(negative_fixture), "--sweep", "2:3",
+                     "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert text.count("\n") == 3
+        assert out.read_text() == text
+
+    def test_fixed_n_configuration_needs_a_range(self, tmp_path, capsys):
+        config = write_fixture(tmp_path, [(0.0, "a", True), (1.0, "a", False)],
+                               {"n_spec": {"mode": "fixed", "n": 2}})
+        assert main(["sweep", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: configuration fixes n; "
+                                "use 'test' or pass --sweep/--binary-search\n")
 
     def test_binary_search_single_row(self, negative_fixture, capsys):
         assert main(["sweep", "--config", str(negative_fixture),
@@ -205,6 +243,7 @@ class TestSweep:
         config = write_fixture(tmp_path, [], {"data_path": "missing.csv"})
         out = tmp_path / "sweep.csv"
         for options, message in ((["--sweep", ""], "malformed range ''"),
+                                 (["--sweep", "2:x"], "malformed range '2:x'"),
                                  (["--sweep", "", "--binary-search", "2:3"],
                                   "--sweep and --binary-search are mutually exclusive")):
             argv = ["sweep", "--config", str(config), *options, "--out", str(out)]
@@ -351,6 +390,26 @@ class TestExport:
         assert (tmp_path / "model.lp").exists()
         assert (tmp_path / "model.json").exists()
 
+    def test_ilp_files_written(self, negative_fixture, tmp_path, capsys):
+        base = tmp_path / "model"
+        assert main(["export", "--config", str(negative_fixture), "--n", "2",
+                     "--kind", "ilp", "--direction", "max", "--b-l", "20", "--bl-range-note",
+                     "--out", str(base)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["kind"], doc["case"], doc["variables"]) == ("ilp", None, 4)
+        assert (doc["lp_path"], doc["sidecar_path"]) == (f"{base}.lp", f"{base}.json")
+        sidecar = json.loads((tmp_path / "model.json").read_text())
+        assert (sidecar["sense"], sidecar["b_l"]) == ("maximize", 20.0)
+        assert sidecar["bl_grid_hint"] == [1.12e6, 26.12e6]
+        assert [(v["name"], v["effect"], v["treated_id"], v["control_id"])
+                for v in sidecar["variables"]] == [("a_0_0", -4.0, "1", "3"),
+                                                   ("a_0_1", -2.0, "1", "4"),
+                                                   ("a_1_0", -3.0, "2", "3"),
+                                                   ("a_1_1", -1.0, "2", "4")]
+        lp = (tmp_path / "model.lp").read_text().splitlines()
+        assert " obj: - 4 a_0_0 - 2 a_0_1 - 3 a_1_0 - 1 a_1_1" in lp
+        assert " variance_bound: + 16 a_0_0 + 4 a_0_1 + 9 a_1_0 + 1 a_1_1 <= 20" in lp
+
     def test_ilp_requires_positive_bound(self, negative_fixture, capsys):
         assert main(["export", "--config", str(negative_fixture), "--n", "2",
                      "--kind", "ilp", "--direction", "min", "--b-l", "-5"]) == 1
@@ -414,6 +473,7 @@ class TestRunRequest:
             assert accepted
 
     @pytest.mark.parametrize("argv", [
+        ["test", "--n", "abc"],
         ["test", "--n", "2", "--alpha", "1.5"],
         ["test", "--n", "2", "--alpha", "nan"],
         ["test", "--n", "1"],

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from robustz.data_io import ConfigError, NSpec, Predicate, load_config, load_dataset
-from robustz.data_types import DataError
+from robustz.data_types import DataError, Dataset, Unit
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -97,7 +97,8 @@ class TestLoadDataset:
         ("flyash,cement,strength\n30,100,41.5\n0,90\n", "row 2: expected 3 fields, got 2"),
         ("flyash,cement,strength,cement\n30,100,41.5,1\n0,90,1,2\n",
          "column 'cement' appears 2 times in the header"),
-    ], ids=["long_row", "short_row", "repeated_column"])
+        ("", "empty file"),
+    ], ids=["long_row", "short_row", "repeated_column", "empty_file"])
     def test_malformed_csv(self, tmp_path, text, message):
         config = load_config(base_config(tmp_path))
         write_csv(tmp_path, text)
@@ -125,6 +126,15 @@ class TestLoadDataset:
         write_csv(tmp_path, "flyash,cement,strength\n30,100,41.5\n25,99,45.2\n")
         with pytest.raises(DataError, match="empty control"):
             load_dataset(config.data_path, config)
+
+    @pytest.mark.parametrize("units, message", [
+        ([Unit("1", {}, True, 1.0), Unit("2", {}, False, float("nan"))],
+         "unit '2' has non-finite outcome nan"),
+        ([Unit("1", {}, False, 1.0)], "empty treated group"),
+    ], ids=["non_finite_outcome", "no_treated"])
+    def test_dataset_invariants(self, units, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(units=tuple(units))
 
     def test_missing_covariate_value(self, tmp_path):
         config = load_config(base_config(tmp_path))
@@ -220,6 +230,35 @@ class TestLoadConfig:
     def test_n_spec_rejected(self, tmp_path, n_spec):
         with pytest.raises(ConfigError, match="n_spec"):
             load_config(base_config(tmp_path, n_spec=n_spec))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "configuration must be a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "outcome_column"},
+         "missing required field 'outcome_column'"),
+        (lambda doc: dict(doc, treatment_rule="flyash"), "treatment_rule must be an object"),
+        (lambda doc: dict(doc, covariate_rules={}), "covariate_rules must be a list"),
+        (lambda doc: dict(doc, data_path=""), "data_path must be a non-empty string"),
+        (lambda doc: dict(doc, treatment_rule=dict(doc["treatment_rule"], treated_predicate=[])),
+         "treated_predicate must be a predicate object or a non-empty list"),
+        (lambda doc: dict(doc, treatment_rule=dict(doc["treatment_rule"], treated_predicate=[1])),
+         "treated_predicate entries must be objects"),
+        (lambda doc: dict(doc, treatment_rule=dict(doc["treatment_rule"],
+                                                   treated_predicate={"op": "=="})),
+         "treated_predicate: missing 'value'"),
+        (lambda doc: dict(doc, treatment_rule={"column": "flyash"}),
+         "treatment_rule: missing 'treated_predicate'"),
+        (lambda doc: dict(doc, covariate_rules=["cement"]),
+         r"covariate_rules\[0\] must be an object"),
+        (lambda doc: dict(doc, covariate_rules=[{"column": "cement"}]),
+         r"covariate_rules\[0\]: 'column' and 'kind' are required"),
+    ], ids=["not_an_object", "missing_field", "rule_not_an_object", "rules_not_a_list",
+            "empty_data_path", "empty_predicate_list", "predicate_entry_not_an_object",
+            "predicate_without_value", "rule_missing_predicate", "covariate_rule_not_an_object",
+            "covariate_rule_without_kind"])
+    def test_malformed_document_rejected(self, tmp_path, edit, message):
+        doc = json.loads(base_config(tmp_path).read_text())
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, edit(doc)))
 
     def test_unknown_top_level_field(self, tmp_path):
         path = base_config(tmp_path, extra_field=1)

@@ -249,6 +249,15 @@ class TestGreedyMinCase1:
         assert sol.stats.S == 1.0
         assert z_statistic(sol.stats) == pytest.approx((3 * 1 / 26) ** 0.5, abs=1e-9)
 
+    def test_odd_n_single_rechecks_the_exact_sum(self):
+        # the couple (1, 3 * 2**-54) runs to 1 + 2**-52 as a float sum, so
+        # -(1 + 2**-52) passes the bisect threshold; the exact total is
+        # -2**-54 < 0 (a plain float sum reads 0.0), and nothing else remains
+        yl = ylist_of({(0, 0): 1.0, (1, 1): 3 * 2.0**-54, (2, 2): -(1 + 2.0**-52)})
+        result = greedy_min(yl, 3, "case1")
+        assert result.assignment is None
+        assert result.reason == "no remaining effect keeps the sum nonnegative"
+
     def test_positive_entries_pair_smallest(self):
         yl = ylist_of({(0, 0): 4, (0, 1): 3, (1, 0): 2, (1, 1): 1})
         sol = greedy_min(yl, 2, "case1")
@@ -394,6 +403,8 @@ class TestGreedyMax:
             greedy_max(yl, 1, "x")
         with pytest.raises(ValueError, match=r"^unknown maximization case 'x'$"):
             greedy_max(yl, 2, "x")
+        with pytest.raises(ValueError, match=r"^unknown minimization case 'case3'$"):
+            greedy_min(yl, 2, "case3")
         assert "mirror" not in vars(yl)
 
 

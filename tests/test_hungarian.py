@@ -257,6 +257,10 @@ class TestCase3:
             with pytest.raises(ValueError, match="n >= 2"):
                 solve(em, 1, direction)
 
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="^unknown direction 'up'$"):
+            case3_selection(make_em({(0, 0): -1.0, (1, 1): 1.0}), 2, "up")
+
     def test_feasible_output_respects_sign(self, rng, monkeypatch):
         self._case3_only(monkeypatch)
         for _ in range(200):

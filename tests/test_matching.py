@@ -12,6 +12,7 @@ from robustz import matching
 from robustz.data_types import Dataset, Unit
 from robustz.greedy import build_sorted_list
 from robustz.matching import (
+    Block,
     CovariateRule,
     MatchMatrix,
     MatchingError,
@@ -48,6 +49,10 @@ class TestCovariateRule:
     def test_unknown_kind_rejected(self):
         with pytest.raises(MatchingError, match="kind"):
             CovariateRule(column="x", kind="fuzzy")
+
+    def test_exact_rule_takes_no_tolerance(self):
+        with pytest.raises(MatchingError, match="exact rule for 'c' does not take a tolerance"):
+            CovariateRule("c", "exact", 1.0)
 
 
 class TestBuildMatchMatrix:
@@ -276,6 +281,12 @@ class TestBuildEffectMatrix:
         em = build_effect_matrix(mm, ds)
         assert em.effect[(0, 0)] == 0.0
 
+    def test_match_id_missing_from_dataset(self):
+        ds = dataset_from([({"g": "a"}, True, 5.0), ({"g": "a"}, False, 1.0)])
+        mm = MatchMatrix(("1", "9"), ("2",), [0], [0])
+        with pytest.raises(MatchingError, match="match matrix id '9' not found in dataset"):
+            build_effect_matrix(mm, ds)
+
     def test_overflowing_effect_rejected(self):
         ds = dataset_from([({"g": "a"}, True, 1e308), ({"g": "a"}, False, -1e308)])
         mm = build_match_matrix(ds, [CovariateRule("g", "exact")])
@@ -332,6 +343,15 @@ class TestBuildEffectMatrix:
         with pytest.raises(ValueError, match="read-only"):
             em.values[0] = em.values[1]
 
+    def test_positions_builds_its_codes_once(self):
+        mm = make_em({(0, 1): 1.0, (1, 0): 2.0, (2, 2): 3.0}).match
+        assert mm.position(2, 2) == 2
+        assert "_codes" not in vars(mm)  # neither the matrix nor position builds them
+        assert mm.positions([2, 0], [2, 1]).tolist() == [2, 0]
+        codes = mm._codes
+        assert mm.positions([1], [0]).tolist() == [1]
+        assert mm._codes is codes
+
     def test_positions_equal_the_per_pair_lookup(self, rng):
         for _ in range(200):
             nt, nc = rng.randint(1, 9), rng.randint(1, 9)
@@ -370,19 +390,19 @@ class TestPartitionBlocks:
     def test_two_components(self):
         em = make_em({(0, 0): 1, (1, 1): 2}, 2, 2)
         blocks = partition_blocks(em.match)
-        assert len(blocks) == 2
+        assert blocks == (Block((0,), (0,), True), Block((1,), (1,), True))
 
     def test_complete_bipartite_single_block(self):
         em = make_em({(i, j): 1 for i in range(3) for j in range(3)})
         blocks = partition_blocks(em.match)
         assert len(blocks) == 1
-        assert blocks.blocks[0].identical_rows
+        assert blocks[0].identical_rows
 
     def test_chain_block_without_identical_rows(self):
         em = make_em({(0, 0): 1, (1, 0): 1, (1, 1): 1}, 2, 2)
         blocks = partition_blocks(em.match)
         assert len(blocks) == 1
-        assert not blocks.blocks[0].identical_rows
+        assert not blocks[0].identical_rows
 
     def test_exact_matching_gives_identical_rows(self):
         rng = random.Random(5)
@@ -397,7 +417,7 @@ class TestPartitionBlocks:
             mm = build_match_matrix(
                 ds, [CovariateRule("g", "exact"), CovariateRule("h", "exact")]
             )
-            assert partition_blocks(mm).identical_rows_all
+            assert all(b.identical_rows for b in partition_blocks(mm))
 
     def test_bijection_sums_within_identical_row_blocks(self):
         # any bijection between fixed treated/control subsets of an
@@ -412,7 +432,7 @@ class TestPartitionBlocks:
         ds = dataset_from(rows)
         mm = build_match_matrix(ds, [CovariateRule("g", "exact")])
         em = build_effect_matrix(mm, ds)
-        for block in partition_blocks(mm).blocks:
+        for block in partition_blocks(mm):
             assert block.identical_rows
             for k in range(1, min(4, len(block.treated), len(block.control)) + 1):
                 t_sub = block.treated[:k]
@@ -430,9 +450,8 @@ class TestPartitionCoverage:
 
         for _ in range(60):
             em, _ = random_instance(rng, max_side=7)
-            part = partition_blocks(em.match)
             seen_t, seen_c = set(), set()
-            for block in part.blocks:
+            for block in partition_blocks(em.match):
                 assert seen_t.isdisjoint(block.treated)
                 assert seen_c.isdisjoint(block.control)
                 seen_t.update(block.treated)

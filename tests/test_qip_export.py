@@ -1,6 +1,8 @@
 """Model export tests: structure, objective round-trip, file formats."""
 
+import itertools
 import json
+import math
 
 import pytest
 
@@ -147,6 +149,14 @@ class TestQipStructure:
         with pytest.raises(ValueError, match="n >= 2"):
             export_qip(make_em(FULL_2X2), 1, "min", "case1")
 
+    def test_unknown_direction_or_case_rejected(self):
+        em = make_em(FULL_2X2)
+        for direction, case in (("up", "case1"), ("min", "case3")):
+            with pytest.raises(ValueError, match="unknown direction/case combination"):
+                export_qip(em, 2, direction, case)
+        with pytest.raises(ValueError, match="^unknown direction 'up'$"):
+            export_ilp(em, 2, "up", 1.0)
+
 
 class TestIlp:
     def test_linear_objective_only(self):
@@ -231,6 +241,39 @@ class TestRoundTrip:
         assert not spec.check_constraints(dup_col)["cols"]
         short = {(0, 0): 1.0}
         assert not spec.check_constraints(short)["cardinality"]
+
+    def test_cardinality_is_a_left_to_right_sum(self):
+        # in variable order every 2**-53 rounds away against the leading 1.0, so
+        # the card row reads exactly 2; a pairwise or compensated sum of the
+        # same vector exceeds 2
+        spec = export_qip(make_em({(k, k): 1.0 for k in range(16)}), 2, "min", "case1")
+        x = [1.0] + [2.0**-53] * 14 + [1.0]
+        flags = spec.check_constraints(dict(zip(spec.variables, x)))
+        assert flags["cardinality"] and flags["structural"]
+        assert math.fsum(x) > 2.0
+
+    def test_constraint_sums_equal_the_loop_reference(self, rng):
+        # each row's first pairs get 0.1, 0.34 and 0.56 in random order, whose
+        # float sum is 1 or 1 + 2**-52 by order (0.56 + 0.34 + 0.1 > 1), so the
+        # flags must equal those of per-pair sums taken in variable order
+        for _ in range(200):
+            em, n = random_instance(rng, max_side=6)
+            if em.nnz == 0:
+                continue
+            spec = export_qip(em, n, "min", "case1")
+            vec = {}
+            for _, row in itertools.groupby(spec.variables, key=lambda p: p[0]):
+                vec.update(zip(row, rng.sample((0.1, 0.34, 0.56), 3)))
+            rows, cols, total = {}, {}, 0.0
+            for i, j in spec.variables:
+                v = vec.get((i, j), 0.0)
+                rows[i] = rows.get(i, 0.0) + v
+                cols[j] = cols.get(j, 0.0) + v
+                total += v
+            flags = spec.check_constraints(vec)
+            assert flags["rows"] is all(s <= 1.0 for s in rows.values())
+            assert flags["cols"] is all(s <= 1.0 for s in cols.values())
+            assert flags["cardinality"] is (total == n)
 
     def test_sign_constraint_direction(self):
         em = make_em(FULL_2X2)

@@ -302,8 +302,10 @@ def load_dataset(csv_path, config: RunConfig) -> Dataset:
                 continue
             raw_y = row[index[config.outcome_column]]
             outcome = _as_number(raw_y)
-            if outcome is None or not math.isfinite(outcome):
+            if outcome is None:
                 raise DataError(f"{csv_path} row {row_no}: non-numeric outcome {raw_y!r}")
+            if not math.isfinite(outcome):
+                raise DataError(f"{csv_path} row {row_no}: non-finite outcome {raw_y!r}")
             covariates = {}
             for col in covariate_cols:
                 raw = row[index[col]]

@@ -21,8 +21,11 @@ solve the mirrored minimization case on ``SortedEffectList.mirror``,
 negate the effect sum back. Maximization case 1 is minimization case 2
 of the negated list, and case 2 is its case 1. The sorted list and its
 mirror depend on neither n nor the direction, so each is built once per
-effect matrix and shared by every later solve. The value order, its
-(i, j) tie rule and its reflection all live here. Every selection
+effect matrix and shared by every later solve. Each is sorted lazily:
+only as far as a reader has read, which for a case-2 scan is a little
+more than n entries and for case 1 the whole list, and what was sorted
+is kept for every later n. The value order, its (i, j) tie rule and its
+reflection all live here. Every selection
 removes all entries sharing the chosen row or column, so the output is
 always a valid one-to-one assignment, and its Z statistic is the level
 the case reaches.
@@ -47,36 +50,83 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class SortedEffectList:
-    """Eligible pair effects in ascending value order, ties by (i, j).
+    """Eligible pair effects in ascending value order, ties by (i, j), sorted lazily.
 
-    The arrays are read-only: one list is shared by both directions and
-    every n solved on its matrix.
+    The list holds the effect column in (i, j) order and sorts only as far
+    as its readers ask: ``prefix(k)`` grows the sorted head by one slab, the
+    unsorted entries up to a threshold that ``np.partition`` picks, ordered
+    by ``stable_order``. Every entry equal to the threshold joins the slab,
+    so a run of equal values (``0.0 == -0.0``) never straddles two slabs
+    and the head is always the head of the one stable order. ``values``,
+    ``rows`` and ``cols`` are the whole list, which case 1 reads.
+
+    Arrays handed out are read-only: one list is shared by both directions
+    and every n solved on its matrix, and a growth only writes past them.
     """
 
-    values: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    n_treated: int
-    n_control: int
+    def __init__(self, effects: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 n_treated: int, n_control: int):
+        self.n_treated, self.n_control = n_treated, n_control
+        self._effects, self._rows, self._cols = effects, rows, cols
+        m = len(effects)
+        self._head = (np.empty(m), np.empty(m, dtype=rows.dtype), np.empty(m, dtype=cols.dtype))
+        self._size = 0
+        self._bound = -math.inf  # every entry at or below it is in the head
+
+    def __len__(self) -> int:
+        return len(self._effects)
+
+    def prefix(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values, rows and cols of the sorted head, at least ``min(k, len(self))`` entries.
+
+        The head holds everything sorted so far, so it may be longer than
+        asked. The first growth sorts at least 1/64 of the list and each
+        later one at least eight times the head, so a list grows at most
+        three times whatever its readers ask (each growth reads the whole
+        column once).
+        """
+        if self._size < min(k, len(self)):
+            self._grow(max(k, 8 * self._size, -(-len(self) // 64)))
+        return tuple(_read_only(a[:self._size]) for a in self._head)
+
+    def _grow(self, k: int) -> None:
+        """Sort the slab that makes the head at least ``min(k, len(self))`` entries."""
+        v = self._effects
+        thr = np.partition(v, k - 1)[k - 1] if k < len(v) else math.inf
+        slab = np.flatnonzero((v > self._bound) & (v <= thr))  # ascending (i, j)
+        sv = v[slab]
+        local = stable_order(sv, np.argsort(sv))
+        start, self._size = self._size, self._size + len(slab)
+        values, rows, cols = (a[start:self._size] for a in self._head)
+        # every index is in range; "clip" spares the copy a "raise" take makes with out
+        np.take(sv, local, out=values, mode="clip")
+        order = slab[local]
+        np.take(self._rows, order, out=rows, mode="clip")
+        np.take(self._cols, order, out=cols, mode="clip")
+        self._bound = thr
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.prefix(len(self))[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.prefix(len(self))[1]
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self.prefix(len(self))[2]
 
     @cached_property
     def mirror(self) -> "SortedEffectList":
         """The negated effects in ascending order, ties by (i, j); built once per list.
 
-        Both maximization cases walk it. Without ties it is this list read
-        backwards: the values negated, ``rows`` and ``cols`` as reversed
-        views of this list's own. Reversing would put tied entries in
-        descending (i, j) order, so a list with ties is gathered in
-        ``stable_order`` instead, which puts each run of ties back in list
-        order.
+        Both maximization cases walk it. It is a list of its own over the
+        negated column, sorted as lazily as this one.
         """
-        order = slice(None, None, -1)
-        if (self.values[1:] == self.values[:-1]).any():
-            order = stable_order(-self.values, np.arange(len(self.values) - 1, -1, -1))
-        return replace(self, values=_read_only(-self.values[order]),
-                       rows=_read_only(self.rows[order]), cols=_read_only(self.cols[order]))
+        return SortedEffectList(-self._effects, self._rows, self._cols,
+                                self.n_treated, self.n_control)
 
 
 def stable_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -126,26 +176,26 @@ def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
     """All eligible effects (zeros included) in ascending value order, ties by (i, j).
 
     The list does not depend on n or the direction, so it is built once per
-    matrix and shared by every later call. The cache holds the matrix weakly;
-    a matrix is not modified once built.
+    matrix and shared by every later call; it sorts itself as far as its
+    readers ask, and keeps what it sorted. The cache holds the matrix
+    weakly; a matrix is not modified once built.
     """
     ylist = _SORTED.get(em)
     if ylist is None:
-        order = stable_order(em.values, np.argsort(em.values))
-        ylist = SortedEffectList(
-            _read_only(em.values[order]), _read_only(em.match.rows[order]),
-            _read_only(em.match.cols[order]), em.n_treated, em.n_control)
+        ylist = SortedEffectList(em.values, em.match.rows, em.match.cols,
+                                 em.n_treated, em.n_control)
         _SORTED[em] = ylist
     return ylist
 
 
-def _views(ylist: SortedEffectList) -> tuple[memoryview, memoryview, memoryview]:
-    """The list's values, rows and cols as memoryviews.
+def _views(ylist: SortedEffectList, k: int) -> tuple[memoryview, memoryview, memoryview]:
+    """The values, rows and cols of ``ylist.prefix(k)`` as memoryviews.
 
     An index returns a Python float or int as fast as a list does, without
     copying the whole list per call (numpy scalar access would slow a walk).
     """
-    return memoryview(ylist.values), memoryview(ylist.rows), memoryview(ylist.cols)
+    values, rows, cols = ylist.prefix(k)
+    return memoryview(values), memoryview(rows), memoryview(cols)
 
 
 class _ListState:
@@ -160,7 +210,7 @@ class _ListState:
     __slots__ = ("values", "rows", "cols", "m", "nxt", "prv", "row_used", "col_used")
 
     def __init__(self, ylist: SortedEffectList):
-        self.values, self.rows, self.cols = _views(ylist)
+        self.values, self.rows, self.cols = _views(ylist, len(ylist))
         m = len(self.values)
         self.m = m
         self.nxt = memoryview(np.arange(1, m + 1))
@@ -209,29 +259,30 @@ def _candidate(state: _ListState, k: int, links: memoryview, end: int, barred: s
     return k
 
 
-def _solution_from(rows, cols, chosen: list[int], picked, case: str) -> Attempt:
-    pairs = [(rows[k], cols[k]) for k in chosen]
-    return Attempt(case, Assignment(pairs=frozenset(pairs)), stats_from_values(picked))
-
-
 def _min_case2(ylist: SortedEffectList, n: int):
-    """Case 2 as one scan: the first n assignable entries in list order."""
-    values, rows, cols = _views(ylist)
+    """Case 2 as one scan: the first n assignable entries in list order.
+
+    The scan reads a prefix of about 2n entries; when that runs out first,
+    it asks for a longer one and resumes where it stopped.
+    """
     row_used, col_used = bytearray(ylist.n_treated), bytearray(ylist.n_control)
-    chosen = []
-    for k in range(len(values)):
-        i, j = rows[k], cols[k]
-        if row_used[i] or col_used[j]:
-            continue
-        if values[k] > 0.0:
-            return Attempt("min_case2", reason="smallest remaining effect is positive")
-        row_used[i] = col_used[j] = 1
-        chosen.append(k)
-        if len(chosen) == n:
-            break
-    else:
-        return Attempt("min_case2", reason="eligible pairs exhausted before n assignments")
-    return _solution_from(rows, cols, chosen, [values[k] for k in chosen], "min_case2")
+    pairs, picked = [], []
+    start = 0
+    while start < len(ylist):
+        values, rows, cols = _views(ylist, max(2 * n, start + 1))
+        for v, i, j in zip(values[start:], rows[start:], cols[start:]):
+            if row_used[i] or col_used[j]:
+                continue
+            if v > 0.0:
+                return Attempt("min_case2", reason="smallest remaining effect is positive")
+            row_used[i] = col_used[j] = 1
+            pairs.append((i, j))
+            picked.append(v)
+            if len(pairs) == n:
+                return Attempt("min_case2", Assignment(pairs=frozenset(pairs)),
+                               stats_from_values(picked))
+        start = len(values)
+    return Attempt("min_case2", reason="eligible pairs exhausted before n assignments")
 
 
 def _min_case1(state: _ListState, n: int):
@@ -275,8 +326,9 @@ def _min_case1(state: _ListState, n: int):
             chosen.extend((anchor, q))
             running += state.values[anchor] + state.values[q]
             break
-    return _solution_from(state.rows, state.cols, chosen,
-                          [state.values[k] for k in chosen], "min_case1")
+    pairs = frozenset((state.rows[k], state.cols[k]) for k in chosen)
+    return Attempt("min_case1", Assignment(pairs=pairs),
+                   stats_from_values([state.values[k] for k in chosen]))
 
 
 def greedy_min(ylist: SortedEffectList, n: int, case: str):

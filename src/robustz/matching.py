@@ -22,7 +22,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -214,8 +215,8 @@ class EffectMatrix:
                      n_control: int | None = None) -> "EffectMatrix":
         """Build a standalone matrix from an index->effect map (synthetic ids, built on first read)."""
         nnz = len(effects)
-        ij = np.fromiter(chain.from_iterable(effects), dtype=np.int64, count=2 * nnz)
-        rows, cols = ij[0::2], ij[1::2]
+        rows, cols = (np.fromiter(map(itemgetter(side), effects), dtype=np.int64, count=nnz)
+                      for side in (0, 1))
         nt = int(n_treated) if n_treated is not None else int(rows.max(initial=-1)) + 1
         nc = int(n_control) if n_control is not None else int(cols.max(initial=-1)) + 1
         by_ij = np.argsort(rows * nc + cols)  # the map's keys are distinct

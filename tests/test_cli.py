@@ -128,6 +128,13 @@ class TestMatch:
             err = capsys.readouterr().err
             assert "non-finite" in err and "'blk'" in err
 
+    def test_non_finite_outcome_exit_1(self, tmp_path, capsys):
+        for bad in ("inf", "-inf", "nan"):
+            config = write_fixture(tmp_path, [(1.0, "a", True), (bad, "a", False)])
+            assert main(["test", "--config", str(config), "--n", "2"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"row 2: non-finite outcome '{bad}'" in err
+
     def test_huge_finite_effect_exit_1(self, tmp_path, capsys):
         config = write_fixture(tmp_path, [(0.0, "a", True), (1e200, "a", True),
                                           (-3e200, "a", False), (2e200, "a", False)])

@@ -111,6 +111,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="outcome"):
             load_dataset(config.data_path, config)
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan"])
+    def test_non_finite_outcome(self, tmp_path, raw):
+        config = load_config(base_config(tmp_path))
+        write_csv(tmp_path, f"flyash,cement,strength\n30,100,1\n0,90,{raw}\n")
+        with pytest.raises(DataError, match=rf"row 2: non-finite outcome '{raw}'$"):
+            load_dataset(config.data_path, config)
+
     def test_overlapping_predicates(self, tmp_path):
         path = base_config(tmp_path)
         doc = json.loads(path.read_text())

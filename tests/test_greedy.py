@@ -44,7 +44,7 @@ class TestSortedList:
         assert entries(yl) == [(2.0, 0, 1), (2.0, 1, 0)]
 
     def test_mirror_is_the_stable_sort_of_the_negated_list(self, rng):
-        paths = {"views": 0, "gathered": 0}
+        lists = {"tie_free": 0, "with_ties": 0}
         for _ in range(100):
             em, _ = random_instance(rng)
             draw = rng.choice((lambda: rng.uniform(-5.0, 5.0), lambda: rng.randint(-2, 2),
@@ -54,8 +54,9 @@ class TestSortedList:
             assert entries(yl.mirror) == list(zip((-yl.values[order]).tolist(),
                                                   yl.rows[order].tolist(),
                                                   yl.cols[order].tolist()))
-            paths["views" if np.shares_memory(yl.mirror.rows, yl.rows) else "gathered"] += 1
-        assert all(paths.values()), paths
+            ties = (yl.values[1:] == yl.values[:-1]).any()
+            lists["with_ties" if ties else "tie_free"] += 1
+        assert all(lists.values()), lists
 
 
 class TestSharedList:
@@ -64,35 +65,35 @@ class TestSharedList:
         assert build_sorted_list(em) is build_sorted_list(em)
 
     def test_one_mirror_per_list(self, monkeypatch):
-        calls = []
+        built = []
 
-        def counted(*args):
-            calls.append(1)
-            return stable_order(*args)
+        class Counted(greedy.SortedEffectList):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
 
         em = make_em({(i, j): float(i - 2 * j) for i in range(5) for j in range(5)})
-        build_sorted_list(em)
-        monkeypatch.setattr(greedy, "stable_order", counted)
+        yl = build_sorted_list(em)
+        monkeypatch.setattr(greedy, "SortedEffectList", Counted)
         for n in (2, 3, 4):
             for case in ("case1", "case2"):
                 greedy_max(build_sorted_list(em), n, case)
-        assert len(calls) == 1
+        assert len(built) == 1
+        assert build_sorted_list(em).mirror is yl.mirror
 
-    def test_tie_free_mirror_shares_the_list_buffers(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return stable_order(*args)
-
-        yl = ylist_of({(i, j): float(5 * i - j) + 0.5 for i in range(5) for j in range(5)})
-        monkeypatch.setattr(greedy, "stable_order", counted)
-        mirror = yl.mirror
-        assert calls == []
-        assert np.shares_memory(mirror.rows, yl.rows) and np.shares_memory(mirror.cols, yl.cols)
-        for array in (mirror.values, mirror.rows, mirror.cols):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[1]
+    def test_prefix_arrays_are_read_only_and_kept(self):
+        # a later growth writes past the arrays handed out, never into them
+        yl = ylist_of({(i, j): float(5 * i - j) + 0.5 for i in range(9) for j in range(9)})
+        for lst in (yl, yl.mirror):
+            head = lst.prefix(3)
+            copies = [a.copy() for a in head]
+            assert 3 <= len(head[0]) < len(lst)
+            for array in head:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[1]
+            full = (lst.values, lst.rows, lst.cols)
+            for array, copy, whole in zip(head, copies, full):
+                assert array.tolist() == copy.tolist() == whole[:len(copy)].tolist()
 
     def test_arrays_are_read_only(self):
         yl = ylist_of({(0, 0): 1.0, (1, 1): -1.0})
@@ -212,6 +213,118 @@ class TestCase2Scan:
         sol = greedy_max(ylist_of({(0, 0): -0.0, (1, 1): 0.0, (2, 2): -0.0}), 2, "case1")
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
         assert repr(sol.stats.S) == "0.0"
+
+
+def stable_scan(em, n, sign):
+    """Reference case 2 over a full sort: ``stable_order`` of the whole (sign * value) column.
+
+    Returns the picked positions in pick order, or the key of the reason
+    the case fails.
+    """
+    col = sign * em.values
+    rows_used, cols_used, picks = set(), set(), []
+    for k in stable_order(col, np.argsort(col)).tolist():
+        i, j = int(em.match.rows[k]), int(em.match.cols[k])
+        if i in rows_used or j in cols_used:
+            continue
+        if col[k] > 0.0:
+            return "positive"
+        rows_used.add(i)
+        cols_used.add(j)
+        picks.append(k)
+        if len(picks) == n:
+            return picks
+    return "exhausted"
+
+
+class TestLazyList:
+    def test_scans_across_growths_match_a_full_sort(self, monkeypatch):
+        grows = {}
+        grow = greedy.SortedEffectList._grow
+
+        def counted(self, k):
+            grows[id(self)] = grows.get(id(self), 0) + 1
+            return grow(self, k)
+
+        monkeypatch.setattr(greedy.SortedEffectList, "_grow", counted)
+        rng = random.Random(27)
+        kinds = (lambda: float(rng.randint(-3, 3)),
+                 lambda: rng.choice((-1.0, 0.0, 1.0, 2.0)),
+                 lambda: rng.choice((-1.0, -0.0, 0.0, 1.0)),
+                 lambda: rng.uniform(-5.0, 5.0))
+        feasible = crossed = 0
+        for case in range(48):
+            draw = kinds[case % len(kinds)]
+            nt, nc = rng.randint(15, 90), rng.randint(15, 90)
+            density = rng.uniform(200 / (nt * nc), min(1.0, 5_000 / (nt * nc)))
+            effects = {(i, j): draw() for i in range(nt) for j in range(nc)
+                       if rng.random() < density}
+            em = make_em(effects, nt, nc)
+            yl = build_sorted_list(em)
+            side = min(nt, nc)
+            for n in (2, side // 2, side - 1, side + 1):
+                for sol, sign in ((greedy_min(yl, n, "case2"), 1.0),
+                                  (greedy_max(yl, n, "case1"), -1.0)):
+                    want = stable_scan(em, n, sign)
+                    if isinstance(want, str):
+                        tag = "min_case2" if sign > 0.0 else "max_case1"
+                        assert sol == Attempt(tag, reason=_REASONS[want])
+                        continue
+                    feasible += 1
+                    stats = stats_from_values((sign * em.values[want]).tolist())
+                    if sign < 0.0:
+                        stats = replace(stats, S=-stats.S + 0.0)
+                    pairs = zip(em.match.rows[want].tolist(), em.match.cols[want].tolist())
+                    assert sol.assignment.pairs == frozenset(pairs)
+                    assert repr(sol.stats) == repr(stats)
+            crossed += sum(grows.get(id(lst), 0) >= 2 for lst in (yl, yl.mirror))
+        # 274 and 96 (every list) at this seed
+        assert feasible > 200 and crossed > 80, (feasible, crossed)
+
+    def test_zero_run_at_a_slab_boundary_stays_whole(self):
+        # the first growth asks for 100 entries (1/64 of the list); its threshold
+        # falls in the run of +-0.0 after the 40 negatives, so the slab takes the
+        # whole run, ties by (i, j)
+        rng = random.Random(5)
+        effects = {(i, j): rng.choice((-0.0, 0.0)) for i in range(80) for j in range(80)}
+        for p in rng.sample(sorted(effects), 40):
+            effects[p] = -float(rng.randint(1, 3))
+        for p in rng.sample([p for p, v in effects.items() if v == 0.0], 3_000):
+            effects[p] = float(rng.randint(1, 3))
+        em = make_em(effects, 80, 80)
+        col = em.values
+        full = stable_order(col, np.argsort(col))
+        yl = build_sorted_list(em)
+        values, rows, cols = yl.prefix(80)
+        assert len(values) == 40 + int((col == 0.0).sum())
+        want = full[:len(values)]
+        assert list(zip(map(repr, values.tolist()), rows.tolist(), cols.tolist())) == list(
+            zip(map(repr, col[want].tolist()), em.match.rows[want].tolist(),
+                em.match.cols[want].tolist()))
+        sol = greedy_min(yl, 60, "case2")
+        picks = stable_scan(em, 60, 1.0)
+        assert sol.assignment.pairs == frozenset(
+            zip(em.match.rows[picks].tolist(), em.match.cols[picks].tolist()))
+
+    def test_case2_sorts_a_small_head(self):
+        rng = np.random.default_rng(11)
+        rows, cols = np.divmod(rng.choice(400 * 400, size=50_000, replace=False), 400)
+        effects = dict(zip(zip(rows.tolist(), cols.tolist()),
+                           rng.uniform(-100.0, 100.0, size=50_000).tolist()))
+        yl = build_sorted_list(make_em(effects, 400, 400))
+        assert greedy_min(yl, 10, "case2").assignment is not None
+        assert greedy_max(yl, 10, "case1").assignment is not None
+        for lst in (yl, yl.mirror):
+            assert len(lst.prefix(0)[0]) < len(lst) // 20
+
+    def test_case1_reads_the_full_list(self):
+        effects = {(i, j): float((7 * i + 3 * j) % 11 - 5) for i in range(40) for j in range(40)}
+        for solve, case in ((greedy_min, "case1"), (greedy_max, "case2")):
+            yl = ylist_of(effects)
+            assert len(yl.prefix(0)[0]) == 0
+            solve(yl, 6, case)
+            lst = yl if solve is greedy_min else yl.mirror
+            assert len(lst.prefix(0)[0]) == len(lst) == 1_600
 
 
 class TestGreedyMinCase1:

@@ -136,6 +136,23 @@ class TestHungarianSparse:
             em = make_em(costs, nt, nc)
             assert hungarian_min(em).cardinality == max_matching_size(em)
 
+    def test_both_directions_reach_the_same_cardinality(self):
+        # run_test relies on it: a max side never lacks the n pairs the min side found
+        rng = random.Random(27)
+        deficient = 0
+        while deficient < 40:
+            nt, nc = rng.randint(3, 8), rng.randint(3, 8)
+            costs = {(i, j): float(rng.randint(-3, 3)) for i in range(nt) for j in range(nc)
+                     if rng.random() < 0.25}
+            if not costs:
+                continue
+            em = make_em(costs, nt, nc)
+            size = max_matching_size(em)
+            if size == min(em.match.matched_treated, em.match.matched_control):
+                continue
+            deficient += 1
+            assert hungarian_min(em).cardinality == hungarian_max(em).cardinality == size
+
     def test_cubic_time_expectation(self):
         rng = random.Random(1)
         times = []

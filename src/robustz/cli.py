@@ -4,8 +4,8 @@ Subcommands: ``match`` (build and report the eligibility structure),
 ``test`` (one robust test), ``sweep`` (a range of n, or the largest n
 with n disjoint eligible pairs, emitted as CSV), ``oracle`` (exhaustive
 desk-scale extrema) and ``export`` (solver model files). The largest
-feasible n is found with one ladder and at most one assignment-solver
-pass; ``--binary-search`` keeps its name for compatibility.
+feasible n is read off one assignment-solver pass, the min one;
+``--binary-search`` keeps its name for compatibility.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 matching
 produced an empty eligibility structure, 3 no n-pair assignment exists.
@@ -57,11 +57,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonify(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
+    """Z and P-values are finite or infinite, never NaN; an infinity is written as a string."""
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
     return x
 
 
@@ -71,7 +69,7 @@ def _open_out(path: str | None):
 
 
 def _emit(doc: dict, out=None) -> None:
-    text = json.dumps(doc, indent=2, default=str)
+    text = json.dumps(doc, indent=2, default=str, allow_nan=False)  # a NaN fails loudly
     print(text)
     if out:
         out.write(text + "\n")
@@ -108,7 +106,7 @@ def _build_parser() -> _Parser:
                          help="override the configured range")
     p_sweep.add_argument("--binary-search", metavar="MIN:MAX",
                          help="report only the row of the largest n in range with n "
-                              "disjoint eligible pairs (one ladder, at most one "
+                              "disjoint eligible pairs (read off the min "
                               "assignment-solver pass; name kept for compatibility)")
     p_sweep.add_argument("--alpha", type=float)
     p_sweep.add_argument("--out")

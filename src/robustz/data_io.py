@@ -90,9 +90,8 @@ class NSpec:
     """Pair-count selection: a fixed n, a sweep range, or the largest feasible n.
 
     ``binary_search`` (the name is kept for compatibility) reports the
-    largest n with n disjoint eligible pairs, found with one ladder and at
-    most one assignment-solver pass; an absent ``n_max`` leaves the range
-    open. A request outside these rules raises ``ValueError``.
+    largest n with n disjoint eligible pairs, read off the min
+    assignment-solver pass; an absent ``n_max`` leaves the range open. A request outside these rules raises ``ValueError``.
     """
 
     mode: str                 # "fixed", "sweep", "binary_search"

@@ -13,8 +13,9 @@ on the ascending effect list:
   Each round picks an anchor (the most negative entry if its magnitude
   is covered by the most positive one, otherwise the most positive) and
   the partner that makes the couple sum smallest while keeping it
-  nonnegative; odd n finishes with the single smallest entry that keeps
-  the running sum nonnegative.
+  nonnegative; an anchor without one is passed over for the rest of the
+  round. Odd n finishes with the single smallest entry that keeps the
+  running sum nonnegative.
 
 The maximization cases are the exact mirror image: negate every effect,
 solve the mirrored minimization case on ``SortedEffectList.mirror``,
@@ -24,8 +25,8 @@ mirror depend on neither n nor the direction, so each is built once per
 effect matrix and shared by every later solve. Each is sorted lazily:
 only as far as a reader has read, which for a case-2 scan is a little
 more than n entries and for case 1 the whole list, and what was sorted
-is kept for every later n. The value order, its (i, j) tie rule and its
-reflection all live here. Every selection
+is kept for every later n as one read-only head. The value order, its
+(i, j) tie rule and its reflection all live here. Every selection
 removes all entries sharing the chosen row or column, so the output is
 always a valid one-to-one assignment, and its Z statistic is the level
 the case reaches.
@@ -58,20 +59,17 @@ class SortedEffectList:
     unsorted entries up to a threshold that ``np.partition`` picks, ordered
     by ``stable_order``. Every entry equal to the threshold joins the slab,
     so a run of equal values (``0.0 == -0.0``) never straddles two slabs
-    and the head is always the head of the one stable order. ``values``,
-    ``rows`` and ``cols`` are the whole list, which case 1 reads.
+    and the head is always the head of the one stable order.
 
-    Arrays handed out are read-only: one list is shared by both directions
-    and every n solved on its matrix, and a growth only writes past them.
+    The head's arrays are read-only: one list is shared by both directions
+    and every n solved on its matrix, and a growth replaces them.
     """
 
     def __init__(self, effects: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  n_treated: int, n_control: int):
         self.n_treated, self.n_control = n_treated, n_control
         self._effects, self._rows, self._cols = effects, rows, cols
-        m = len(effects)
-        self._head = (np.empty(m), np.empty(m, dtype=rows.dtype), np.empty(m, dtype=cols.dtype))
-        self._size = 0
+        self._head = tuple(_read_only(a[:0]) for a in (effects, rows, cols))
         self._bound = -math.inf  # every entry at or below it is in the head
 
     def __len__(self) -> int:
@@ -84,11 +82,12 @@ class SortedEffectList:
         asked. The first growth sorts at least 1/64 of the list and each
         later one at least eight times the head, so a list grows at most
         three times whatever its readers ask (each growth reads the whole
-        column once).
+        column once, and copies the head, at most 1/7 of what is sorted).
         """
-        if self._size < min(k, len(self)):
-            self._grow(max(k, 8 * self._size, -(-len(self) // 64)))
-        return tuple(_read_only(a[:self._size]) for a in self._head)
+        size = len(self._head[0])
+        if size < min(k, len(self)):
+            self._grow(max(k, 8 * size, -(-len(self) // 64)))
+        return self._head
 
     def _grow(self, k: int) -> None:
         """Sort the slab that makes the head at least ``min(k, len(self))`` entries."""
@@ -97,26 +96,10 @@ class SortedEffectList:
         slab = np.flatnonzero((v > self._bound) & (v <= thr))  # ascending (i, j)
         sv = v[slab]
         local = stable_order(sv, np.argsort(sv))
-        start, self._size = self._size, self._size + len(slab)
-        values, rows, cols = (a[start:self._size] for a in self._head)
-        # every index is in range; "clip" spares the copy a "raise" take makes with out
-        np.take(sv, local, out=values, mode="clip")
         order = slab[local]
-        np.take(self._rows, order, out=rows, mode="clip")
-        np.take(self._cols, order, out=cols, mode="clip")
+        self._head = tuple(_read_only(np.concatenate((head, tail))) for head, tail in
+                           zip(self._head, (sv[local], self._rows[order], self._cols[order])))
         self._bound = thr
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.prefix(len(self))[0]
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.prefix(len(self))[1]
-
-    @property
-    def cols(self) -> np.ndarray:
-        return self.prefix(len(self))[2]
 
     @cached_property
     def mirror(self) -> "SortedEffectList":
@@ -251,14 +234,6 @@ def _partner(state: _ListState, threshold: float, anchor: int):
     return None
 
 
-def _candidate(state: _ListState, k: int, links: memoryview, end: int, barred: set):
-    """First assignable index from k along ``links`` (stop at ``end``) not in barred."""
-    k = state._seek(k, links, end)
-    while k is not None and k in barred:
-        k = state._seek(links[k], links, end)
-    return k
-
-
 def _min_case2(ylist: SortedEffectList, n: int):
     """Case 2 as one scan: the first n assignable entries in list order.
 
@@ -305,21 +280,27 @@ def _min_case1(state: _ListState, n: int):
             chosen.append(k)
             running += state.values[k]
             continue
-        barred: set = set()
-        top = _candidate(state, state.m - 1, state.prv, -1, barred)
+        top = state._seek(state.m - 1, state.prv, -1)
         if top is None:
             return Attempt("min_case1", reason="eligible pairs exhausted before n assignments")
         if state.values[top] < 0.0:
             return Attempt("min_case1", reason="largest remaining effect is negative")
+        # an anchor without a partner is passed over for the rest of the
+        # round: nothing is assigned within it, so those are exactly the
+        # assignable entries below lo or above hi
+        lo, hi = 0, state.m - 1
         while True:
-            low = _candidate(state, 0, state.nxt, state.m, barred)
-            if low is None:
+            low = state.forward(lo)
+            high = state._seek(hi, state.prv, -1)
+            if low is None or high is None or low > high:
                 return Attempt("min_case1", reason="no anchor admits a nonnegative couple")
-            high = _candidate(state, state.m - 1, state.prv, -1, barred)
             anchor = low if abs(state.values[low]) <= state.values[high] else high
             q = _partner(state, -state.values[anchor], anchor=anchor)
             if q is None:
-                barred.add(anchor)
+                if anchor == low:
+                    lo = low + 1
+                else:
+                    hi = high - 1
                 continue
             state.assign(anchor)
             state.assign(q)

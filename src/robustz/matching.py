@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable
@@ -89,8 +88,10 @@ class MatchMatrix:
     """Sparse bipartite eligibility over treated rows x control columns.
 
     The eligible pairs are the int64 arrays ``rows`` and ``cols`` in strictly
-    increasing (i, j) order, those of row i at ``row_start[i]:row_start[i + 1]``.
-    This class owns that format: every later layer indexes these arrays.
+    increasing (i, j) order, those of row i at ``row_start[i]:row_start[i + 1]``;
+    ``positions`` finds pairs by their codes ``i * n_control + j``, which the
+    constructor builds to check that order. This class owns that format:
+    every later layer indexes these arrays.
 
     A side given as a count instead of ids has the synthetic ids ``t0, t1, ...``
     (treated) or ``c0, c1, ...`` (control), built when they are first read.
@@ -112,7 +113,7 @@ class MatchMatrix:
             raise MatchingError(f"eligible pair ({rows[k]}, {cols[k]}) {what}")
         self._ids = {"t": treated_ids, "c": control_ids}
         self.n_treated, self.n_control = nt, nc
-        self.rows, self.cols = rows, cols
+        self.rows, self.cols, self._codes = rows, cols, code
         self.row_start = np.searchsorted(rows, np.arange(nt + 1))
 
     def _read_ids(self, side: str) -> tuple[str, ...]:
@@ -143,25 +144,10 @@ class MatchMatrix:
         """Number of distinct control columns with at least one eligible pair."""
         return int(np.count_nonzero(np.bincount(self.cols, minlength=self.n_control)))
 
-    def position(self, i: int, j: int) -> int:
-        """Index of eligible pair (i, j) in the arrays; KeyError for any other pair."""
-        if 0 <= i < self.n_treated:
-            lo, hi = self.row_start[i], self.row_start[i + 1]
-            k = lo + int(np.searchsorted(self.cols[lo:hi], j))
-            if k < hi and self.cols[k] == j:
-                return int(k)
-        raise KeyError((i, j))
-
-    @cached_property
-    def _codes(self) -> np.ndarray:
-        """The pairs' increasing (i, j) codes ``i * n_control + j``, built on first use."""
-        return self.rows * self.n_control + self.cols
-
     def positions(self, rows, cols) -> np.ndarray:
         """Indices of eligible pairs (rows[k], cols[k]); KeyError for the first other pair.
 
-        One ``searchsorted`` over the pairs' (i, j) codes, which the arrays
-        hold in increasing order; the codes are built once per matrix.
+        One ``searchsorted`` over the pairs' increasing (i, j) codes.
         """
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         nc = self.n_control
@@ -231,7 +217,8 @@ class _EffectView(Mapping):
         self._em = em
 
     def __getitem__(self, pair: tuple[int, int]) -> float:
-        return self._em.values[self._em.match.position(*pair)].item()
+        i, j = pair
+        return self._em.values[self._em.match.positions([i], [j])[0]].item()
 
     def __iter__(self):
         return zip(self._em.match.rows.tolist(), self._em.match.cols.tolist())

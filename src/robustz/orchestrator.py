@@ -158,12 +158,9 @@ def find_max_feasible_n(em: EffectMatrix, n_min: int = 2,
     """Largest n in [n_min, n_max] with n disjoint eligible pairs, else None.
 
     Feasibility is matchability, so the answer is the maximum matching
-    size capped by the range, and one direction's ladder decides it:
-    ``solve`` returns no assignment only after case 3 has found fewer
-    than n disjoint pairs, any other outcome is an assignment of n
-    disjoint pairs (found by some case or by the fallback), and the min
-    and max solves reach the same maximum cardinality. ``n_max`` defaults
-    to the smaller matched side.
+    size capped by the range, and the min assignment-solver pass decides
+    it: an n-pair assignment exists exactly when the pass reaches n
+    augmentations. ``n_max`` defaults to the smaller matched side.
     """
     if n_max is not None and n_min > n_max:
         raise ValueError(f"invalid search range [{n_min}, {n_max}]")
@@ -173,7 +170,7 @@ def find_max_feasible_n(em: EffectMatrix, n_min: int = 2,
     low = max(n_min, 2)
     if top < low:
         return None
-    if solve(em, top, "min").assignment is not None:
+    if case3_selection(em, top, "min") is not None:
         return top
-    cardinality = hungarian_min(em).cardinality  # that solve's linear rung ended the min pass
+    cardinality = hungarian_min(em).cardinality  # that selection ended the min pass
     return cardinality if cardinality >= low else None

@@ -78,7 +78,7 @@ def validate_assignment(a: Assignment, em: EffectMatrix) -> None:
     cols = set()
     for i, j in a.pairs:
         try:
-            em.match.position(i, j)
+            em.match.positions([i], [j])
         except KeyError:
             raise ValueError(f"pair ({i}, {j}) is not eligible") from None
         if i in rows:

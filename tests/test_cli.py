@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from robustz.cli import main
+from robustz.cli import _emit, main
 from robustz.data_io import ConfigError, load_config
 
 TIMING_FIELDS = ("ms",)
@@ -192,6 +192,26 @@ class TestTest:
         assert [doc[k] for k in ("z_min", "z_max", "gamma_min", "gamma_max")] == [z] * 4
         assert doc["degenerate_min"] and doc["degenerate_max"]
         assert "allowable_gap" not in doc
+
+    @pytest.mark.parametrize("y", [3.0, 0.0, 1.0])
+    def test_degenerate_reports_are_strict_json(self, tmp_path, capsys, y):
+        # sigma is 0 for every effect y - 1, and y = 1 makes every effect zero
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        config = write_fixture(tmp_path, [(y, "a", True), (y, "a", True),
+                                          (1.0, "a", False), (1.0, "a", False)])
+        out = tmp_path / "report.json"
+        assert main(["test", "--config", str(config), "--n", "2", "--out", str(out)]) == 0
+        for text in (capsys.readouterr().out, out.read_text()):
+            doc = json.loads(text, parse_constant=refuse)
+            assert doc["degenerate_min"] and doc["degenerate_max"]
+        if y == 1.0:
+            assert (doc["z_min"], doc["z_max"]) == (0.0, 0.0)
+
+    def test_nan_fails_loudly(self):
+        with pytest.raises(ValueError):
+            _emit({"z_min": float("nan")})
 
 
 class TestSweep:

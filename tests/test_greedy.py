@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from robustz.greedy import (
     greedy_min,
     stable_order,
 )
+from robustz.matching import EffectMatrix, MatchMatrix
 from robustz.statistic import stats_from_values, validate_assignment, z_statistic
 
 from conftest import brute_force_extrema, make_em, random_instance
@@ -27,7 +29,7 @@ def ylist_of(effects):
 
 
 def entries(yl):
-    return list(zip(yl.values.tolist(), yl.rows.tolist(), yl.cols.tolist()))
+    return list(zip(*(a.tolist() for a in yl.prefix(len(yl)))))
 
 
 class TestSortedList:
@@ -50,11 +52,12 @@ class TestSortedList:
             draw = rng.choice((lambda: rng.uniform(-5.0, 5.0), lambda: rng.randint(-2, 2),
                                lambda: rng.choice((0.0, -0.0))))
             yl = ylist_of({k: draw() for k in em.effect})
-            order = np.argsort(-yl.values, kind="stable")
-            assert entries(yl.mirror) == list(zip((-yl.values[order]).tolist(),
-                                                  yl.rows[order].tolist(),
-                                                  yl.cols[order].tolist()))
-            ties = (yl.values[1:] == yl.values[:-1]).any()
+            values, rows, cols = yl.prefix(len(yl))
+            order = np.argsort(-values, kind="stable")
+            assert entries(yl.mirror) == list(zip((-values[order]).tolist(),
+                                                  rows[order].tolist(),
+                                                  cols[order].tolist()))
+            ties = (values[1:] == values[:-1]).any()
             lists["with_ties" if ties else "tie_free"] += 1
         assert all(lists.values()), lists
 
@@ -82,7 +85,7 @@ class TestSharedList:
         assert build_sorted_list(em).mirror is yl.mirror
 
     def test_prefix_arrays_are_read_only_and_kept(self):
-        # a later growth writes past the arrays handed out, never into them
+        # a later growth replaces the arrays handed out, never writes into them
         yl = ylist_of({(i, j): float(5 * i - j) + 0.5 for i in range(9) for j in range(9)})
         for lst in (yl, yl.mirror):
             head = lst.prefix(3)
@@ -91,14 +94,14 @@ class TestSharedList:
             for array in head:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[1]
-            full = (lst.values, lst.rows, lst.cols)
+            full = lst.prefix(len(lst))
             for array, copy, whole in zip(head, copies, full):
                 assert array.tolist() == copy.tolist() == whole[:len(copy)].tolist()
 
     def test_arrays_are_read_only(self):
         yl = ylist_of({(0, 0): 1.0, (1, 1): -1.0})
         for lst in (yl, yl.mirror):
-            for array in (lst.values, lst.rows, lst.cols):
+            for array in lst.prefix(len(lst)):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[1]
 
@@ -316,6 +319,25 @@ class TestLazyList:
         assert greedy_max(yl, 10, "case1").assignment is not None
         for lst in (yl, yl.mirror):
             assert len(lst.prefix(0)[0]) < len(lst) // 20
+
+    def test_small_heads_hold_little_memory(self):
+        # what stays held is the mirror's negated column (8 bytes a pair) and
+        # two heads of about 1/64 of the list (24 bytes an entry each); three
+        # full-length head buffers per list would hold 56 bytes a pair
+        m = 200_000
+        rng = np.random.default_rng(3)
+        rows, cols = np.divmod(np.sort(rng.choice(1000 * 1000, size=m, replace=False)), 1000)
+        em = EffectMatrix(MatchMatrix(1000, 1000, rows, cols), rng.uniform(-100.0, 100.0, size=m))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            yl = build_sorted_list(em)
+            assert greedy_min(yl, 10, "case2").assignment is not None
+            assert greedy_max(yl, 10, "case1").assignment is not None
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 10 * m, held
 
     def test_case1_reads_the_full_list(self):
         effects = {(i, j): float((7 * i + 3 * j) % 11 - 5) for i in range(40) for j in range(40)}

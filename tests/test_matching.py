@@ -240,9 +240,9 @@ class TestBuildMatchMatrix:
             assert mm.row_start.tolist() == [0, 2, 3]
             assert (mm.n_treated, mm.n_control) == (2, 3)
             assert (mm.matched_treated, mm.matched_control) == (2, 3)
-            assert mm.position(0, 2) == 1
+            assert mm.positions([0], [2]).tolist() == [1]
             with pytest.raises(KeyError):
-                mm.position(1, 0)
+                mm.positions([1], [0])
 
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 10))
     @settings(max_examples=200)
@@ -324,7 +324,7 @@ class TestBuildEffectMatrix:
             em = make_em(effects)
             yl = build_sorted_list(em)
             order = np.argsort(em.values, kind="stable")
-            assert (yl.values.tolist(), yl.rows.tolist(), yl.cols.tolist()) == (
+            assert tuple(a.tolist() for a in yl.prefix(len(yl))) == (
                 em.values[order].tolist(), em.match.rows[order].tolist(),
                 em.match.cols[order].tolist())
 
@@ -345,10 +345,9 @@ class TestBuildEffectMatrix:
 
     def test_positions_builds_its_codes_once(self):
         mm = make_em({(0, 1): 1.0, (1, 0): 2.0, (2, 2): 3.0}).match
-        assert mm.position(2, 2) == 2
-        assert "_codes" not in vars(mm)  # neither the matrix nor position builds them
+        codes = mm._codes  # built by the constructor, which checks their order
+        assert codes.tolist() == [1, 3, 8]
         assert mm.positions([2, 0], [2, 1]).tolist() == [2, 0]
-        codes = mm._codes
         assert mm.positions([1], [0]).tolist() == [1]
         assert mm._codes is codes
 
@@ -358,19 +357,21 @@ class TestBuildEffectMatrix:
             em = make_em({(i, j): rng.uniform(-10.0, 10.0) for i in range(nt) for j in range(nc)
                           if rng.random() < 0.5}, nt, nc)
             mm = em.match
-            pairs = list(zip(mm.rows.tolist(), mm.cols.tolist()))
+            index = {pair: k for k, pair in enumerate(zip(mm.rows.tolist(), mm.cols.tolist()))}
+            pairs = list(index)
             rng.shuffle(pairs)
             pairs = pairs[:rng.randint(0, len(pairs))]
-            expected = [mm.position(i, j) for i, j in pairs]
+            expected = [index[pair] for pair in pairs]
             assert mm.positions([i for i, _ in pairs], [j for _, j in pairs]).tolist() == expected
             stats = em.pair_stats(pairs)
             assert stats == stats_from_values(em.values[expected].tolist())
             # (i, n_control) shares its code with (i + 1, 0): the range check tells them apart
             absent = [(i, j) for i in range(-1, nt + 1) for j in range(-1, nc + 1)
-                      if not (0 <= i < nt and 0 <= j < nc) or (i, j) not in em.effect]
+                      if (i, j) not in index]
             bad = rng.choice(absent)
+            assert bad not in em.effect
             with pytest.raises(KeyError) as caught:
-                mm.position(*bad)
+                mm.positions([bad[0]], [bad[1]])
             assert caught.value.args == (bad,)
             for first in (pairs + [bad, absent[0]], [bad] + pairs):
                 with pytest.raises(KeyError) as caught:

@@ -1,4 +1,4 @@
-"""scripts/solver_digest.py still runs against the library's current API.
+"""scripts/solver_digest.py runs on the library's current API and prints the recorded digests.
 
 The digest records a solver's exception as part of its output, so an API
 change that breaks the script would change the digest instead of failing
@@ -44,3 +44,16 @@ def test_digest_smoke_run(monkeypatch):
     assert len(passes) == 2 * (60 + 2)
     solved = [text for text in passes if not text.startswith("ValueError: empty eligibility")]
     assert solved and all(text.startswith("(CostMatching(pairs=((") for text in solved)
+
+
+SOLVERS = "40b0b803df7cad52cb59a0b4accf75408ad23ed5533efbb38f0451f86a0a6542"
+MODELS = "b3c8f54866e116a9bcd8e8e445f5876a9c50eda29fa900d79191512c4f2b2c19"
+
+
+def test_digest_is_unchanged():
+    """The full digest equals the two recorded lines.
+
+    A change that alters solver results or model files on purpose updates
+    both lines here and says so in CHANGES.md.
+    """
+    assert _digest_module().digest() == (SOLVERS, MODELS)

@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .data_types import DataError, Dataset, Unit
-from .data_io import ConfigError, NSpec, Predicate, RunConfig, TreatmentRule, load_config, load_dataset
+from .data_io import (ConfigError, DataError, Dataset, NSpec, Predicate, RunConfig, TreatmentRule,
+                      Unit, load_config, load_dataset)
 from .matching import (
     Block,
     CovariateRule,

@@ -22,8 +22,8 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field
+from typing import Mapping
 
-from .data_types import DataError, Dataset, Unit
 from .matching import CovariateRule, MatchingError
 from .oracle import DEFAULT_BUDGET as DEFAULT_ORACLE_BUDGET
 
@@ -34,6 +34,37 @@ _OPS = tuple(_COMPARE)
 
 class ConfigError(ValueError):
     """Raised when a run configuration is malformed or inconsistent."""
+
+
+class DataError(ValueError):
+    """Raised when a dataset violates its schema or invariants."""
+
+
+@dataclass(frozen=True)
+class Unit:
+    """One sample: covariates, treatment flag, continuous outcome."""
+
+    id: str
+    covariates: Mapping[str, float | str]
+    treatment: bool
+    outcome: float
+
+
+@dataclass(frozen=True)
+class Dataset:
+    """Units kept by the treatment rule, plus the count of excluded rows."""
+
+    units: tuple[Unit, ...]
+    excluded: int = 0
+
+    def __post_init__(self):
+        for u in self.units:
+            if not math.isfinite(u.outcome):
+                raise DataError(f"unit {u.id!r} has non-finite outcome {u.outcome!r}")
+        if not any(u.treatment for u in self.units):
+            raise DataError("empty treated group")
+        if not any(not u.treatment for u in self.units):
+            raise DataError("empty control group")
 
 
 def _as_number(raw):

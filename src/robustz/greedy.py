@@ -35,7 +35,6 @@ the case reaches.
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -150,25 +149,17 @@ class Attempt:
     reason: str | None = None
 
 
-# one sorted list per effect matrix; no strong reference to the matrix
-_SORTED: weakref.WeakKeyDictionary[EffectMatrix, SortedEffectList] = (
-    weakref.WeakKeyDictionary())
-
-
 def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
     """All eligible effects (zeros included) in ascending value order, ties by (i, j).
 
     The list does not depend on n or the direction, so it is built once per
-    matrix and shared by every later call; it sorts itself as far as its
-    readers ask, and keeps what it sorted. The cache holds the matrix
-    weakly; a matrix is not modified once built.
+    matrix into its ``derived`` store and shared by every later call; it
+    sorts itself as far as its readers ask, and keeps what it sorted.
     """
-    ylist = _SORTED.get(em)
-    if ylist is None:
-        ylist = SortedEffectList(em.values, em.match.rows, em.match.cols,
-                                 em.n_treated, em.n_control)
-        _SORTED[em] = ylist
-    return ylist
+    if "sorted" not in em.derived:
+        em.derived["sorted"] = SortedEffectList(em.values, em.match.rows, em.match.cols,
+                                                em.n_treated, em.n_control)
+    return em.derived["sorted"]
 
 
 def _views(ylist: SortedEffectList, k: int) -> tuple[memoryview, memoryview, memoryview]:

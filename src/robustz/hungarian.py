@@ -32,30 +32,25 @@ from a heap-ordered Dijkstra over the columns:
   stands until a benchmark workload has such rows.
 
 Neither direction's matching depends on n, so each effect matrix has
-one pass per direction, a ``CostMatching`` shared by every test on it
-and advanced only as far as it is read: ``case3_selection`` at n stops
-the pass after its n-th augmentation, and a larger n, or
-``hungarian_min``/``hungarian_max`` (which return the pass run to
-maximum cardinality), resume it. The pass keeps one record of the
-matching, its log of augmenting paths; ``assignment(k)`` replays the
-first k of them, and a caller that wants the effect sum reads it from
-that assignment's ``pair_stats``.
+one pass per direction, a ``CostMatching`` kept in the matrix's
+``derived`` store, shared by every test on it and advanced only as far
+as it is read: ``case3_selection`` at n stops the pass after its n-th
+augmentation, and a larger n, or ``hungarian_min``/``hungarian_max``
+(which return the pass run to maximum cardinality), resume it. The pass
+keeps one record of the matching, its log of augmenting paths;
+``assignment(k)`` replays the first k of them, and a caller that wants
+the effect sum reads it from that assignment's ``pair_stats``.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .matching import EffectMatrix
 from .statistic import Assignment
-
-# passes by effect matrix, then by negate; no strong reference to the matrix
-_SOLVED: weakref.WeakKeyDictionary[EffectMatrix, dict[bool, CostMatching]] = (
-    weakref.WeakKeyDictionary())
 
 
 def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.ndarray,
@@ -238,13 +233,12 @@ def _pass(em: EffectMatrix, negate: bool) -> CostMatching:
     """The direction's pass over the matrix, started once per effect matrix.
 
     Neither direction's matching depends on n, so the feasible-n search,
-    the reported test and every n of a sweep share one pass each. The
-    cache holds the matrix weakly; a matrix is not modified once built.
+    the reported test and every n of a sweep share one pass each, kept in
+    the matrix's ``derived`` store under ``("pass", negate)``.
     """
-    by_direction = _SOLVED.setdefault(em, {})
-    if negate not in by_direction:
-        by_direction[negate] = CostMatching(em, negate)
-    return by_direction[negate]
+    if ("pass", negate) not in em.derived:
+        em.derived["pass", negate] = CostMatching(em, negate)
+    return em.derived["pass", negate]
 
 
 def hungarian_min(em: EffectMatrix) -> CostMatching:

@@ -23,12 +23,15 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .data_types import Dataset
 from .statistic import PairStats, stats_from_values
+
+if TYPE_CHECKING:
+    from .data_io import Dataset
 
 
 class MatchingError(ValueError):
@@ -147,9 +150,15 @@ class MatchMatrix:
     def positions(self, rows, cols) -> np.ndarray:
         """Indices of eligible pairs (rows[k], cols[k]); KeyError for the first other pair.
 
-        One ``searchsorted`` over the pairs' increasing (i, j) codes.
+        One ``searchsorted`` over the pairs' increasing (i, j) codes; a pair
+        that is not two int64 integers (0.5, "1", 2**70) is never eligible.
         """
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if rows.dtype.kind != "i" or cols.dtype.kind != "i":
+            for pair in zip(rows.tolist(), cols.tolist()):
+                if not all(isinstance(x, int) and -2**63 <= x < 2**63 for x in pair):
+                    raise KeyError(pair)
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
         nc = self.n_control
         want = rows * nc + cols
         found = np.searchsorted(self._codes, want)
@@ -166,10 +175,12 @@ class EffectMatrix:
 
     ``values[k]`` is the effect of pair ``(match.rows[k], match.cols[k])``;
     an effect that is not finite or exceeds ``MAX_EFFECT`` in magnitude
-    raises MatchingError. ``values`` is read-only: the solvers cache work
-    per matrix (one sorted list, one assignment-solver pass per
-    direction), which holds only while a matrix is not modified once
-    built.
+    raises MatchingError. ``values`` is read-only and a matrix is never
+    modified, so what is derived from it alone (the sorted list, one solver
+    pass per direction, ``effect``) is built on first use into its
+    ``derived`` dict and kept for its life. No stored value refers back to
+    the matrix; a pickle or copy starts with an empty store (a suspended
+    pass is a generator, which does not pickle).
     """
 
     def __init__(self, match: MatchMatrix, values):
@@ -184,15 +195,22 @@ class EffectMatrix:
         self.match, self.values = match, values.view()
         self.values.setflags(write=False)
         self.nnz, self.n_treated, self.n_control = match.nnz, match.n_treated, match.n_control
+        self.derived: dict = {}
+
+    def __getstate__(self):
+        return {**self.__dict__, "derived": {}}
 
     @property
     def effect(self) -> Mapping[tuple[int, int], float]:
-        """Read-only (i, j) -> effect view over the arrays."""
-        return _EffectView(self)
+        """Read-only (i, j) -> effect dict of every eligible pair, built on first read."""
+        if "effect" not in self.derived:
+            pairs = zip(self.match.rows.tolist(), self.match.cols.tolist())
+            self.derived["effect"] = MappingProxyType(dict(zip(pairs, self.values.tolist())))
+        return self.derived["effect"]
 
     def pair_stats(self, pairs: Iterable[tuple[int, int]]) -> PairStats:
         """S, Q, n and sigma_hat of the effects of eligible pairs, given in any order."""
-        ij = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        ij = np.array(list(pairs)).reshape(-1, 2)
         return stats_from_values(self.values[self.match.positions(ij[:, 0], ij[:, 1])].tolist())
 
     @classmethod
@@ -208,23 +226,6 @@ class EffectMatrix:
         by_ij = np.argsort(rows * nc + cols)  # the map's keys are distinct
         mm = MatchMatrix(nt, nc, rows[by_ij], cols[by_ij])
         return cls(mm, np.fromiter(effects.values(), dtype=np.float64, count=nnz)[by_ij])
-
-
-class _EffectView(Mapping):
-    """(i, j) -> effect lookups on an EffectMatrix, without building a dict."""
-
-    def __init__(self, em: EffectMatrix):
-        self._em = em
-
-    def __getitem__(self, pair: tuple[int, int]) -> float:
-        i, j = pair
-        return self._em.values[self._em.match.positions([i], [j])[0]].item()
-
-    def __iter__(self):
-        return zip(self._em.match.rows.tolist(), self._em.match.cols.tolist())
-
-    def __len__(self) -> int:
-        return self._em.nnz
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from robustz.data_io import ConfigError, NSpec, Predicate, load_config, load_dataset
-from robustz.data_types import DataError, Dataset, Unit
+from robustz.data_io import (ConfigError, DataError, Dataset, NSpec, Predicate, Unit,
+                             load_config, load_dataset)
 
 
 def write_config(tmp_path, doc, name="config.json"):

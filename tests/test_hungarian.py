@@ -1,8 +1,10 @@
 """Assignment solver tests: exactness, deficiency handling, case 3."""
 
+import copy
 import gc
 import itertools
 import math
+import pickle
 import random
 import time
 import weakref
@@ -10,7 +12,6 @@ import weakref
 import numpy as np
 import pytest
 
-import robustz.hungarian as hungarian
 import robustz.orchestrator as orchestrator
 from robustz.greedy import Attempt
 from robustz.hungarian import case3_selection, hungarian_max, hungarian_min
@@ -321,9 +322,9 @@ class TestResumablePass:
         for direction, negate in (("min", False), ("max", True)):
             for n in (30, 34):
                 assert case3_selection(em, n, direction).n == n
-                assert hungarian._SOLVED[em][negate].cardinality == n
+                assert em.derived["pass", negate].cardinality == n
             assert case3_selection(em, 31, direction).n == 31  # read off the log
-            assert hungarian._SOLVED[em][negate].cardinality == 34
+            assert em.derived["pass", negate].cardinality == 34
 
     def test_full_solve_resumes_the_pass(self, monkeypatch):
         fresh = {solver: solver(self._em()) for solver in (hungarian_min, hungarian_max)}
@@ -332,7 +333,7 @@ class TestResumablePass:
         for solver, direction, negate in ((hungarian_min, "min", False),
                                           (hungarian_max, "max", True)):
             selection = case3_selection(em, 36, direction)
-            advanced = hungarian._SOLVED[em][negate]
+            advanced = em.derived["pass", negate]
             full = solver(em)
             assert full is advanced  # resumed, not started again
             want = fresh[solver]
@@ -347,18 +348,47 @@ class TestResumablePass:
         assert calls == [False, True]
 
     def test_a_suspended_pass_does_not_hold_the_matrix(self):
-        gc.collect()
-        before = len(hungarian._SOLVED)
         em = self._em()
+        assert not any(key in em.derived for key in (("pass", False), ("pass", True)))
         result = run_test(em, 36, 0.05)
         assert (result.case_used_min, result.case_used_max) == ("min_case3", "max_case3")
-        assert len(hungarian._SOLVED) == before + 1
-        assert all(run.cardinality == 36 for run in hungarian._SOLVED[em].values())
+        runs = [em.derived["pass", negate] for negate in (False, True)]
+        assert all(run.cardinality == 36 for run in runs)
         ref = weakref.ref(em)
-        del em
+        del em, runs
         gc.collect()
         assert ref() is None
-        assert len(hungarian._SOLVED) == before
+
+
+class TestDerivedStore:
+    """What a matrix derives is kept on it, refers not back to it and is never copied."""
+
+    def _solved(self):
+        em = make_em(TestResumablePass._effects(), 40, 40)
+        result = run_test(em, 36, 0.05)
+        assert (result.case_used_min, result.case_used_max) == ("min_case3", "max_case3")
+        assert len(em.effect) == em.nnz
+        return em, result
+
+    def test_the_matrix_is_freed_by_reference_counting(self):
+        em, _ = self._solved()
+        ref = weakref.ref(em)
+        enabled = gc.isenabled()
+        gc.disable()  # a cycle through a stored value would keep the matrix
+        try:
+            del em
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_copies_start_with_an_empty_store(self):
+        em, result = self._solved()
+        for twin in (pickle.loads(pickle.dumps(em)), copy.deepcopy(em), copy.copy(em)):
+            assert twin.derived == {}
+            assert twin.values.tolist() == em.values.tolist()
+            assert run_test(twin, 36, 0.05) == result
+        assert run_test(em, 36, 0.05) == result
 
 
 # every sixth TestScipyOracle map has rows wider than this, far wider than

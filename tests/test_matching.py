@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustz import matching
-from robustz.data_types import Dataset, Unit
+from robustz.data_io import Dataset, Unit
 from robustz.greedy import build_sorted_list
 from robustz.matching import (
     Block,
@@ -274,6 +274,24 @@ class TestBuildEffectMatrix:
         mm = build_match_matrix(ds, [CovariateRule("g", "exact")])
         em = build_effect_matrix(mm, ds)
         assert (0, 1) not in em.effect
+
+    def test_effect_is_a_read_only_dict_of_every_pair(self):
+        em = make_em({(0, 0): 1.5, (0, 2): -2.0, (1, 1): 0.0, (2, 0): 7.0})
+        pairs = zip(em.match.rows.tolist(), em.match.cols.tolist())
+        assert em.effect == dict(zip(pairs, em.values.tolist()))
+        assert em.effect is em.effect  # built once
+        with pytest.raises(TypeError):
+            em.effect[(0, 0)] = 3.0
+        assert (0.5, 0) not in em.effect
+        assert (2**70, 0) not in em.effect
+
+    def test_pair_stats_rejects_pairs_that_are_not_integers(self):
+        em = make_em({(0, 0): 1.0, (1, 1): 2.0})
+        for bad in ((0.7, 0), ("1", 1), (2**70, 0)):
+            with pytest.raises(KeyError):
+                em.pair_stats([bad, (1, 1)])
+        assert em.pair_stats([]).n == 0
+        assert em.match.positions([], []).tolist() == []
 
     def test_zero_effect_is_stored(self):
         ds = dataset_from([({"g": "a"}, True, 5.0), ({"g": "a"}, False, 5.0)])

@@ -57,6 +57,11 @@ class TestValidateAssignment:
         with pytest.raises(ValueError, match="not eligible"):
             validate_assignment(Assignment(frozenset({(0, 1), (1, 0)})), em)
 
+    def test_rejects_a_float_pair(self):
+        em = make_em({(0, 0): 4, (1, 1): 2})
+        with pytest.raises(ValueError, match=r"pair \(0\.5, 0\) is not eligible"):
+            validate_assignment(Assignment(frozenset({(0.5, 0), (1, 1)})), em)
+
     def test_rejects_duplicate_row(self):
         em = make_em({(0, 0): 4, (0, 1): 1, (1, 1): 2})
         with pytest.raises(ValueError, match="treated index 0 used twice"):

@@ -21,7 +21,7 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   and after that record was merged into the pass compare equal),
   ``partition_blocks`` (blocks and ``identical_rows`` flags, printed as
   the repr of the one-field ``BlockPartition`` record it once returned),
-  ``enumerate_extrema`` at n = 2,
+  ``enumerate_extrema`` at n = 2 and 3,
   ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
   in both cases (with ``pair_stats`` of each greedy assignment's pairs in
   a seeded shuffled order), ``case3_selection`` and ``solve`` with every
@@ -201,7 +201,7 @@ def digest() -> tuple[str, str]:
     for _ in range(INSTANCES):
         em = _instance(rng)
         out = [*_full_passes(em), _call(partition_blocks, em.match, canon=_partition),
-               _call(enumerate_extrema, em, 2)]
+               _call(enumerate_extrema, em, 2), _call(enumerate_extrema, em, 3)]
         ylist = build_sorted_list(em)
         for n in NS:
             for fn in (greedy_min, greedy_max):

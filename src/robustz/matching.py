@@ -87,6 +87,15 @@ class CovariateRule:
             raise MatchingError(f"exact rule for {self.column!r} does not take a tolerance")
 
 
+def _int64_pairs(rows: np.ndarray, cols: np.ndarray, error) -> tuple[np.ndarray, np.ndarray]:
+    """rows and cols as int64; raises ``error(pair)`` for the first pair not two int64 integers."""
+    if rows.dtype.kind != "i" or cols.dtype.kind != "i":  # read pair by pair: 0.5, "1", 2**70 fail
+        for pair in zip(rows.tolist(), cols.tolist()):
+            if not all(isinstance(x, int) and -2**63 <= x < 2**63 for x in pair):
+                raise error(pair)
+    return rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+
+
 class MatchMatrix:
     """Sparse bipartite eligibility over treated rows x control columns.
 
@@ -103,7 +112,11 @@ class MatchMatrix:
     def __init__(self, treated_ids: tuple[str, ...] | int, control_ids: tuple[str, ...] | int,
                  rows, cols):
         nt, nc = (ids if isinstance(ids, int) else len(ids) for ids in (treated_ids, control_ids))
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise MatchingError(f"rows and cols need one 1-D shape, got {rows.shape}, {cols.shape}")
+        rows, cols = _int64_pairs(
+            rows, cols, lambda pair: MatchingError(f"eligible pair {pair} is not two integers"))
         out = np.flatnonzero((rows < 0) | (rows >= nt) | (cols < 0) | (cols >= nc))
         if len(out):
             k = out[0]
@@ -153,12 +166,7 @@ class MatchMatrix:
         One ``searchsorted`` over the pairs' increasing (i, j) codes; a pair
         that is not two int64 integers (0.5, "1", 2**70) is never eligible.
         """
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        if rows.dtype.kind != "i" or cols.dtype.kind != "i":
-            for pair in zip(rows.tolist(), cols.tolist()):
-                if not all(isinstance(x, int) and -2**63 <= x < 2**63 for x in pair):
-                    raise KeyError(pair)
-        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+        rows, cols = _int64_pairs(np.asarray(rows), np.asarray(cols), KeyError)
         nc = self.n_control
         want = rows * nc + cols
         found = np.searchsorted(self._codes, want)
@@ -185,6 +193,8 @@ class EffectMatrix:
 
     def __init__(self, match: MatchMatrix, values):
         values = np.asarray(values, dtype=np.float64)
+        if values.shape != (match.nnz,):
+            raise MatchingError(f"effect column has shape {values.shape}, expected ({match.nnz},)")
         bad = np.flatnonzero(~(np.abs(values) <= MAX_EFFECT))  # NaN fails the test too
         if len(bad):
             k, v = bad[0], values[bad[0]].item()

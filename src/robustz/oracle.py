@@ -1,9 +1,13 @@
 """Exhaustive ground truth for desk-scale instances.
 
 Enumerates every valid assignment of exactly n eligible, row- and
-column-disjoint pairs by backtracking over treated rows in sorted
-order, and reports exact extremes of the Z statistic (degenerate
-assignments included, with their signed-infinity values).
+column-disjoint pairs and reports exact extremes of the Z statistic
+(degenerate assignments included, with their signed-infinity values).
+Assignments come in a fixed order: treated rows ascending, each row's
+columns ascending, and every assignment that uses a row before any that
+skips it. Ties keep the first assignment in that order. The budget counts
+evaluated assignments, and the recursion is n levels deep, whatever the
+number of rows.
 """
 
 from __future__ import annotations
@@ -30,6 +34,22 @@ class OracleResult:
     degenerate_seen: bool
 
 
+def _assignments(rows, start, n, picked, used):
+    """Yield ``picked``, extended in place, once per n pairs from rows[start:] in unused columns."""
+    for r in range(start, len(rows) - n + 1):
+        for pair in rows[r]:
+            if pair[1] in used:
+                continue
+            picked.append(pair)
+            if n == 1:
+                yield picked
+            else:
+                used.add(pair[1])
+                yield from _assignments(rows, r + 1, n - 1, picked, used)
+                used.remove(pair[1])
+            picked.pop()
+
+
 def enumerate_extrema(em: EffectMatrix, n: int,
                       budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Exact max/min Z over all n-pair assignments within the eligibility set."""
@@ -38,68 +58,23 @@ def enumerate_extrema(em: EffectMatrix, n: int,
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
 
-    # (j, effect) per treated row with eligible pairs, read off the row slices once
+    # (i, j, effect) per treated row with eligible pairs, read off the row slices once
+    triples = list(zip(em.match.rows.tolist(), em.match.cols.tolist(), em.values.tolist()))
     start = em.match.row_start.tolist()
-    row_options = {i: list(zip(em.match.cols[lo:hi].tolist(), em.values[lo:hi].tolist()))
-                   for i, (lo, hi) in enumerate(zip(start, start[1:])) if lo < hi}
-    rows = list(row_options)
-
-    best = {
-        "count": 0,
-        "z_max": None,
-        "z_min": None,
-        "argmax": None,
-        "argmin": None,
-        "degenerate": False,
-    }
-    used_cols: set[int] = set()
-    picked: list[tuple[int, int, float]] = []
-
-    def evaluate() -> None:
-        best["count"] += 1
-        if best["count"] > budget:
-            raise BudgetExceededError(
-                f"enumeration exceeded the budget of {budget} assignments"
-            )
-        pairs = frozenset((i, j) for i, j, _ in picked)
+    rows = [triples[lo:hi] for lo, hi in zip(start, start[1:]) if lo < hi]
+    count, degenerate = 0, False
+    z_max = z_min = argmax = argmin = None
+    for picked in _assignments(rows, 0, n, [], set()):
+        count += 1
+        if count > budget:
+            raise BudgetExceededError(f"enumeration exceeded the budget of {budget} assignments")
         stats = stats_from_values(v for _, _, v in picked)
         z = z_statistic(stats)
-        if stats.degenerate:
-            best["degenerate"] = True
-        if best["z_max"] is None or z > best["z_max"]:
-            best["z_max"] = z
-            best["argmax"] = pairs
-        if best["z_min"] is None or z < best["z_min"]:
-            best["z_min"] = z
-            best["argmin"] = pairs
-
-    def backtrack(idx: int, needed: int) -> None:
-        if needed == 0:
-            evaluate()
-            return
-        if len(rows) - idx < needed:
-            return
-        i = rows[idx]
-        for j, v in row_options[i]:
-            if j in used_cols:
-                continue
-            used_cols.add(j)
-            picked.append((i, j, v))
-            backtrack(idx + 1, needed - 1)
-            picked.pop()
-            used_cols.remove(j)
-        # the row may also be skipped entirely
-        backtrack(idx + 1, needed)
-
-    backtrack(0, n)
-
-    if best["z_max"] is None:
+        degenerate = degenerate or stats.degenerate
+        if z_max is None or z > z_max:
+            z_max, argmax = z, frozenset((i, j) for i, j, _ in picked)
+        if z_min is None or z < z_min:
+            z_min, argmin = z, frozenset((i, j) for i, j, _ in picked)
+    if z_max is None:
         raise ValueError(f"no assignment of {n} disjoint eligible pairs exists")
-    return OracleResult(
-        z_max=best["z_max"],
-        z_min=best["z_min"],
-        argmax=Assignment(pairs=best["argmax"]),
-        argmin=Assignment(pairs=best["argmin"]),
-        enumerated=best["count"],
-        degenerate_seen=best["degenerate"],
-    )
+    return OracleResult(z_max, z_min, Assignment(argmax), Assignment(argmin), count, degenerate)

@@ -14,6 +14,7 @@ from robustz.greedy import build_sorted_list
 from robustz.matching import (
     Block,
     CovariateRule,
+    EffectMatrix,
     MatchMatrix,
     MatchingError,
     build_effect_matrix,
@@ -244,6 +245,21 @@ class TestBuildMatchMatrix:
             with pytest.raises(KeyError):
                 mm.positions([1], [0])
 
+    def test_constructor_rejects_pairs_that_are_not_integers(self):
+        for rows, cols in (([0.5, 1.7], [0, 1.9]), ([0.0, 1.0], [0, 1]), ([0, "1"], [0, 1]),
+                           ([0, 2**70], [0, 1])):
+            with pytest.raises(MatchingError, match="is not two integers"):
+                MatchMatrix(2, 2, rows, cols)
+        # integer arrays of any width and plain lists of ints are read as before
+        mm = MatchMatrix(2, 2, np.array([0, 1], dtype=np.int32), [0, 1])
+        assert mm.rows.dtype == mm.cols.dtype == np.int64
+        assert MatchMatrix(0, 0, [], []).nnz == 0
+
+    def test_constructor_rejects_pair_arrays_that_are_not_aligned(self):
+        for rows, cols in (([0, 1], [0]), ([[0, 1]], [[0, 1]]), (0, 0)):
+            with pytest.raises(MatchingError, match="one 1-D shape"):
+                MatchMatrix(2, 2, rows, cols)
+
     @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 10))
     @settings(max_examples=200)
     def test_caliper_is_symmetric(self, x, y, tol):
@@ -292,6 +308,21 @@ class TestBuildEffectMatrix:
                 em.pair_stats([bad, (1, 1)])
         assert em.pair_stats([]).n == 0
         assert em.match.positions([], []).tolist() == []
+
+    def test_short_value_column_rejected(self):
+        mm = MatchMatrix(3, 3, [0, 1, 2], [0, 1, 2])
+        with pytest.raises(MatchingError, match=r"shape \(2,\), expected \(3,\)"):
+            EffectMatrix(mm, [1.0, 2.0])
+
+    def test_long_value_column_rejected(self):
+        mm = MatchMatrix(3, 3, [0, 1, 2], [0, 1, 2])
+        with pytest.raises(MatchingError, match=r"shape \(4,\), expected \(3,\)"):
+            EffectMatrix(mm, [1.0, 2.0, 3.0, 4.0])
+
+    def test_two_dimensional_value_column_rejected(self):
+        mm = MatchMatrix(3, 3, [0, 1, 2], [0, 1, 2])
+        with pytest.raises(MatchingError, match=r"shape \(3, 1\), expected \(3,\)"):
+            EffectMatrix(mm, [[1.0], [2.0], [3.0]])
 
     def test_zero_effect_is_stored(self):
         ds = dataset_from([({"g": "a"}, True, 5.0), ({"g": "a"}, False, 5.0)])

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from robustz.oracle import BudgetExceededError, enumerate_extrema
-from robustz.statistic import validate_assignment
+from robustz.statistic import stats_from_values, validate_assignment, z_statistic
 
 from conftest import brute_force_extrema, make_em, random_instance
 
@@ -45,9 +45,26 @@ class TestCounting:
         assert res.enumerated == math.factorial(k)
 
     def test_budget_enforced(self):
+        # the budget counts evaluated assignments: this map has 4! = 24 of them
         em = make_em({(i, j): float(i + j) for i in range(4) for j in range(4)})
-        with pytest.raises(BudgetExceededError):
-            enumerate_extrema(em, 4, budget=10)
+        assert enumerate_extrema(em, 4, budget=24).enumerated == 24
+        for budget in (10, 23):
+            with pytest.raises(BudgetExceededError):
+                enumerate_extrema(em, 4, budget=budget)
+
+    def test_many_rows_do_not_deepen_the_recursion(self):
+        # 1,100 rows share column 0 and one more row holds column 1, so each
+        # assignment pairs some row r < 1100 with the last row
+        rows = 1100
+        effects = {(r, 0): float(r % 7) for r in range(rows)}
+        effects[(rows, 1)] = 1.0
+        res = enumerate_extrema(make_em(effects), 2)
+        assert res.enumerated == rows
+        z = [z_statistic(stats_from_values([r % 7, 1.0])) for r in range(rows)]
+        assert (res.z_min, res.z_max) == (min(z), max(z))
+        # ties keep the first assignment in row order
+        assert res.argmin.pairs == {(z.index(min(z)), 0), (rows, 1)}
+        assert res.argmax.pairs == {(z.index(max(z)), 0), (rows, 1)}
 
     def test_budget_validated(self):
         em = make_em({(0, 0): 1.0, (1, 1): 2.0})

@@ -46,7 +46,7 @@ def test_digest_smoke_run(monkeypatch):
     assert solved and all(text.startswith("(CostMatching(pairs=((") for text in solved)
 
 
-SOLVERS = "40b0b803df7cad52cb59a0b4accf75408ad23ed5533efbb38f0451f86a0a6542"
+SOLVERS = "73b8c4d08acb9372297ea7a74cd3226a3c05765e01fbb251ff152d5c225dd9e1"
 MODELS = "b3c8f54866e116a9bcd8e8e445f5876a9c50eda29fa900d79191512c4f2b2c19"
 
 

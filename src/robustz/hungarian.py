@@ -25,11 +25,14 @@ from a heap-ordered Dijkstra over the columns:
   column to leave the heap ends the shortest path (ties to the lowest
   column) and the search stops there (the shortest-augmenting-path
   stop of Jonker and Volgenant, Computing 38, 1987).
-* A popped row's pairs are relaxed in one Python loop. On rows of a few
-  dozen pairs, as caliper matching gives, the loop is faster than a
-  numpy slice. Rows of hundreds of pairs relax more slowly than a slice
-  would (about twice the solve time at 300 pairs per row); that trade
-  stands until a benchmark workload has such rows.
+* A popped row's pairs are relaxed in one Python loop, in (cost,
+  column) order, which stops at the first pair that would land past the
+  nearest free column's seed distance: no such pair can pop before the
+  sink. On a random 250x250 map at 20 pairs per row that skips four
+  relaxations in five, and since the loop seldom reaches a wide row's
+  end it beats a numpy slice there too: a full pass on a 600x600 map
+  at 300 pairs per row takes 0.26 s, against 0.47 s when rows wider
+  than 64 pairs relax as a slice (best of 3, 2-core Intel Xeon).
 
 Neither direction's matching depends on n, so each effect matrix has
 one pass per direction, a ``CostMatching`` kept in the matrix's
@@ -91,13 +94,34 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
     When no free column has a finite seed, every finite column is seeded.
     The state (``dist``, ``pred``, the matches) is held in Python lists,
     and a popped column's distance becomes -inf, which marks it visited;
-    during a search ``dist`` is the one copy of the distances, and every
-    popped row relaxes its pairs in the same Python loop (see the module
-    docstring for why there is no numpy path).
+    during a search ``dist`` is the one copy of the distances.
+
+    The sink pops at distance ``bound`` or less, so a search relaxes only
+    up to ``bound``. Each row's pairs are kept in (cost, column) order,
+    and every popped row relaxes them in one Python loop with two cuts:
+
+    * ``dist`` starts at ``dist_a`` capped at the float just above
+      ``bound``, so a column first reached past ``bound`` is never
+      pushed, while a tie at exactly ``bound`` still is and the lowest
+      column still wins it.
+    * The loop breaks at the first pair with ``dj + cost - ui`` above
+      ``bound``. Column potentials only fall from 0, so ``v <= 0`` and,
+      rounding being monotone, subtracting ``v[c]`` gives a distance no
+      smaller; along a cost-sorted row that partial sum only grows, so
+      every later pair lands past ``bound`` too.
+
+    Neither cut changes the search: every column whose final distance is
+    at most ``bound`` gets the same distance and predecessor, and no other
+    column pops before the sink. The order within a row changes nothing
+    either, since each column appears once per row and the heap orders
+    entries by (distance, column). When ``bound`` is inf, there is
+    neither cap nor break.
     """
     start = row_start.tolist()
-    cols_l, costs_l = cols.tolist(), costs.tolist()
-    row_pairs = [list(zip(cols_l[lo:hi], costs_l[lo:hi])) for lo, hi in zip(start, start[1:])]
+    costs_l = costs.tolist()
+    row_order = np.lexsort((cols, costs, rows))  # each row's pairs by (cost, column)
+    pairs = list(zip(cols[row_order].tolist(), [costs_l[k] for k in row_order.tolist()]))
+    row_pairs = [pairs[lo:hi] for lo, hi in zip(start, start[1:])]
     inf = math.inf
 
     v_a = np.zeros(n_cols)  # a free column's potential stays 0: it is popped only as a sink
@@ -117,16 +141,16 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
     seed_cost = np.array([by_cost[k] if k < end else inf for k, end in zip(seed_at, col_end)])
     seed_row = [by_row[k] if k < end else n_rows for k, end in zip(seed_at, col_end)]
     # the suspended pass keeps only what its searches read
-    del start, cols_l, costs_l, order, row_start, rows, cols, costs
+    del start, costs_l, row_order, order, pairs, row_start, rows, cols, costs
     live_pops = 0
 
     while True:  # until no free row has an augmenting path
         dist_a = (seed_cost - free_u) - v_a
-        bound = dist_a[free_col].min(initial=inf)
+        bound = dist_a[free_col].min(initial=inf).item()
         reached = np.flatnonzero(dist_a <= bound if bound < inf else dist_a < inf)
         heap = list(zip(dist_a[reached].tolist(), reached.tolist()))
         heapify(heap)
-        dist = dist_a.tolist()
+        dist = np.minimum(dist_a, np.nextafter(bound, inf)).tolist()
         pred = seed_row[:]
 
         popped = []  # (matched column, final distance) in pop order
@@ -144,7 +168,10 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
             popped.append((j, dj))
             ui = u[i]
             for c, cost in row_pairs[i]:
-                d = dj + cost - ui - v[c]
+                d = dj + cost - ui
+                if d > bound:
+                    break
+                d -= v[c]
                 if d < dist[c]:
                     dist[c] = d
                     pred[c] = i

@@ -176,10 +176,19 @@ class TestHungarianSparse:
             cols = rng.choice(250, size=20, replace=False).tolist()
             effects.update(((i, j), v) for j, v in zip(cols, rng.uniform(-100, 100, 20).tolist()))
         em = make_em(effects, 250, 250)
-        for solver in (hungarian_min, hungarian_max):
-            m = solver(em)
-            assert m.cardinality == 250
-            assert m.live_pops <= 20_000  # 9,384 and 10,918 at this seed
+        passes = hungarian_min(em), hungarian_max(em)
+        assert [m.cardinality for m in passes] == [250, 250]
+        # the benchmark's own shape: a pruning that changed which columns
+        # settle would change these counts
+        assert [m.live_pops for m in passes] == [9_384, 10_918]
+
+    def test_a_search_without_a_seeded_free_column_is_uncapped(self):
+        # the second search's only free column, 1, has no pair from the free
+        # row 1, so its bound is inf: neither the first distances are capped
+        # nor is any row's relaxation cut short
+        m = hungarian_min(make_em({(0, 0): -5.0, (0, 1): 0.0, (1, 0): 0.0}, 2, 2))
+        assert m.augmentations == [((0, 0),), ((0, 1), (1, 0))]
+        assert m.live_pops == 3
 
 
 class TestCase3:
@@ -449,3 +458,40 @@ class TestScipyOracle:
                 assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == card
             deficient += card < min(em.match.matched_treated, em.match.matched_control)
         assert deficient >= 10 and wide >= 8  # 15 and 9 at this seed
+
+    @staticmethod
+    def _k_reference(effects, nt, nc, k, sign):
+        """Least cost of any k-matching: a square assignment padded to exactly k real pairs.
+
+        n_c - k dummy rows take the unmatched real columns and n_t - k dummy
+        columns the unmatched real rows, each at cost 0; ineligible real
+        pairs and dummy-to-dummy pairs cost more than any k-matching can.
+        """
+        from scipy.optimize import linear_sum_assignment
+
+        big = 2.0 * math.fsum(abs(c) for c in effects.values()) + 2.0
+        matrix = np.zeros((nt + nc - k, nc + nt - k))
+        matrix[:nt, :nc] = big
+        matrix[nt:, nc:] = big
+        for (i, j), c in effects.items():
+            matrix[i, j] = sign * c
+        rows, cols = linear_sum_assignment(matrix)
+        chosen = [(i, j) for i, j in zip(rows.tolist(), cols.tolist()) if i < nt and j < nc]
+        assert len(chosen) == k and all(p in effects for p in chosen)
+        return math.fsum(sign * effects[p] for p in chosen)
+
+    def test_sampled_prefixes_match_padded_linear_sum_assignment(self):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(20261020)
+        checks = 0
+        for index in range(60):
+            em, effects = self._instance(rng, index)
+            for solver, sign in ((hungarian_min, 1.0), (hungarian_max, -1.0)):
+                m = solver(em)
+                card = m.cardinality
+                for k in sorted({1, card // 4, card // 2, 3 * card // 4, card - 1} - {0}):
+                    total = math.fsum(sign * effects[p] for p in m.assignment(k).pairs)
+                    want = self._k_reference(effects, em.n_treated, em.n_control, k, sign)
+                    assert total == pytest.approx(want, rel=1e-9, abs=1e-9), (index, sign, k)
+                    checks += 1
+        assert checks == 600  # 1, the quartiles and cardinality - 1, both ways

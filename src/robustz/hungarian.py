@@ -25,6 +25,11 @@ from a heap-ordered Dijkstra over the columns:
   column to leave the heap ends the shortest path (ties to the lowest
   column) and the search stops there (the shortest-augmenting-path
   stop of Jonker and Volgenant, Computing 38, 1987).
+* Setup ranks the pairs by (cost, (i, j)) once, and that one rank
+  orders each row's pairs and each column's. The search state
+  (distances, predecessors and a heap of the free columns' seed costs,
+  which bounds each search) lives for the whole pass; a search resets
+  only the distances it wrote.
 * A popped row's pairs are relaxed in one Python loop, in (cost,
   column) order, which stops at the first pair that would land past the
   nearest free column's seed distance: no such pair can pop before the
@@ -52,6 +57,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
+from .greedy import stable_order
 from .matching import EffectMatrix
 from .statistic import Assignment
 
@@ -83,27 +89,56 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
     the first free column popped ends a shortest path. Columns pop by
     (distance, column), so ties go to the lowest column.
 
+    Setup sorts the pairs once: the pairs come in (i, j) order, so
+    ``stable_order`` gives ``rank``, each pair's place in (cost, (i, j))
+    order, in which equal costs (``0.0`` and ``-0.0`` among them) keep
+    the (i, j) order. Sorting the int64 keys ``rows * nnz + rank`` and
+    ``cols * nnz + rank`` gives each row's pairs in (cost, column) order
+    and each column's in (cost, row) order. The keys are distinct, so
+    numpy's default sort gives the one order, and they fit in int64
+    while ``n_rows * nnz`` and ``n_cols * nnz`` stay below ``2**63``.
+
     Each Dijkstra is seeded per column with the least cost over the free
-    rows' pairs, its lowest row as predecessor. Each column's pairs are
-    sorted once by (cost, row), and the seed only moves forward past rows
-    that got matched, since a matched row stays matched. ``dist`` starts
-    as ``dist_a = (seed_cost - free_u) - v_a`` over every column, but the
-    heap gets only the columns with ``dist_a`` at most ``bound``, the
-    least ``dist_a`` of a free column: that column's own entry ends the
-    search at the latest, so no larger seed could pop before the sink.
-    When no free column has a finite seed, every finite column is seeded.
-    The state (``dist``, ``pred``, the matches) is held in Python lists,
-    and a popped column's distance becomes -inf, which marks it visited;
-    during a search ``dist`` is the one copy of the distances.
+    rows' pairs, its lowest row as predecessor: a column's seed is its
+    first pair, in (cost, row) order, from a free row, and it only moves
+    forward past rows that got matched, since a matched row stays
+    matched. A column's seed distance is ``dist_a = (seed_cost - free_u)
+    - v_a``, and the heap gets only the columns with ``dist_a`` at most
+    ``bound``, the least ``dist_a`` of a free column: that column's own
+    entry ends the search at the latest, so no larger seed could pop
+    before the sink. A free column has ``v = 0``, so ``bound`` is the
+    least free seed cost minus ``free_u``, and since rounding is monotone
+    that is the same float as the least difference. A lazy heap of (seed
+    cost, column) over the free columns keeps that least seed cost. An
+    entry is stale once its column is matched (it never becomes free
+    again) or its seed has advanced to a dearer pair, which its cost no
+    longer equal to ``seed_cost`` shows (a seed advanced at equal cost
+    leaves the entry's value right); an advanced seed pushes a new entry.
+    When no free column has a finite seed, ``bound`` is inf and every
+    finite column is seeded.
+
+    ``dist`` and ``pred`` are Python lists built once per pass. Between
+    searches every ``dist`` entry is inf; a search writes its seeds'
+    entries, a popped column's distance becomes -inf, which marks it
+    visited, and once the sink pops the search resets to inf exactly the
+    entries it wrote: the columns left in its heap, the popped columns
+    and the sink (every column it gave a finite distance was pushed, and
+    left the heap only by a pop). ``pred`` is never reset, because a
+    path reads it only at columns this search popped. During a search
+    ``dist`` is the one copy of the distances.
 
     The sink pops at distance ``bound`` or less, so a search relaxes only
     up to ``bound``. Each row's pairs are kept in (cost, column) order,
     and every popped row relaxes them in one Python loop with two cuts:
 
-    * ``dist`` starts at ``dist_a`` capped at the float just above
-      ``bound``, so a column first reached past ``bound`` is never
-      pushed, while a tie at exactly ``bound`` still is and the lowest
-      column still wins it.
+    * A relaxation is admitted when ``d < dist[c] and d <= bound``, so a
+      column first reached past ``bound`` is never pushed, while a tie at
+      exactly ``bound`` still is and the lowest column still wins it.
+      This is the set a search that started ``dist`` at ``dist_a``
+      capped at the float just above ``bound`` would admit: for a
+      float ``d``, ``d <= bound`` is ``d < nextafter(bound, inf)``, and a
+      seeded column's ``dist_a`` is at most ``bound`` already. When
+      ``bound`` is inf it admits every finite ``d``.
     * The loop breaks at the first pair with ``dj + cost - ui`` above
       ``bound``. Column potentials only fall from 0, so ``v <= 0`` and,
       rounding being monotone, subtracting ``v[c]`` gives a distance no
@@ -114,12 +149,16 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
     at most ``bound`` gets the same distance and predecessor, and no other
     column pops before the sink. The order within a row changes nothing
     either, since each column appears once per row and the heap orders
-    entries by (distance, column). When ``bound`` is inf, there is
-    neither cap nor break.
+    entries by (distance, column). When ``bound`` is inf, there is no
+    break either. The potentials then move in one loop over the popped
+    columns, which also collects them for ``v_a``.
     """
+    nnz = len(costs)
+    rank = np.empty(nnz, dtype=np.int64)  # each pair's place in (cost, (i, j)) order
+    rank[stable_order(costs, np.argsort(costs))] = np.arange(nnz)
     start = row_start.tolist()
     costs_l = costs.tolist()
-    row_order = np.lexsort((cols, costs, rows))  # each row's pairs by (cost, column)
+    row_order = np.argsort(rows * nnz + rank)  # each row's pairs by (cost, column)
     pairs = list(zip(cols[row_order].tolist(), [costs_l[k] for k in row_order.tolist()]))
     row_pairs = [pairs[lo:hi] for lo, hi in zip(start, start[1:])]
     inf = math.inf
@@ -130,28 +169,36 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
     free_u = costs.min().item()  # every reduced cost starts nonnegative
     match_row = [-1] * n_rows
     match_col = [-1] * n_cols
-    free_col = np.ones(n_cols, dtype=bool)
     # each column's pairs by (cost, row); a column's seed is its first pair
     # from a free row, and rows only ever leave the free set, so it only advances
-    order = np.lexsort((rows, costs, cols))
+    order = np.argsort(cols * nnz + rank)
     by_row = rows[order].tolist()
     by_cost = [costs_l[k] for k in order.tolist()]  # the float objects row_pairs holds
     col_end = np.searchsorted(cols[order], np.arange(1, n_cols + 1)).tolist()
     seed_at = [0] + col_end[:-1]
     seed_cost = np.array([by_cost[k] if k < end else inf for k, end in zip(seed_at, col_end)])
     seed_row = [by_row[k] if k < end else n_rows for k, end in zip(seed_at, col_end)]
+    # (seed cost, column) of the free columns; stale once the column is matched or its seed advances
+    free_seeds = [(c, j) for j, c in enumerate(seed_cost.tolist()) if c < inf]
+    heapify(free_seeds)
+    dist = [inf] * n_cols  # inf between searches; a popped column is -inf
+    pred = [-1] * n_cols  # read only where this search wrote it
     # the suspended pass keeps only what its searches read
-    del start, costs_l, row_order, order, pairs, row_start, rows, cols, costs
+    del rank, start, costs_l, row_order, order, pairs, row_start, rows, cols, costs
     live_pops = 0
 
     while True:  # until no free row has an augmenting path
+        while free_seeds and (match_col[free_seeds[0][1]] >= 0
+                              or free_seeds[0][0] != seed_cost[free_seeds[0][1]]):
+            heappop(free_seeds)
+        bound = free_seeds[0][0] - free_u if free_seeds else inf
         dist_a = (seed_cost - free_u) - v_a
-        bound = dist_a[free_col].min(initial=inf).item()
         reached = np.flatnonzero(dist_a <= bound if bound < inf else dist_a < inf)
         heap = list(zip(dist_a[reached].tolist(), reached.tolist()))
+        for d, c in heap:
+            dist[c] = d
+            pred[c] = seed_row[c]
         heapify(heap)
-        dist = np.minimum(dist_a, np.nextafter(bound, inf)).tolist()
-        pred = seed_row[:]
 
         popped = []  # (matched column, final distance) in pop order
         found = -1
@@ -172,20 +219,25 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
                 if d > bound:
                     break
                 d -= v[c]
-                if d < dist[c]:
+                if d < dist[c] and d <= bound:
                     dist[c] = d
                     pred[c] = i
                     heappush(heap, (d, c))
 
         if found < 0:
             return live_pops  # no augmenting path from any free row
+        dist[found] = inf
+        for _, c in heap:
+            dist[c] = inf
+        moved = []
         for j, d in popped:
-            u[match_col[j]] += found_d - d
-            v[j] -= found_d - d
+            delta = found_d - d
+            u[match_col[j]] += delta
+            v[j] -= delta
+            dist[j] = inf
+            moved.append(j)
         free_u += found_d
-        moved = [j for j, _ in popped]
         v_a[moved] = [v[j] for j in moved]
-        free_col[found] = False
 
         path = []
         j = found
@@ -204,6 +256,8 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
                     k += 1
                 seed_at[c] = k
                 seed_cost[c], seed_row[c] = (by_cost[k], by_row[k]) if k < end else (inf, n_rows)
+                if k < end and match_col[c] < 0:
+                    heappush(free_seeds, (by_cost[k], c))
         yield tuple(path)
 
 

@@ -67,6 +67,16 @@ def brute_k_extremes(effects, n_rows):
     return best
 
 
+def benchmark_map():
+    """The assign-mixed workload's shape: 250 x 250, 20 pairs per row, U(-100, 100)."""
+    rng = np.random.default_rng(1)
+    effects = {}
+    for i in range(250):
+        cols = rng.choice(250, size=20, replace=False).tolist()
+        effects.update(((i, j), v) for j, v in zip(cols, rng.uniform(-100, 100, 20).tolist()))
+    return make_em(effects, 250, 250)
+
+
 class TestHungarianDense:
     def test_dominant_diagonal(self):
         em = make_em({(0, 0): 1, (0, 1): 10, (1, 0): 10, (1, 1): 1})
@@ -170,24 +180,36 @@ class TestHungarianSparse:
     def test_each_search_stops_at_its_sink(self):
         # a search that ran until its heap emptied would settle every
         # reachable column per augmentation: 250 x 250 = 62,500 pops
-        rng = np.random.default_rng(1)
-        effects = {}
-        for i in range(250):
-            cols = rng.choice(250, size=20, replace=False).tolist()
-            effects.update(((i, j), v) for j, v in zip(cols, rng.uniform(-100, 100, 20).tolist()))
-        em = make_em(effects, 250, 250)
+        em = benchmark_map()
         passes = hungarian_min(em), hungarian_max(em)
         assert [m.cardinality for m in passes] == [250, 250]
         # the benchmark's own shape: a pruning that changed which columns
         # settle would change these counts
         assert [m.live_pops for m in passes] == [9_384, 10_918]
 
-    def test_a_search_without_a_seeded_free_column_is_uncapped(self):
+    def test_a_search_without_a_seeded_free_column_admits_every_distance(self):
         # the second search's only free column, 1, has no pair from the free
-        # row 1, so its bound is inf: neither the first distances are capped
-        # nor is any row's relaxation cut short
+        # row 1, so its bound is inf: every finite distance is admitted and
+        # no row's relaxation is cut short
         m = hungarian_min(make_em({(0, 0): -5.0, (0, 1): 0.0, (1, 0): 0.0}, 2, 2))
         assert m.augmentations == [((0, 0),), ((0, 1), (1, 0))]
+        assert m.live_pops == 3
+
+    def test_a_free_column_whose_cheapest_row_is_matched_elsewhere(self):
+        # column 1's cheapest pair is row 0's, but row 0 takes column 0
+        # first, so column 1's seed advances to row 1 at cost 3 and the
+        # second search's bound must come from that seed: the stale entry
+        # at cost 0 would bound it below column 1's own seed distance
+        m = hungarian_min(make_em({(0, 0): -2.0, (0, 1): 0.0, (1, 1): 3.0}, 2, 2))
+        assert m.augmentations == [((0, 0),), ((1, 1),)]
+        assert m.live_pops == 2
+
+    def test_a_column_seed_tie_goes_to_the_lowest_row(self):
+        # column 2's two pairs tie at cost 0, so its seed, and with it the
+        # first path, takes the lower row 0; row 1 then reaches column 2
+        # only by moving row 0 on to column 0
+        m = hungarian_min(make_em({(0, 0): 1.0, (0, 1): 1.0, (0, 2): 0.0, (1, 2): 0.0}, 2, 3))
+        assert m.augmentations == [((0, 2),), ((0, 0), (1, 2))]
         assert m.live_pops == 3
 
 
@@ -355,6 +377,23 @@ class TestResumablePass:
             for k in range(1, full.cardinality + 1):
                 assert full.assignment(k) == case3_selection(em, k, direction)
         assert calls == [False, True]
+
+    def test_each_pass_keeps_its_own_search_state(self):
+        # the two directions' passes over one matrix, advanced in turn one
+        # augmentation at a time, search exactly as each does alone
+        alone = hungarian_min(benchmark_map()), hungarian_max(benchmark_map())
+        em = benchmark_map()
+        runs = []
+        for direction, negate in (("min", False), ("max", True)):
+            assert case3_selection(em, 1, direction).n == 1
+            runs.append(em.derived["pass", negate])
+        for k in range(2, 252):
+            for run in runs:
+                assert run.reach(k) == (k <= 250)
+        for run, want in zip(runs, alone):
+            assert run.augmentations == want.augmentations
+            assert run.live_pops == want.live_pops
+        assert [run.live_pops for run in runs] == [9_384, 10_918]
 
     def test_a_suspended_pass_does_not_hold_the_matrix(self):
         em = self._em()

@@ -24,8 +24,9 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   ``enumerate_extrema`` at n = 2 and 3,
   ``find_max_feasible_n``, and at n = 2..5 ``greedy_min``/``greedy_max``
   in both cases (with ``pair_stats`` of each greedy assignment's pairs in
-  a seeded shuffled order), ``case3_selection`` and ``solve`` with every
-  attempt it traced in both directions, and ``run_test``. The models
+  a seeded shuffled order), ``case3_selection`` on the matrix and on
+  its ``negated()`` matrix, ``solve`` with every attempt it traced in
+  both directions, and ``run_test``. The models
   digest covers, per instance, the LP lines, sidecar, objective value and
   constraint flags of the four quadratic models and two linear models at
   n = 2.
@@ -43,8 +44,8 @@ solver results alone. The instances are fixed by the seed, in two tiers:
   and, twice, the fallback, and at n = 10, 20 and 40 (each capped at
   the maximum matching) ``greedy_min``/``greedy_max`` in both cases,
   whose case-1 couples walks run for up to 20 rounds, and
-  ``case3_selection`` in both directions, whose replays run over long
-  alternating paths.
+  ``case3_selection`` on the matrix and its ``negated()`` matrix, whose
+  replays run over long alternating paths.
 
 Assignments enter as sorted pair lists, ladder attempts as their case,
 pairs, stats and reason, and errors as their type and message.
@@ -204,11 +205,11 @@ def digest() -> tuple[str, str]:
                _call(enumerate_extrema, em, 2), _call(enumerate_extrema, em, 3)]
         ylist = build_sorted_list(em)
         for n in NS:
-            for fn in (greedy_min, greedy_max):
+            for fn, arg in ((greedy_min, ylist), (greedy_max, em)):
                 for case in ("case1", "case2"):
-                    result = fn(ylist, n, case)
+                    result = fn(arg, n, case)
                     out += [_canon(result), _shuffled_pair_stats(em, result, shuffle_rng)]
-            out += [_call(case3_selection, em, n, "min"), _call(case3_selection, em, n, "max"),
+            out += [_call(case3_selection, em, n), _call(case3_selection, em.negated(), n),
                     _solve_traced(em, n, "min"), _solve_traced(em, n, "max"),
                     _call(run_test, em, n, 0.05)]
         out.append(_call(find_max_feasible_n, em))
@@ -224,9 +225,9 @@ def digest() -> tuple[str, str]:
         out += [_call(run_test, em, n, 0.05) for n in (top, top - 2)]
         ylist = build_sorted_list(em)
         for n in sorted({min(n, top) for n in MEDIUM_NS}):
-            out += [_canon(fn(ylist, n, case))
-                    for fn in (greedy_min, greedy_max) for case in ("case1", "case2")]
-            out += [_call(case3_selection, em, n, "min"), _call(case3_selection, em, n, "max")]
+            out += [_canon(fn(arg, n, case)) for fn, arg in ((greedy_min, ylist), (greedy_max, em))
+                    for case in ("case1", "case2")]
+            out += [_call(case3_selection, em, n), _call(case3_selection, em.negated(), n)]
         h.update("\n".join(out).encode())
         h.update(b"\0")
     return h.hexdigest(), models.hexdigest()

@@ -17,19 +17,18 @@ on the ascending effect list:
   round. Odd n finishes with the single smallest entry that keeps the
   running sum nonnegative.
 
-The maximization cases are the exact mirror image: negate every effect,
-solve the mirrored minimization case on ``SortedEffectList.mirror``,
-negate the effect sum back. Maximization case 1 is minimization case 2
-of the negated list, and case 2 is its case 1. The sorted list and its
-mirror depend on neither n nor the direction, so each is built once per
-effect matrix and shared by every later solve. Each is sorted lazily:
-only as far as a reader has read, which for a case-2 scan is a little
-more than n entries and for case 1 the whole list, and what was sorted
-is kept for every later n as one read-only head. The value order, its
-(i, j) tie rule and its reflection all live here. Every selection
-removes all entries sharing the chosen row or column, so the output is
-always a valid one-to-one assignment, and its Z statistic is the level
-the case reaches.
+Maximization is minimization of ``em.negated()``: its case 1 is case 2
+of the negated effects and its case 2 their case 1, and ``reflect``
+renames the case and negates the effect sum back. The sorted list does
+not depend on n, so it is built once per effect matrix (the negated
+matrix keeps its own) and shared by every later solve. It is sorted
+lazily: only as far as a reader has read, which for a case-2 scan is a
+little more than n entries and for case 1 the whole list, and what was
+sorted is kept for every later n as one read-only head. The value order
+and its (i, j) tie rule live here. Every selection removes all entries
+sharing the chosen row or column, so the output is always a valid
+one-to-one assignment, and its Z statistic is the level the case
+reaches.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +58,8 @@ class SortedEffectList:
     so a run of equal values (``0.0 == -0.0``) never straddles two slabs
     and the head is always the head of the one stable order.
 
-    The head's arrays are read-only: one list is shared by both directions
-    and every n solved on its matrix, and a growth replaces them.
+    The head's arrays are read-only: one list is shared by every n solved
+    on its matrix, and a growth replaces them.
     """
 
     def __init__(self, effects: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -99,16 +97,6 @@ class SortedEffectList:
         self._head = tuple(_read_only(np.concatenate((head, tail))) for head, tail in
                            zip(self._head, (sv[local], self._rows[order], self._cols[order])))
         self._bound = thr
-
-    @cached_property
-    def mirror(self) -> "SortedEffectList":
-        """The negated effects in ascending order, ties by (i, j); built once per list.
-
-        Both maximization cases walk it. It is a list of its own over the
-        negated column, sorted as lazily as this one.
-        """
-        return SortedEffectList(-self._effects, self._rows, self._cols,
-                                self.n_treated, self.n_control)
 
 
 def stable_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -149,10 +137,19 @@ class Attempt:
     reason: str | None = None
 
 
+_REFLECTED = {"min_case2": "max_case1", "min_case3": "max_case3", "min_case1": "max_case2"}
+
+
+def reflect(attempt: Attempt) -> Attempt:
+    """A min rung on ``em.negated()`` as the max rung on ``em``: the case renamed, S negated."""
+    stats = None if attempt.stats is None else replace(attempt.stats, S=-attempt.stats.S + 0.0)
+    return replace(attempt, case=_REFLECTED[attempt.case], stats=stats)
+
+
 def build_sorted_list(em: EffectMatrix) -> SortedEffectList:
     """All eligible effects (zeros included) in ascending value order, ties by (i, j).
 
-    The list does not depend on n or the direction, so it is built once per
+    The list does not depend on n, so it is built once per
     matrix into its ``derived`` store and shared by every later call; it
     sorts itself as far as its readers ask, and keeps what it sorted.
     """
@@ -314,17 +311,11 @@ def greedy_min(ylist: SortedEffectList, n: int, case: str):
     return _min_case1(_ListState(ylist), n)
 
 
-def greedy_max(ylist: SortedEffectList, n: int, case: str):
-    """Maximization greedy: the mirrored minimization case on ``ylist.mirror``, reflected.
-
-    Case 1 runs minimization case 2 of the negated list and case 2 its
-    case 1; the effect sum is negated back. The mirror is built on the
-    first call and reused by every later one.
-    """
+def greedy_max(em: EffectMatrix, n: int, case: str):
+    """Maximization greedy: the swapped minimization case on ``em.negated()``, reflected."""
     if n < 2:
         raise ValueError(f"greedy solver needs n >= 2, got n={n}")
     if case not in ("case1", "case2"):
         raise ValueError(f"unknown maximization case {case!r}")
-    mirrored = greedy_min(ylist.mirror, n, "case2" if case == "case1" else "case1")
-    stats = None if mirrored.stats is None else replace(mirrored.stats, S=-mirrored.stats.S + 0.0)
-    return replace(mirrored, case=f"max_{case}", stats=stats)
+    swapped = "case2" if case == "case1" else "case1"
+    return reflect(greedy_min(build_sorted_list(em.negated()), n, swapped))

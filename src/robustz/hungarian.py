@@ -2,12 +2,13 @@
 
 The sign regime without a quadratic bound only asks whether an n-pair
 assignment with the right effect-sum sign exists. That is an assignment
-problem over exactly n pairs: the minimum (or maximum) total-effect
-n-matching has the least (or greatest) effect sum S of any n-pair
-assignment. The solver below passes through such a matching at its n-th
-augmentation, so the case ladder replays the first n augmentations of
-the direction's solve, checks the sign of their S and reports the Z
-statistic of that selection.
+problem over exactly n pairs: the minimum total-effect n-matching has
+the least effect sum S of any n-pair assignment. The solver below passes
+through such a matching at its n-th augmentation, so the case ladder
+replays the first n augmentations of the matrix's pass, checks the sign
+of their S and reports the Z statistic of that selection. The solver
+only minimizes: the maximum total-effect matching of a matrix is the
+minimum one of ``em.negated()``, which keeps a pass of its own.
 
 The matching itself is found with successive shortest augmenting paths
 under dual potentials, which tolerates negative costs directly (no
@@ -39,15 +40,15 @@ from a heap-ordered Dijkstra over the columns:
   at 300 pairs per row takes 0.26 s, against 0.47 s when rows wider
   than 64 pairs relax as a slice (best of 3, 2-core Intel Xeon).
 
-Neither direction's matching depends on n, so each effect matrix has
-one pass per direction, a ``CostMatching`` kept in the matrix's
-``derived`` store, shared by every test on it and advanced only as far
-as it is read: ``case3_selection`` at n stops the pass after its n-th
-augmentation, and a larger n, or ``hungarian_min``/``hungarian_max``
-(which return the pass run to maximum cardinality), resume it. The pass
-keeps one record of the matching, its log of augmenting paths;
-``assignment(k)`` replays the first k of them, and a caller that wants
-the effect sum reads it from that assignment's ``pair_stats``.
+The matching does not depend on n, so each effect matrix has one pass,
+a ``CostMatching`` kept in the matrix's ``derived`` store, shared by
+every test on it and advanced only as far as it is read:
+``case3_selection`` at n stops the pass after its n-th augmentation,
+and a larger n, or ``hungarian_min`` (which returns the pass run to
+maximum cardinality), resumes it. The pass keeps one record of the
+matching, its log of augmenting paths; ``assignment(k)`` replays the
+first k of them, and a caller that wants the effect sum reads it from
+that assignment's ``pair_stats``.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def _augmenting_paths(n_rows: int, n_cols: int, row_start: np.ndarray, rows: np.
 
 
 class CostMatching:
-    """One direction's pass over one matrix, advanced only as far as it is read.
+    """The minimum total-effect pass over one matrix, advanced only as far as it is read.
 
     ``augmentations`` is the solver's log: per augmentation, in order, the
     (row, column) pairs its path matched, one per row on the path (a path
@@ -279,14 +280,13 @@ class CostMatching:
     summed over all augmentations, and ``cardinality`` is the maximum.
     """
 
-    def __init__(self, em: EffectMatrix, negate: bool):
+    def __init__(self, em: EffectMatrix):
         if em.nnz == 0:
             raise ValueError("empty eligibility: no pairs to assign")
         self.augmentations: list[tuple[tuple[int, int], ...]] = []
         self.live_pops: int | None = None
         self._paths = _augmenting_paths(em.n_treated, em.n_control, em.match.row_start,
-                                        em.match.rows, em.match.cols,
-                                        -em.values if negate else em.values)
+                                        em.match.rows, em.match.cols, em.values)
 
     @property
     def cardinality(self) -> int:
@@ -310,45 +310,41 @@ class CostMatching:
         return Assignment(pairs=frozenset(row_col.items()))
 
 
-def _pass(em: EffectMatrix, negate: bool) -> CostMatching:
-    """The direction's pass over the matrix, started once per effect matrix.
+def _pass(em: EffectMatrix) -> CostMatching:
+    """The matrix's pass, started once per effect matrix.
 
-    Neither direction's matching depends on n, so the feasible-n search,
-    the reported test and every n of a sweep share one pass each, kept in
-    the matrix's ``derived`` store under ``("pass", negate)``.
+    The matching does not depend on n, so the feasible-n search, the
+    reported test and every n of a sweep share one pass, kept in the
+    matrix's ``derived`` store under ``"pass"``.
     """
-    if ("pass", negate) not in em.derived:
-        em.derived["pass", negate] = CostMatching(em, negate)
-    return em.derived["pass", negate]
+    if "pass" not in em.derived:
+        em.derived["pass"] = CostMatching(em)
+    return em.derived["pass"]
 
 
 def hungarian_min(em: EffectMatrix) -> CostMatching:
     """The minimum total-effect pass, run to maximum cardinality."""
-    run = _pass(em, negate=False)
+    run = _pass(em)
     run.reach(math.inf)
     return run
 
 
 def hungarian_max(em: EffectMatrix) -> CostMatching:
-    """The maximum total-effect pass, run to maximum cardinality."""
-    run = _pass(em, negate=True)
-    run.reach(math.inf)
-    return run
+    """The maximum total-effect pass: the minimum one of ``em.negated()``."""
+    return hungarian_min(em.negated())
 
 
-def case3_selection(em: EffectMatrix, n: int, direction: str):
-    """The direction's optimal n-pair assignment, or None if < n pairs exist.
+def case3_selection(em: EffectMatrix, n: int):
+    """The minimum total-effect n-pair assignment, or None if < n pairs exist.
 
-    Replays the first n augmentations of the direction's pass, which runs
+    Replays the first n augmentations of the matrix's pass, which runs
     only that far unless an earlier call took it further, so the
-    selection is a minimum (max: maximum) total-effect n-matching and its
-    effect sum S is the least (greatest) of any n-pair assignment, however
-    ties fall. Among assignments of equal S, which one is read (and so its
-    Z) follows the solver's tie rules.
+    selection is a minimum total-effect n-matching and its effect sum S
+    is the least of any n-pair assignment, however ties fall. Among
+    assignments of equal S, which one is read (and so its Z) follows the
+    solver's tie rules. The greatest S is read off ``em.negated()``.
     """
-    if direction not in ("min", "max"):
-        raise ValueError(f"unknown direction {direction!r}")
     if em.nnz == 0:
         return None
-    run = _pass(em, negate=direction == "max")
+    run = _pass(em)
     return run.assignment(n) if run.reach(n) else None

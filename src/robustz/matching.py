@@ -184,8 +184,8 @@ class EffectMatrix:
     ``values[k]`` is the effect of pair ``(match.rows[k], match.cols[k])``;
     an effect that is not finite or exceeds ``MAX_EFFECT`` in magnitude
     raises MatchingError. ``values`` is read-only and a matrix is never
-    modified, so what is derived from it alone (the sorted list, one solver
-    pass per direction, ``effect``) is built on first use into its
+    modified, so what is derived from it alone (the sorted list, the solver
+    pass, ``effect``, the negated matrix) is built on first use into its
     ``derived`` dict and kept for its life. No stored value refers back to
     the matrix; a pickle or copy starts with an empty store (a suspended
     pass is a generator, which does not pickle).
@@ -217,6 +217,15 @@ class EffectMatrix:
             pairs = zip(self.match.rows.tolist(), self.match.cols.tolist())
             self.derived["effect"] = MappingProxyType(dict(zip(pairs, self.values.tolist())))
         return self.derived["effect"]
+
+    def negated(self) -> "EffectMatrix":
+        """The negated effects over the same MatchMatrix, built once; a max solve minimizes it.
+
+        It refers not back to this matrix, so the two form no reference cycle.
+        """
+        if "negated" not in self.derived:
+            self.derived["negated"] = EffectMatrix(self.match, -self.values)
+        return self.derived["negated"]
 
     def pair_stats(self, pairs: Iterable[tuple[int, int]]) -> PairStats:
         """S, Q, n and sigma_hat of the effects of eligible pairs, given in any order."""

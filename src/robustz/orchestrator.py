@@ -1,20 +1,19 @@
 """Case ladder, robust test assembly, n-sweeps and feasible-n search.
 
-Per direction the ladder tries the sign regimes in the order that can
-only improve the level: minimization runs case 2 (level <= 0), then the
-linear case (level 0), then case 1 (level >= 0); maximization mirrors
-it. Each rung is one ``Attempt``: it builds an assignment, or says why
-it could not, and the first one that meets its case's sign condition is
-the direction's witness. The test's bounds are the extreme Z values over
-every assignment either ladder built, never a level on its own.
+The ladder minimizes, trying the sign regimes in the order that can only
+improve the level: case 2 (level <= 0), the linear case (level 0), then
+case 1 (level >= 0). Maximization is the ladder on ``em.negated()``, each
+attempt reflected. Each rung is one ``Attempt``: it builds an assignment,
+or says why it could not, and the first that meets its case's sign
+condition is the direction's witness. The test's bounds are the extreme
+Z values over every assignment either ladder built, never a level alone.
 
-The linear case takes the direction's optimal n-pair assignment, read
-off the assignment solver's n-th augmentation; the solver runs once per
-effect matrix and direction. When its maximum matching has fewer than n
-pairs no rung can find n disjoint pairs, and the direction has none.
-When all three cases fail otherwise, the linear case's selection is
-returned flagged ``fallback``, so a sweep never reports a spurious "no
-pairs" while the cardinality constraint is satisfiable.
+The linear case reads the least-total n-pair assignment off the n-th
+augmentation of the matrix's solver pass. When its maximum matching has
+fewer than n pairs no rung can find n disjoint pairs, and the direction
+has none. When all three cases fail otherwise, the linear case's
+selection is returned flagged ``fallback``, so a sweep never reports a
+spurious "no pairs" while the cardinality constraint is satisfiable.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import operator
 import time
 from dataclasses import dataclass, replace
 
-from .greedy import Attempt, build_sorted_list, greedy_max, greedy_min
+from .greedy import Attempt, build_sorted_list, greedy_min, reflect
 from .hungarian import case3_selection, hungarian_min
 from .matching import EffectMatrix
 from .statistic import (
@@ -40,10 +39,10 @@ class NoPairsError(RuntimeError):
     """A direction could not produce n disjoint eligible pairs."""
 
 
-# greedy cases per direction, in the order that can only improve the level;
+# the minimization cases in the order that can only improve the level;
 # None is the linear case. Names, not functions, so a rebinding of the
 # solvers in this module's namespace is seen at call time.
-_LADDERS = {"min": ("case2", None, "case1"), "max": ("case1", None, "case2")}
+_LADDER = ("case2", None, "case1")
 
 
 def _label(attempt: Attempt) -> str:
@@ -51,15 +50,14 @@ def _label(attempt: Attempt) -> str:
     return attempt.case if attempt.reason is None else FALLBACK
 
 
-def _linear(em: EffectMatrix, n: int, direction: str) -> Attempt:
-    """The linear rung: the direction's optimal n-pair assignment and its sign check."""
-    tag = f"{direction}_case3"
-    selection = case3_selection(em, n, direction)
+def _linear(em: EffectMatrix, n: int) -> Attempt:
+    """The linear rung: the least-total n-pair assignment and its sign check."""
+    selection = case3_selection(em, n)
     if selection is None:
-        return Attempt(tag, reason=f"no assignment of {n} disjoint eligible pairs exists")
+        return Attempt("min_case3", reason=f"no assignment of {n} disjoint eligible pairs exists")
     stats = em.pair_stats(selection.pairs)
-    wrong = stats.S > 0.0 if direction == "min" else stats.S < 0.0
-    return Attempt(tag, selection, stats, "effect sum has the wrong sign" if wrong else None)
+    return Attempt("min_case3", selection, stats,
+                   "effect sum has the wrong sign" if stats.S > 0.0 else None)
 
 
 def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None) -> Attempt:
@@ -67,18 +65,19 @@ def solve(em: EffectMatrix, n: int, direction: str, trace: list | None = None) -
 
     Without one it is the linear rung's, labelled FALLBACK, and without an
     assignment no n disjoint pairs exist. ``trace``, when given, collects
-    every rung's Attempt in ladder order.
+    every rung's Attempt in ladder order, the max side's reflected.
     """
     n = operator.index(n)
     if n < 2:
         raise ValueError(f"solver needs n >= 2, got n={n}")
-    if direction not in _LADDERS:
+    if direction not in ("min", "max"):
         raise ValueError(f"unknown direction {direction!r}")
 
-    ylist = build_sorted_list(em)
-    greedy = greedy_min if direction == "min" else greedy_max
-    for case in _LADDERS[direction]:
-        attempt = _linear(em, n, direction) if case is None else greedy(ylist, n, case)
+    side = em if direction == "min" else em.negated()
+    ylist = build_sorted_list(side)
+    for case in _LADDER:
+        attempt = _linear(side, n) if case is None else greedy_min(ylist, n, case)
+        attempt = attempt if side is em else reflect(attempt)
         if trace is not None:
             trace.append(attempt)
         if attempt.reason is None:
@@ -105,7 +104,7 @@ def run_test(em: EffectMatrix, n: int, alpha: float) -> TestResult:
     low = solve(em, n, "min", pool)
     if low.assignment is None:
         raise NoPairsError(low.reason)
-    # both directions' solver passes reach the same maximum cardinality, so
+    # the passes of em and em.negated() reach the same maximum cardinality, so
     # the max side builds an n-pair assignment too, at the latest its linear rung
     high = solve(em, n, "max", pool)
     others = [a for a in pool if a.assignment not in (None, low.assignment, high.assignment)]
@@ -170,7 +169,7 @@ def find_max_feasible_n(em: EffectMatrix, n_min: int = 2,
     low = max(n_min, 2)
     if top < low:
         return None
-    if case3_selection(em, top, "min") is not None:
+    if case3_selection(em, top) is not None:
         return top
     cardinality = hungarian_min(em).cardinality  # that selection ended the min pass
     return cardinality if cardinality >= low else None

@@ -121,14 +121,14 @@ def random_instance(rng: random.Random, max_side: int = 5, n_lo: int = 2,
     return make_em(effects, nt, nc), n
 
 
-def count_pass_starts(monkeypatch) -> list[bool]:
-    """From now on, record the ``negate`` flag of every assignment-solver pass started."""
+def count_pass_starts(monkeypatch) -> list:
+    """From now on, record the matrix of every assignment-solver pass started."""
     calls = []
     original = hungarian.CostMatching
 
-    def counted(em, negate):
-        calls.append(negate)
-        return original(em, negate)
+    def counted(em):
+        calls.append(em)
+        return original(em)
 
     monkeypatch.setattr(hungarian, "CostMatching", counted)
     return calls

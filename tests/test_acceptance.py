@@ -119,7 +119,7 @@ def test_criterion_2_restricted_optimality():
             assert sol.assignment is not None
             assert z_statistic(sol.stats) == pytest.approx(oracle.z_min, abs=1e-9)
         else:  # all effects positive: maximization, quadratic case 1
-            sol = greedy_max(build_sorted_list(em), n, "case1")
+            sol = greedy_max(em, n, "case1")
             assert sol.assignment is not None
             assert z_statistic(sol.stats) == pytest.approx(oracle.z_max, abs=1e-9)
     elapsed = time.perf_counter() - start

@@ -45,18 +45,19 @@ class TestSortedList:
         yl = ylist_of({(0, 1): 2.0, (1, 0): 2.0})
         assert entries(yl) == [(2.0, 0, 1), (2.0, 1, 0)]
 
-    def test_mirror_is_the_stable_sort_of_the_negated_list(self, rng):
+    def test_negated_list_is_the_stable_sort_of_the_negated_column(self, rng):
         lists = {"tie_free": 0, "with_ties": 0}
         for _ in range(100):
             em, _ = random_instance(rng)
             draw = rng.choice((lambda: rng.uniform(-5.0, 5.0), lambda: rng.randint(-2, 2),
                                lambda: rng.choice((0.0, -0.0))))
-            yl = ylist_of({k: draw() for k in em.effect})
+            em = make_em({k: draw() for k in em.effect})
+            yl = build_sorted_list(em)
             values, rows, cols = yl.prefix(len(yl))
             order = np.argsort(-values, kind="stable")
-            assert entries(yl.mirror) == list(zip((-values[order]).tolist(),
-                                                  rows[order].tolist(),
-                                                  cols[order].tolist()))
+            assert entries(build_sorted_list(em.negated())) == list(zip((-values[order]).tolist(),
+                                                                        rows[order].tolist(),
+                                                                        cols[order].tolist()))
             ties = (values[1:] == values[:-1]).any()
             lists["with_ties" if ties else "tie_free"] += 1
         assert all(lists.values()), lists
@@ -67,7 +68,7 @@ class TestSharedList:
         em = make_em({(0, 0): 1.0, (1, 1): -1.0})
         assert build_sorted_list(em) is build_sorted_list(em)
 
-    def test_one_mirror_per_list(self, monkeypatch):
+    def test_one_negated_list_per_matrix(self, monkeypatch):
         built = []
 
         class Counted(greedy.SortedEffectList):
@@ -76,18 +77,18 @@ class TestSharedList:
                 super().__init__(*args)
 
         em = make_em({(i, j): float(i - 2 * j) for i in range(5) for j in range(5)})
-        yl = build_sorted_list(em)
         monkeypatch.setattr(greedy, "SortedEffectList", Counted)
         for n in (2, 3, 4):
             for case in ("case1", "case2"):
-                greedy_max(build_sorted_list(em), n, case)
+                greedy_max(em, n, case)
         assert len(built) == 1
-        assert build_sorted_list(em).mirror is yl.mirror
+        assert "sorted" not in em.derived
+        assert build_sorted_list(em.negated()) is em.negated().derived["sorted"]
 
     def test_prefix_arrays_are_read_only_and_kept(self):
         # a later growth replaces the arrays handed out, never writes into them
-        yl = ylist_of({(i, j): float(5 * i - j) + 0.5 for i in range(9) for j in range(9)})
-        for lst in (yl, yl.mirror):
+        em = make_em({(i, j): float(5 * i - j) + 0.5 for i in range(9) for j in range(9)})
+        for lst in (build_sorted_list(em), build_sorted_list(em.negated())):
             head = lst.prefix(3)
             copies = [a.copy() for a in head]
             assert 3 <= len(head[0]) < len(lst)
@@ -99,15 +100,15 @@ class TestSharedList:
                 assert array.tolist() == copy.tolist() == whole[:len(copy)].tolist()
 
     def test_arrays_are_read_only(self):
-        yl = ylist_of({(0, 0): 1.0, (1, 1): -1.0})
-        for lst in (yl, yl.mirror):
+        em = make_em({(0, 0): 1.0, (1, 1): -1.0})
+        for lst in (build_sorted_list(em), build_sorted_list(em.negated())):
             for array in lst.prefix(len(lst)):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = array[1]
 
     def test_cache_does_not_keep_the_matrix_alive(self):
         em = make_em({(0, 0): 1.0, (1, 1): -1.0, (0, 1): 2.0})
-        greedy_max(build_sorted_list(em), 2, "case1")
+        greedy_max(em, 2, "case1")
         ref = weakref.ref(em)
         del em
         gc.collect()
@@ -191,10 +192,11 @@ class TestCase2Scan:
             draw = rng.choice(kinds)
             effects = {(i, j): draw() for i in range(nt) for j in range(nc)
                        if rng.random() < 0.7}
-            yl = build_sorted_list(make_em(effects, nt, nc))
+            em = make_em(effects, nt, nc)
+            yl = build_sorted_list(em)
             for n in range(2, 6):
                 for sol, sign in ((greedy_min(yl, n, "case2"), 1.0),
-                                  (greedy_max(yl, n, "case1"), -1.0)):
+                                  (greedy_max(em, n, "case1"), -1.0)):
                     want = first_assignable(effects, n, sign)
                     if isinstance(want, str):
                         tag = "min_case2" if sign > 0.0 else "max_case1"
@@ -209,11 +211,11 @@ class TestCase2Scan:
 
     def test_max_ties_from_the_top_in_index_order(self):
         # the two top entries tie, and -0.0 ties 0.0: each tie goes to the
-        # lower (i, j) first, as in the mirrored list
-        yl = ylist_of({(0, 0): 0.0, (0, 1): 2.0, (1, 0): 2.0, (1, 1): -0.0, (2, 2): 0.0})
-        sol = greedy_max(yl, 2, "case1")
+        # lower (i, j) first, as in the negated matrix's list
+        em = make_em({(0, 0): 0.0, (0, 1): 2.0, (1, 0): 2.0, (1, 1): -0.0, (2, 2): 0.0})
+        sol = greedy_max(em, 2, "case1")
         assert sorted(sol.assignment.pairs) == [(0, 1), (1, 0)]
-        sol = greedy_max(ylist_of({(0, 0): -0.0, (1, 1): 0.0, (2, 2): -0.0}), 2, "case1")
+        sol = greedy_max(make_em({(0, 0): -0.0, (1, 1): 0.0, (2, 2): -0.0}), 2, "case1")
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
         assert repr(sol.stats.S) == "0.0"
 
@@ -267,7 +269,7 @@ class TestLazyList:
             side = min(nt, nc)
             for n in (2, side // 2, side - 1, side + 1):
                 for sol, sign in ((greedy_min(yl, n, "case2"), 1.0),
-                                  (greedy_max(yl, n, "case1"), -1.0)):
+                                  (greedy_max(em, n, "case1"), -1.0)):
                     want = stable_scan(em, n, sign)
                     if isinstance(want, str):
                         tag = "min_case2" if sign > 0.0 else "max_case1"
@@ -280,7 +282,8 @@ class TestLazyList:
                     pairs = zip(em.match.rows[want].tolist(), em.match.cols[want].tolist())
                     assert sol.assignment.pairs == frozenset(pairs)
                     assert repr(sol.stats) == repr(stats)
-            crossed += sum(grows.get(id(lst), 0) >= 2 for lst in (yl, yl.mirror))
+            crossed += sum(grows.get(id(lst), 0) >= 2
+                           for lst in (yl, build_sorted_list(em.negated())))
         # 274 and 96 (every list) at this seed
         assert feasible > 200 and crossed > 80, (feasible, crossed)
 
@@ -314,14 +317,15 @@ class TestLazyList:
         rows, cols = np.divmod(rng.choice(400 * 400, size=50_000, replace=False), 400)
         effects = dict(zip(zip(rows.tolist(), cols.tolist()),
                            rng.uniform(-100.0, 100.0, size=50_000).tolist()))
-        yl = build_sorted_list(make_em(effects, 400, 400))
+        em = make_em(effects, 400, 400)
+        yl = build_sorted_list(em)
         assert greedy_min(yl, 10, "case2").assignment is not None
-        assert greedy_max(yl, 10, "case1").assignment is not None
-        for lst in (yl, yl.mirror):
+        assert greedy_max(em, 10, "case1").assignment is not None
+        for lst in (yl, build_sorted_list(em.negated())):
             assert len(lst.prefix(0)[0]) < len(lst) // 20
 
     def test_small_heads_hold_little_memory(self):
-        # what stays held is the mirror's negated column (8 bytes a pair) and
+        # what stays held is the negated matrix's column (8 bytes a pair) and
         # two heads of about 1/64 of the list (24 bytes an entry each); three
         # full-length head buffers per list would hold 56 bytes a pair
         m = 200_000
@@ -333,7 +337,7 @@ class TestLazyList:
             before = tracemalloc.get_traced_memory()[0]
             yl = build_sorted_list(em)
             assert greedy_min(yl, 10, "case2").assignment is not None
-            assert greedy_max(yl, 10, "case1").assignment is not None
+            assert greedy_max(em, 10, "case1").assignment is not None
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -341,11 +345,13 @@ class TestLazyList:
 
     def test_case1_reads_the_full_list(self):
         effects = {(i, j): float((7 * i + 3 * j) % 11 - 5) for i in range(40) for j in range(40)}
-        for solve, case in ((greedy_min, "case1"), (greedy_max, "case2")):
-            yl = ylist_of(effects)
-            assert len(yl.prefix(0)[0]) == 0
-            solve(yl, 6, case)
-            lst = yl if solve is greedy_min else yl.mirror
+        em = make_em(effects)
+        yl, neg = build_sorted_list(em), build_sorted_list(em.negated())
+        for lst in (yl, neg):
+            assert len(lst.prefix(0)[0]) == 0
+        greedy_min(yl, 6, "case1")
+        greedy_max(em, 6, "case2")
+        for lst in (yl, neg):
             assert len(lst.prefix(0)[0]) == len(lst) == 1_600
 
 
@@ -482,11 +488,12 @@ class TestCase1Walk:
                        if rng.random() < density}
             if not effects:
                 continue
-            yl = build_sorted_list(make_em(effects, nt, nc))
+            em = make_em(effects, nt, nc)
+            yl = build_sorted_list(em)
             side = min(nt, nc)
             for n in sorted({2, 3, rng.randint(4, max(4, side)), max(4, side)}):
                 for sol, sign in ((greedy_min(yl, n, "case1"), 1.0),
-                                  (greedy_max(yl, n, "case2"), -1.0)):
+                                  (greedy_max(em, n, "case2"), -1.0)):
                     want = couples_walk(effects, n, sign)
                     if isinstance(want, str):
                         tag = "min_case1" if sign > 0.0 else "max_case2"
@@ -510,37 +517,43 @@ class TestCase1Walk:
 
 class TestGreedyMax:
     def test_reflection_of_positive_instance(self):
-        yl = ylist_of({(0, 0): 4, (0, 1): 3, (1, 0): 2, (1, 1): 1})
-        sol = greedy_max(yl, 2, "case1")
+        sol = greedy_max(make_em({(0, 0): 4, (0, 1): 3, (1, 0): 2, (1, 1): 1}), 2, "case1")
         assert sorted(sol.assignment.pairs) == [(0, 0), (1, 1)]
         assert z_statistic(sol.stats) == pytest.approx(2.3570, abs=1e-4)
         assert sol.case == "max_case1"
 
     def test_case1_needs_nonnegative_sum(self):
-        yl = ylist_of({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
-        assert greedy_max(yl, 2, "case1").assignment is None
+        em = make_em({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
+        assert greedy_max(em, 2, "case1").assignment is None
 
     def test_case2_matches_oracle_maximum(self):
-        yl = ylist_of({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1})
-        sol = greedy_max(yl, 2, "case2")
+        sol = greedy_max(make_em({(0, 0): -4, (0, 1): -2, (1, 0): -3, (1, 1): -1}), 2, "case2")
         assert z_statistic(sol.stats) == pytest.approx(-2.3570, abs=1e-4)
 
     def test_small_n_rejected(self):
-        yl = ylist_of({(0, 0): 1.0})
+        em = make_em({(0, 0): 1.0})
         with pytest.raises(ValueError):
-            greedy_max(yl, 1, "case1")
+            greedy_max(em, 1, "case1")
         with pytest.raises(ValueError):
-            greedy_min(yl, 1, "case2")
+            greedy_min(build_sorted_list(em), 1, "case2")
 
-    def test_bad_request_builds_no_mirror(self):
-        yl = ylist_of({(0, 0): 1.0, (1, 1): -1.0})
+    def test_bad_request_builds_no_negated_matrix(self):
+        em = make_em({(0, 0): 1.0, (1, 1): -1.0})
         with pytest.raises(ValueError, match=r"^greedy solver needs n >= 2, got n=1$"):
-            greedy_max(yl, 1, "x")
+            greedy_max(em, 1, "case1")
+        with pytest.raises(ValueError, match=r"^greedy solver needs n >= 2, got n=1$"):
+            greedy_max(em, 1, "x")
         with pytest.raises(ValueError, match=r"^unknown maximization case 'x'$"):
-            greedy_max(yl, 2, "x")
+            greedy_max(em, 2, "x")
         with pytest.raises(ValueError, match=r"^unknown minimization case 'case3'$"):
-            greedy_min(yl, 2, "case3")
-        assert "mirror" not in vars(yl)
+            greedy_min(build_sorted_list(em), 2, "case3")
+        assert "negated" not in em.derived
+
+    def test_a_sorted_list_is_not_a_matrix(self):
+        # the max side takes the matrix, so a list passed by mistake fails
+        # instead of being solved as if it were the negated one
+        with pytest.raises(AttributeError):
+            greedy_max(ylist_of({(0, 0): 1.0, (1, 1): -1.0}), 2, "case1")
 
 
 def _check_solution(sol: Attempt, em, n: int):
@@ -560,15 +573,14 @@ class TestRandomizedProperties:
             em, n = random_instance(rng)
             yl = build_sorted_list(em)
             for case in ("case1", "case2"):
-                for solver in (greedy_min, greedy_max):
-                    sol = solver(yl, n, case)
+                for sol in (greedy_min(yl, n, case), greedy_max(em, n, case)):
                     if sol.assignment is not None:
                         _check_solution(sol, em, n)
 
     def test_reflection_symmetry(self, rng):
         # integer effects in [-3, 3] tie often, so the assignments compared
-        # here depend on the mirrored list ordering ties by (i, j)
-        mirror = {"case1": "case2", "case2": "case1"}
+        # here depend on the negated list ordering ties by (i, j)
+        swapped = {"case1": "case2", "case2": "case1"}
         for _ in range(300):
             em, n = random_instance(rng)
             em = make_em({k: rng.randint(-3, 3) for k in em.effect},
@@ -576,8 +588,8 @@ class TestRandomizedProperties:
             neg = make_em({k: -v for k, v in em.effect.items()},
                           em.n_treated, em.n_control)
             for case in ("case1", "case2"):
-                fwd = greedy_max(build_sorted_list(em), n, case)
-                bwd = greedy_min(build_sorted_list(neg), n, mirror[case])
+                fwd = greedy_max(em, n, case)
+                bwd = greedy_min(build_sorted_list(neg), n, swapped[case])
                 if fwd.assignment is None:
                     assert bwd.assignment is None
                 else:
@@ -602,7 +614,7 @@ class TestRandomizedProperties:
                     z = z_statistic(lo.stats)
                     assert z >= bf_min - 1e-9 * max(1.0, abs(z), abs(bf_min))
                     checked += 1
-                hi = greedy_max(yl, n, case)
+                hi = greedy_max(em, n, case)
                 if hi.assignment is not None:
                     z = z_statistic(hi.stats)
                     assert z <= bf_max + 1e-9 * max(1.0, abs(z), abs(bf_max))
@@ -647,7 +659,7 @@ class TestRestrictedOptimality:
                 assert sol.assignment is not None
                 assert z_statistic(sol.stats) == pytest.approx(bf_min, abs=1e-9)
             else:
-                sol = greedy_max(yl, n, "case1")
+                sol = greedy_max(em, n, "case1")
                 assert sol.assignment is not None
                 assert z_statistic(sol.stats) == pytest.approx(bf_max, abs=1e-9)
 

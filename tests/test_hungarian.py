@@ -219,12 +219,12 @@ class TestCase3:
     @staticmethod
     def _case3_only(monkeypatch):
         # every greedy rung fails, so each ladder reaches the case-3 rung
-        for name in ("greedy_min", "greedy_max"):
-            monkeypatch.setattr(orchestrator, name, lambda *args: Attempt("off", reason="off"))
+        monkeypatch.setattr(orchestrator, "greedy_min",
+                            lambda ylist, n, case: Attempt(f"min_{case}", reason="off"))
 
     def test_positive_sums_infeasible(self):
         em = make_em({(0, 0): -1, (0, 1): 2, (1, 0): 2, (1, 1): 3})
-        assert em.pair_stats(case3_selection(em, 2, "min").pairs).S == 2.0
+        assert em.pair_stats(case3_selection(em, 2).pairs).S == 2.0
         trace = []
         assert solve(em, 2, "min", trace).case == "min_case1"
         assert [a.case for a in trace] == ["min_case2", "min_case3", "min_case1"]
@@ -235,7 +235,7 @@ class TestCase3:
         sol = solve(em, 2, "min")
         assert sol.assignment is not None
         assert sol.case == "min_case3"
-        assert sol.assignment == case3_selection(em, 2, "min")
+        assert sol.assignment == case3_selection(em, 2)
         assert sol.stats.S == -5.0
         assert z_statistic(sol.stats) == pytest.approx(-2.3570, abs=1e-4)
 
@@ -255,7 +255,7 @@ class TestCase3:
         stats = [em.pair_stats(p) for p in ({(0, 0), (1, 1)}, {(0, 1), (1, 0)})]
         assert [s.S for s in stats] == [-5.0, -5.0]
         assert [z_statistic(s) for s in stats] == pytest.approx([-2.3570, -7.0711], abs=1e-4)
-        selection = case3_selection(em, 2, "min")
+        selection = case3_selection(em, 2)
         assert selection.pairs == {(0, 0), (1, 1)}
         assert z_statistic(em.pair_stats(selection.pairs)) == pytest.approx(-2.3570, abs=1e-4)
 
@@ -282,20 +282,20 @@ class TestCase3:
             best = brute_k_extremes(effects, nt)
             top = max(best)
             deficient += top < min(em.match.matched_treated, em.match.matched_control)
-            for direction, pick in (("min", 0), ("max", 1)):
-                assert case3_selection(em, top + 1, direction) is None
+            for side, pick in ((em, 0), (em.negated(), 1)):
+                assert case3_selection(side, top + 1) is None
                 for k in range(1, top + 1):
-                    selection = case3_selection(em, k, direction)
+                    selection = case3_selection(side, k)
                     validate_assignment(selection, em)
                     assert selection.n == k
                     total = math.fsum(effects[p] for p in selection.pairs)
-                    assert total == pytest.approx(best[k][pick], abs=1e-9), (index, direction, k)
+                    assert total == pytest.approx(best[k][pick], abs=1e-9), (index, pick, k)
                     checks += 1
         assert checks > 3000 and deficient >= 10  # 3,552 and 15 at this seed
 
     def test_matching_too_small_infeasible(self):
         em = make_em({(0, 0): -1.0}, 2, 2)
-        assert case3_selection(em, 2, "min") is None
+        assert case3_selection(em, 2) is None
         result = solve(em, 2, "min")
         assert result.assignment is None
         assert "no assignment of 2" in result.reason
@@ -307,15 +307,19 @@ class TestCase3:
                 solve(em, 1, direction)
 
     def test_unknown_direction_rejected(self):
+        # the direction lives in solve alone, which checks it before it
+        # builds the negated matrix
+        em = make_em({(0, 0): -1.0, (1, 1): 1.0})
         with pytest.raises(ValueError, match="^unknown direction 'up'$"):
-            case3_selection(make_em({(0, 0): -1.0, (1, 1): 1.0}), 2, "up")
+            solve(em, 2, "up")
+        assert "negated" not in em.derived
 
     def test_feasible_output_respects_sign(self, rng, monkeypatch):
         self._case3_only(monkeypatch)
         for _ in range(200):
             em, n = random_instance(rng)
             for direction in ("min", "max"):
-                selection = case3_selection(em, n, direction)
+                selection = case3_selection(em if direction == "min" else em.negated(), n)
                 sol = solve(em, n, direction)
                 if selection is None:
                     assert sol.assignment is None
@@ -332,7 +336,7 @@ class TestCase3:
 
 
 class TestResumablePass:
-    """One pass per matrix and direction, advanced only as far as it is read."""
+    """One pass per matrix, advanced only as far as it is read."""
 
     @staticmethod
     def _effects(side=40, degree=5):
@@ -350,21 +354,20 @@ class TestResumablePass:
 
     def test_case3_runs_only_n_augmentations(self):
         em = self._em()
-        for direction, negate in (("min", False), ("max", True)):
+        for side in (em, em.negated()):
             for n in (30, 34):
-                assert case3_selection(em, n, direction).n == n
-                assert em.derived["pass", negate].cardinality == n
-            assert case3_selection(em, 31, direction).n == 31  # read off the log
-            assert em.derived["pass", negate].cardinality == 34
+                assert case3_selection(side, n).n == n
+                assert side.derived["pass"].cardinality == n
+            assert case3_selection(side, 31).n == 31  # read off the log
+            assert side.derived["pass"].cardinality == 34
 
     def test_full_solve_resumes_the_pass(self, monkeypatch):
         fresh = {solver: solver(self._em()) for solver in (hungarian_min, hungarian_max)}
         em = self._em()
         calls = count_pass_starts(monkeypatch)
-        for solver, direction, negate in ((hungarian_min, "min", False),
-                                          (hungarian_max, "max", True)):
-            selection = case3_selection(em, 36, direction)
-            advanced = em.derived["pass", negate]
+        for solver, side in ((hungarian_min, em), (hungarian_max, em.negated())):
+            selection = case3_selection(side, 36)
+            advanced = side.derived["pass"]
             full = solver(em)
             assert full is advanced  # resumed, not started again
             want = fresh[solver]
@@ -372,21 +375,21 @@ class TestResumablePass:
             assert full.cardinality == want.cardinality == 40
             assert full.augmentations == want.augmentations
             assert full.live_pops == want.live_pops
-            assert case3_selection(em, 36, direction) == selection
-            assert case3_selection(em, 41, direction) is None
+            assert case3_selection(side, 36) == selection
+            assert case3_selection(side, 41) is None
             for k in range(1, full.cardinality + 1):
-                assert full.assignment(k) == case3_selection(em, k, direction)
-        assert calls == [False, True]
+                assert full.assignment(k) == case3_selection(side, k)
+        assert calls == [em, em.negated()]
 
     def test_each_pass_keeps_its_own_search_state(self):
-        # the two directions' passes over one matrix, advanced in turn one
+        # the passes of a matrix and of its negation, advanced in turn one
         # augmentation at a time, search exactly as each does alone
         alone = hungarian_min(benchmark_map()), hungarian_max(benchmark_map())
         em = benchmark_map()
         runs = []
-        for direction, negate in (("min", False), ("max", True)):
-            assert case3_selection(em, 1, direction).n == 1
-            runs.append(em.derived["pass", negate])
+        for side in (em, em.negated()):
+            assert case3_selection(side, 1).n == 1
+            runs.append(side.derived["pass"])
         for k in range(2, 252):
             for run in runs:
                 assert run.reach(k) == (k <= 250)
@@ -397,10 +400,10 @@ class TestResumablePass:
 
     def test_a_suspended_pass_does_not_hold_the_matrix(self):
         em = self._em()
-        assert not any(key in em.derived for key in (("pass", False), ("pass", True)))
+        assert "pass" not in em.derived and "negated" not in em.derived
         result = run_test(em, 36, 0.05)
         assert (result.case_used_min, result.case_used_max) == ("min_case3", "max_case3")
-        runs = [em.derived["pass", negate] for negate in (False, True)]
+        runs = [em.derived["pass"], em.negated().derived["pass"]]
         assert all(run.cardinality == 36 for run in runs)
         ref = weakref.ref(em)
         del em, runs
@@ -426,6 +429,22 @@ class TestDerivedStore:
         try:
             del em
             assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_the_negated_matrix_is_freed_with_it(self):
+        # run_test leaves both passes suspended; the negated matrix, its list
+        # and its pass hold no reference back, so no cycle waits for the collector
+        em, _ = self._solved()
+        neg = em.negated()
+        assert neg.derived["pass"].live_pops is None and em.derived["pass"].live_pops is None
+        refs = weakref.ref(em), weakref.ref(neg)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del em, neg
+            assert [ref() for ref in refs] == [None, None]
         finally:
             if enabled:
                 gc.enable()

@@ -1,6 +1,8 @@
 """Eligibility construction, effect matrices and block structure."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -434,6 +436,33 @@ class TestBuildEffectMatrix:
             em = make_em({(i, j): 1.0 for i in range(nt) for j in range(nc)
                           if rng.random() < 0.3}, nt, nc)
             assert em.match.matched_control == len(np.unique(em.match.cols))
+
+
+class TestNegated:
+    EFFECTS = {(0, 0): 1.5, (0, 2): -0.0, (1, 1): 0.0, (2, 0): -7.25, (2, 2): 3.0}
+
+    def test_built_once_over_the_same_match(self):
+        em = make_em(self.EFFECTS)
+        neg = em.negated()
+        assert em.negated() is neg
+        assert neg.match is em.match
+        assert "negated" not in neg.derived  # no reference back to em
+
+    def test_values_are_the_bitwise_negation_and_read_only(self):
+        em = make_em(self.EFFECTS)
+        neg = em.negated()
+        assert neg.values.tobytes() == (-em.values).tobytes()  # signed zeros flip too
+        assert em.negated().negated().values.tobytes() == em.values.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            neg.values[0] = 1.0
+
+    def test_copies_start_without_it(self):
+        em = make_em(self.EFFECTS)
+        em.negated()
+        for twin in (pickle.loads(pickle.dumps(em)), copy.deepcopy(em), copy.copy(em)):
+            assert twin.derived == {}
+            assert twin.negated() is not em.negated()
+            assert twin.negated().values.tobytes() == em.negated().values.tobytes()
 
 
 class TestPartitionBlocks:

@@ -4,14 +4,16 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import robustz.hungarian as hungarian
 import robustz.orchestrator as orchestrator
-from robustz.greedy import build_sorted_list, greedy_max, greedy_min
+from robustz.greedy import build_sorted_list, greedy_max, greedy_min, reflect
 from robustz.hungarian import hungarian_min
+from robustz.matching import EffectMatrix
 from robustz.orchestrator import (
     FALLBACK,
     NoPairsError,
@@ -105,11 +107,54 @@ class TestSolve:
         for module in (orchestrator, hungarian):  # a call through either binding counts
             monkeypatch.setattr(module, "case3_selection", counted)
         assert solve(make_em(FALLBACK_FIXTURE, 3, 3), 3, "min").case == FALLBACK
-        assert calls == [(3, "min")]
+        assert calls == [(3,)]
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             solve(make_em(POSITIVE), 1, "min")
+
+    def test_max_is_the_reflected_min_ladder_of_the_negated_matrix(self):
+        # the max side's trace, rung by rung, is the min ladder's on a negated
+        # matrix built on its own (no shared lists or passes), reflected
+        rng = random.Random(20261022)
+        kinds = (lambda: rng.uniform(-10.0, 10.0), lambda: float(rng.randint(-3, 3)),
+                 lambda: rng.choice((-1.0, -0.0, 0.0, 1.0, 2.0)))
+
+        def canon(a):
+            return a.case, a.assignment, repr(a.stats), a.reason
+
+        cases = Counter()
+        for index in range(400):
+            nt, nc = rng.randint(2, 7), rng.randint(2, 7)
+            draw = kinds[index % 3]
+            effects = {(i, j): draw() for i in range(nt) for j in range(nc)
+                       if rng.random() < 0.6}
+            if not effects:
+                continue
+            em = make_em(effects, nt, nc)
+            neg = EffectMatrix(em.match, -em.values)
+            for n in range(2, min(nt, nc) + 1):
+                high_trace, low_trace = [], []
+                high = solve(em, n, "max", high_trace)
+                low = solve(neg, n, "min", low_trace)
+                assert [canon(a) for a in high_trace] == [canon(reflect(a)) for a in low_trace]
+                want = (replace(high_trace[1], case=FALLBACK) if low.case == FALLBACK
+                        else high_trace[-1])
+                assert canon(high) == canon(want)
+                cases["no pairs" if high.assignment is None else high.case] += 1
+        # every max rung, the fallback and the no-pairs outcome all occur
+        # (734, 227, 26, 6 and 22 times at this seed)
+        outcomes = ("max_case1", "max_case3", "max_case2", FALLBACK, "no pairs")
+        assert all(cases[c] >= 3 for c in outcomes), cases
+
+    def test_max_side_zero_sum_reads_positive_zero(self):
+        # the negated ladder's linear rung sums -1 and 1 to +0.0, and the
+        # reflection keeps it +0.0 rather than -0.0
+        trace = []
+        sol = solve(make_em({(0, 0): 1.0, (1, 1): -1.0}), 2, "max", trace)
+        assert [a.case for a in trace] == ["max_case1", "max_case3"]
+        assert sol.case == "max_case3"
+        assert sol.stats.S == 0.0 and math.copysign(1.0, sol.stats.S) == 1.0
 
     def test_unknown_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -362,9 +407,8 @@ class TestPythonScalars:
             self._check_stats(em.pair_stats(matched))
             assert type(m.live_pops) is int
             ylist = build_sorted_list(em)
-            for solver in (greedy_min, greedy_max):
-                for case in ("case1", "case2"):
-                    sol = solver(ylist, n, case)
+            for case in ("case1", "case2"):
+                for sol in (greedy_min(ylist, n, case), greedy_max(em, n, case)):
                     if sol.assignment is not None:
                         self._check_pairs(sol.assignment.pairs)
                         self._check_stats(sol.stats)
@@ -453,7 +497,7 @@ class TestFindMaxFeasibleN:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        """``solve`` calls, and the ``negate`` flag of each solver pass started."""
+        """``solve`` calls, and the matrix of each solver pass started."""
         solves = []
         original = orchestrator.solve
 
@@ -470,10 +514,10 @@ class TestFindMaxFeasibleN:
         assert max_matching_size(em) == 2
         solves, passes = self._count_calls(monkeypatch)
         assert find_max_feasible_n(em, 3, 3) is None
-        assert (len(solves), passes) == (0, [False])
+        assert (len(solves), passes) == (0, [em])
         # the cardinality is read off the min pass that the first search ended
         assert find_max_feasible_n(em) == 2
-        assert (len(solves), passes) == (0, [False])
+        assert (len(solves), passes) == (0, [em])
 
     def test_one_ladder_and_one_cardinality_pass(self, rng, monkeypatch):
         # no ladder runs at all: the min pass alone decides
@@ -488,7 +532,7 @@ class TestFindMaxFeasibleN:
                 solves.clear()
                 passes.clear()
                 found = find_max_feasible_n(em, n_min, n_max)
-                assert not solves and passes in ([], [False])
+                assert not solves and passes in ([], [em])
                 top = size if n_max is None else min(size, n_max)
                 assert found == (top if top >= max(n_min, 2) else None)
 
@@ -520,7 +564,7 @@ class TestSharedAssignmentPasses:
         n = find_max_feasible_n(em)
         assert n == 3
         run_test(em, n, 0.05)
-        assert sorted(calls) == [False, True]
+        assert calls == [em, em.negated()]
 
     def test_sweep_reaching_case3_costs_two_passes(self, monkeypatch):
         em = make_em(self.CASE3_EVERY_N)
@@ -528,7 +572,7 @@ class TestSharedAssignmentPasses:
         calls = count_pass_starts(monkeypatch)
         rows = list(iter_sweep(em, [2, 3, 4]))
         assert [r.no_pairs for r in rows] == [False, False, False]
-        assert sorted(calls) == [False, True]
+        assert calls == [em, em.negated()]
 
     def test_min_side_without_n_pairs_skips_the_max_ladder(self, monkeypatch):
         # three matched units per side, but rows 0 and 1 share column 0 only
@@ -536,13 +580,13 @@ class TestSharedAssignmentPasses:
         calls = count_pass_starts(monkeypatch)
         with pytest.raises(NoPairsError, match="no assignment of 3 disjoint eligible pairs"):
             run_test(em, 3, 0.05)
-        assert calls == [False]
+        assert calls == [em]
         # the min fallback reads the matching its linear rung solved: no second pass
         calls.clear()
         fallback = make_em(FALLBACK_FIXTURE, 3, 3)
         assert solve(fallback, 3, "min").case == FALLBACK
         solve(fallback, 3, "max")
-        assert calls == [False]
+        assert calls == [fallback]
 
     def test_a_new_matrix_is_solved_again(self, monkeypatch):
         calls = count_pass_starts(monkeypatch)
@@ -550,4 +594,4 @@ class TestSharedAssignmentPasses:
         second = hungarian_min(make_em(POSITIVE))
         assert first is not second
         assert (first.augmentations, first.live_pops) == (second.augmentations, second.live_pops)
-        assert calls == [False, False]
+        assert len(calls) == 2 and calls[0] is not calls[1]

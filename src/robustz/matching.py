@@ -87,13 +87,22 @@ class CovariateRule:
             raise MatchingError(f"exact rule for {self.column!r} does not take a tolerance")
 
 
+def _check_int64(pairs, error) -> None:
+    """Raises ``error(pair)`` for the first pair not two int64 integers: 0.5, "1", 2**70 fail."""
+    for pair in pairs:
+        if not all(isinstance(x, (int, np.integer)) and -2**63 <= x < 2**63 for x in pair):
+            raise error(pair)
+
+
 def _int64_pairs(rows: np.ndarray, cols: np.ndarray, error) -> tuple[np.ndarray, np.ndarray]:
     """rows and cols as int64; raises ``error(pair)`` for the first pair not two int64 integers."""
-    if rows.dtype.kind != "i" or cols.dtype.kind != "i":  # read pair by pair: 0.5, "1", 2**70 fail
-        for pair in zip(rows.tolist(), cols.tolist()):
-            if not all(isinstance(x, int) and -2**63 <= x < 2**63 for x in pair):
-                raise error(pair)
+    if rows.dtype.kind != "i" or cols.dtype.kind != "i":  # read pair by pair
+        _check_int64(zip(rows.tolist(), cols.tolist()), error)
     return rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+
+
+def _not_two_integers(pair) -> MatchingError:
+    return MatchingError(f"eligible pair {pair} is not two integers")
 
 
 class MatchMatrix:
@@ -115,22 +124,22 @@ class MatchMatrix:
         rows, cols = np.asarray(rows), np.asarray(cols)
         if rows.ndim != 1 or rows.shape != cols.shape:
             raise MatchingError(f"rows and cols need one 1-D shape, got {rows.shape}, {cols.shape}")
-        rows, cols = _int64_pairs(
-            rows, cols, lambda pair: MatchingError(f"eligible pair {pair} is not two integers"))
-        out = np.flatnonzero((rows < 0) | (rows >= nt) | (cols < 0) | (cols >= nc))
-        if len(out):
-            k = out[0]
+        rows, cols = _int64_pairs(rows, cols, _not_two_integers)
+        # each check is one reduction; the offending pair is located only on failure
+        if (min(rows.min(initial=0), cols.min(initial=0)) < 0
+                or rows.max(initial=-1) >= nt or cols.max(initial=-1) >= nc):
+            k = np.flatnonzero((rows < 0) | (rows >= nt) | (cols < 0) | (cols >= nc))[0]
             raise MatchingError(f"eligible pair ({rows[k]}, {cols[k]}) out of range {nt}x{nc}")
         code = rows * nc + cols
-        bad = np.flatnonzero(np.diff(code) <= 0)  # neither distinct nor in (i, j) order
-        if len(bad):
-            k = bad[0] + 1
+        if (code[1:] <= code[:-1]).any():  # neither distinct nor in (i, j) order
+            k = np.flatnonzero(np.diff(code) <= 0)[0] + 1
             what = "repeated" if code[k] == code[k - 1] else "out of (i, j) order"
             raise MatchingError(f"eligible pair ({rows[k]}, {cols[k]}) {what}")
         self._ids = {"t": treated_ids, "c": control_ids}
         self.n_treated, self.n_control = nt, nc
         self.rows, self.cols, self._codes = rows, cols, code
-        self.row_start = np.searchsorted(rows, np.arange(nt + 1))
+        self.row_start = np.zeros(nt + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=nt), out=self.row_start[1:])
 
     def _read_ids(self, side: str) -> tuple[str, ...]:
         ids = self._ids[side]
@@ -195,9 +204,10 @@ class EffectMatrix:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (match.nnz,):
             raise MatchingError(f"effect column has shape {values.shape}, expected ({match.nnz},)")
-        bad = np.flatnonzero(~(np.abs(values) <= MAX_EFFECT))  # NaN fails the test too
-        if len(bad):
-            k, v = bad[0], values[bad[0]].item()
+        magnitude = np.abs(values)
+        if not magnitude.max(initial=0.0) <= MAX_EFFECT:  # a NaN propagates and fails it too
+            k = np.flatnonzero(~(magnitude <= MAX_EFFECT))[0]
+            v = values[k].item()
             what = (f"is not finite: {v!r}" if not math.isfinite(v)
                     else f"exceeds {MAX_EFFECT:g} in magnitude: {v!r}")
             raise MatchingError(f"effect of pair ({match.rows[k]}, {match.cols[k]}) {what}")
@@ -236,14 +246,44 @@ class EffectMatrix:
     def from_effects(cls, effects: Mapping[tuple[int, int], float],
                      n_treated: int | None = None,
                      n_control: int | None = None) -> "EffectMatrix":
-        """Build a standalone matrix from an index->effect map (synthetic ids, built on first read)."""
+        """Build a standalone matrix from an index->effect map (synthetic ids, built on first read).
+
+        The pairs are put in (i, j) order by one in-place sort of the int64 keys
+        ``(i * n_control + j) * nnz + k``, k being the pair's place in the map:
+        the keys are distinct, so the sort has one result, and their quotient
+        and remainder by nnz are the pair's (i, j) code and its place. Keys are
+        packed only when every pair is in range and ``n_treated * n_control *
+        nnz < 2**63``; otherwise the (i, j) codes are argsorted, and the
+        MatchMatrix names a pair out of range. A key past int64 raises
+        MatchingError; other keys are read as numpy reads them, so (0.7, 0) is
+        the pair (0, 0).
+        """
         nnz = len(effects)
-        rows, cols = (np.fromiter(map(itemgetter(side), effects), dtype=np.int64, count=nnz)
-                      for side in (0, 1))
+        try:
+            rows, cols = (np.fromiter(map(itemgetter(side), effects), dtype=np.int64, count=nnz)
+                          for side in (0, 1))
+        except OverflowError:
+            _check_int64(effects, _not_two_integers)
+            raise
         nt = int(n_treated) if n_treated is not None else int(rows.max(initial=-1)) + 1
         nc = int(n_control) if n_control is not None else int(cols.max(initial=-1)) + 1
-        by_ij = np.argsort(rows * nc + cols)  # the map's keys are distinct
-        mm = MatchMatrix(nt, nc, rows[by_ij], cols[by_ij])
+        # the range is checked before packing: (0, nc) would share its key with (1, 0)
+        if (nnz and min(rows.min(), cols.min()) >= 0 and rows.max() < nt and cols.max() < nc
+                and nt * nc * nnz < 2**63):
+            key = rows * nc
+            key += cols
+            del rows, cols  # free each temporary once it is read, to keep the peak low
+            key *= nnz
+            key += np.arange(nnz)
+            key.sort()
+            code, by_ij = np.divmod(key, nnz)
+            del key
+            rows, cols = np.divmod(code, nc)
+            del code
+        else:
+            by_ij = np.argsort(rows * nc + cols)  # the map's keys are distinct
+            rows, cols = rows[by_ij], cols[by_ij]
+        mm = MatchMatrix(nt, nc, rows, cols)
         return cls(mm, np.fromiter(effects.values(), dtype=np.float64, count=nnz)[by_ij])
 
 

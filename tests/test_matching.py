@@ -226,13 +226,22 @@ class TestBuildMatchMatrix:
         assert build_match_matrix(ds, [CovariateRule("x", "exact")]).nnz == 1
 
     def test_constructor_rejects_bad_pair_arrays(self):
+        # the first offending pair is named, at the first index and at the last
         bad = [
-            ([0, 2], [0, 0], "out of range"),
-            ([0, 1], [0, 3], "out of range"),
-            ([-1, 0], [0, 0], "out of range"),
+            ([0, 2], [0, 0], r"\(2, 0\) out of range 2x3"),
+            ([0, 1], [0, 3], r"\(1, 3\) out of range 2x3"),
+            ([-1, 0], [0, 0], r"\(-1, 0\) out of range 2x3"),
+            ([0, 0], [-1, 0], r"\(0, -1\) out of range 2x3"),
+            ([1, 0, 5], [0, 7, 0], r"\(0, 7\) out of range 2x3"),
+            ([0, 0, 1, 1], [1, 3, 0, 0], r"\(0, 3\) out of range 2x3"),
+            ([0, 0, 1, 1], [0, 1, 2, 3], r"\(1, 3\) out of range 2x3"),
             ([0, 1, 1], [1, 2, 2], r"\(1, 2\) repeated"),
+            ([0, 0, 1], [1, 1, 2], r"\(0, 1\) repeated"),
             ([0, 1, 0], [1, 0, 2], r"\(0, 2\) out of \(i, j\) order"),
+            ([1, 0, 0], [0, 1, 2], r"\(0, 1\) out of \(i, j\) order"),
+            ([0, 0, 1, 1], [0, 2, 1, 0], r"\(1, 0\) out of \(i, j\) order"),
             ([0, 0], [2, 1], r"\(0, 1\) out of \(i, j\) order"),
+            ([0, 0, 0, 1], [2, 1, 1, 0], r"\(0, 1\) out of \(i, j\) order"),
         ]
         # ids, or counts that stand for synthetic ids: the same checks
         for ids_t, ids_c in ((("t0", "t1"), ("c0", "c1", "c2")), (2, 3)):
@@ -246,6 +255,13 @@ class TestBuildMatchMatrix:
             assert mm.positions([0], [2]).tolist() == [1]
             with pytest.raises(KeyError):
                 mm.positions([1], [0])
+        # rows with no pair, before, between and after the others
+        for nt, rows, cols, row_start in ((4, [0, 0, 1], [0, 2, 1], [0, 2, 3, 3, 3]),
+                                          (4, [2], [1], [0, 0, 0, 1, 1]),
+                                          (3, [], [], [0, 0, 0, 0]), (0, [], [], [0])):
+            mm = MatchMatrix(nt, 3, rows, cols)
+            assert mm.row_start.tolist() == row_start
+            assert mm.row_start.dtype == np.intp
 
     def test_constructor_rejects_pairs_that_are_not_integers(self):
         for rows, cols in (([0.5, 1.7], [0, 1.9]), ([0.0, 1.0], [0, 1]), ([0, "1"], [0, 1]),
@@ -359,6 +375,97 @@ class TestBuildEffectMatrix:
             build_effect_matrix(mm, ds)
         at_bound = make_em({(0, 0): 1e100, (1, 1): -1e100}).pair_stats([(0, 0), (1, 1)])
         assert (at_bound.S, at_bound.Q) == (0.0, 2e200)
+
+    def test_first_bad_value_is_named(self):
+        mm = MatchMatrix(4, 4, [0, 1, 2, 3], [3, 2, 1, 0])
+        nan, inf = float("nan"), float("inf")
+        bad = [
+            ({0: nan}, r"\(0, 3\) is not finite: nan"),
+            ({3: nan}, r"\(3, 0\) is not finite: nan"),
+            ({0: inf}, r"\(0, 3\) is not finite: inf"),
+            ({3: -inf}, r"\(3, 0\) is not finite: -inf"),
+            ({0: 2e100}, r"\(0, 3\) exceeds 1e\+100 in magnitude: 2e\+100"),
+            ({3: -1.5e100}, r"\(3, 0\) exceeds 1e\+100 in magnitude: -1.5e\+100"),
+            ({1: 1e101, 2: nan}, r"\(1, 2\) exceeds"),
+            ({1: -inf, 3: 1e101}, r"\(1, 2\) is not finite: -inf"),
+        ]
+        for at, message in bad:
+            values = [1.0, -0.0, 1e100, -1e100]
+            for k, v in at.items():
+                values[k] = v
+            with pytest.raises(MatchingError, match=message):
+                EffectMatrix(mm, values)
+        assert EffectMatrix(mm, [1.0, -0.0, 1e100, -1e100]).nnz == 4
+        empty = EffectMatrix(MatchMatrix(0, 0, [], []), [])
+        assert (empty.nnz, empty.values.dtype, empty.match.row_start.tolist()) == (
+            0, np.float64, [0])
+
+    def test_from_effects_rejects_keys_past_int64(self):
+        # the first key that is not two int64 integers is named; numpy ints are integers
+        for effects, pair in (
+                ({(2**70, 0): 1.0}, (2**70, 0)),
+                ({(0, 0): 1.0, (1, -2**63 - 1): 2.0, (2**64, 1): 3.0}, (1, -2**63 - 1)),
+                ({(np.int64(0), np.int64(1)): 1.0, (1, 2**64): 2.0}, (1, 2**64))):
+            with pytest.raises(MatchingError, match=rf"eligible pair \({pair[0]}, {pair[1]}\) "
+                                                    "is not two integers"):
+                EffectMatrix.from_effects(effects)
+        em = EffectMatrix.from_effects({(np.int64(1), np.int64(0)): 1.0, (0, 1): 2.0})
+        assert em.effect == {(0, 1): 2.0, (1, 0): 1.0}
+
+    def test_from_effects_rejects_keys_out_of_range(self):
+        # (0, n_control) shares its (i, j) code with (1, 0): it is named, not merged
+        bad = [
+            ({(1, 0): 1.0, (0, 3): 2.0}, (2, 3), r"\(0, 3\) out of range 2x3"),
+            ({(0, 3): 1.0, (1, 0): 2.0}, (2, 3), r"\(0, 3\) out of range 2x3"),
+            ({(0, 0): 1.0, (2, 0): 2.0}, (2, 3), r"\(2, 0\) out of range 2x3"),
+            ({(1, 1): 1.0, (0, -1): 2.0}, (2, 3), r"\(0, -1\) out of range 2x3"),
+            ({(-1, 2): 1.0, (0, 0): 2.0}, (None, 3), r"\(-1, 2\) out of range 1x3"),
+            ({(0, 0): 1.0, (1, 1): 2.0}, (1, None), r"\(1, 1\) out of range 1x2"),
+            ({(0, 0): 1.0}, (0, 0), r"\(0, 0\) out of range 0x0"),
+        ]
+        for effects, (nt, nc), message in bad:
+            with pytest.raises(MatchingError, match=message):
+                EffectMatrix.from_effects(effects, nt, nc)
+
+    def test_from_effects_equals_the_argsort_reference(self, rng):
+        def reference(effects, nt, nc):
+            # the pairs in (i, j) order by an argsort of their codes
+            keys = list(effects)
+            rows = np.array([i for i, _ in keys], dtype=np.int64)
+            cols = np.array([j for _, j in keys], dtype=np.int64)
+            nt = max(rows.tolist(), default=-1) + 1 if nt is None else nt
+            nc = max(cols.tolist(), default=-1) + 1 if nc is None else nc
+            order = np.argsort(rows * nc + cols, kind="stable")
+            rows, cols = rows[order], cols[order]
+            values = np.array(list(effects.values()), dtype=np.float64)[order]
+            return (rows, cols, np.searchsorted(rows, np.arange(nt + 1)), rows * nc + cols,
+                    values)
+
+        cases = [({}, None, None), ({}, 3, 2), ({(0, 0): -0.0}, None, None),
+                 ({(2, 1): 1.5}, 4, 3)]
+        # n_treated * n_control * nnz just below 2**63 (packed), at it (argsorted), and
+        # past it, where the last pair's packed key would overflow int64 (argsorted)
+        cases.append(({(0, 2**61 - 2): 1.0, (0, 5): -2.0, (0, 0): 0.0, (0, 2**60): 3.0},
+                      1, 2**61 - 1))
+        cases.append(({(1, 2**60 - 1): 1.0, (0, 5): -2.0, (1, 0): 0.0, (0, 2**59): 3.0},
+                      2, 2**60))
+        cases.append(({(0, 2**59): 3.0, (1, 2**60 - 1): 1.0, (0, 5): -2.0, (1, 0): 0.0,
+                       (1, 7): 0.5}, 2, 2**60))
+        for _ in range(200):
+            nt, nc = rng.randint(1, 30), rng.randint(1, 30)
+            pairs = [(i, j) for i in range(nt) for j in range(nc) if rng.random() < 0.3]
+            rng.shuffle(pairs)
+            effects = {pair: rng.choice((rng.uniform(-10.0, 10.0), -0.0, 0.0, 1e100))
+                       for pair in pairs}
+            cases.append((effects, nt + rng.randint(0, 3), nc + rng.randint(0, 3)))
+            cases.append((effects, None, None))
+        for effects, nt, nc in cases:
+            em = EffectMatrix.from_effects(effects, nt, nc)
+            mm = em.match
+            for got, want in zip((mm.rows, mm.cols, mm.row_start, mm._codes, em.values),
+                                 reference(effects, nt, nc)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_order_is_the_stable_argsort(self, rng):
         def random_map(draw, side):

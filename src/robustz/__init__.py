@@ -45,5 +45,30 @@ from .orchestrator import (
     run_test,
     solve,
 )
-from .oracle import BudgetExceededError, OracleResult, enumerate_extrema
-from .qip_export import ModelSpec, export_ilp, export_qip, read_solution, solution_to_values
+
+# the oracle and the model export are off the path to a test answer, so
+# their names are imported on first use (PEP 562), not by every start
+_LAZY = {
+    "BudgetExceededError": "oracle",
+    "OracleResult": "oracle",
+    "enumerate_extrema": "oracle",
+    "ModelSpec": "qip_export",
+    "export_ilp": "qip_export",
+    "export_qip": "qip_export",
+    "read_solution": "qip_export",
+    "solution_to_values": "qip_export",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -30,10 +30,11 @@ from .matching import (
     partition_blocks,
     write_coordinate_list,
 )
-from .oracle import BudgetExceededError, enumerate_extrema
 from .orchestrator import NoPairsError, find_max_feasible_n, iter_sweep, run_test
-from .qip_export import export_ilp, export_qip
 from .statistic import robustness_margin
+
+# oracle and qip_export are imported by the one command each that runs them,
+# so that no other command pays for them at start
 
 SCHEMA = "robustz-report/1"
 
@@ -242,11 +243,16 @@ def _cmd_sweep(args, config: RunConfig) -> int:
 
 
 def _cmd_oracle(args, config: RunConfig) -> int:
+    from .oracle import BudgetExceededError, enumerate_extrema
+
     n = config.n_spec.n
     with _open_out(args.out) as out:
         em = _load_matrices(config)
         try:
             result = enumerate_extrema(em, n, config.oracle_budget)
+        except BudgetExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_NO_PAIRS
@@ -265,6 +271,8 @@ def _cmd_oracle(args, config: RunConfig) -> int:
 
 
 def _cmd_export(args, config: RunConfig) -> int:
+    from .qip_export import export_ilp, export_qip
+
     n = config.n_spec.n
     if args.kind == "qip" and not args.case:
         raise UsageError("--case is required for qip export")
@@ -334,7 +342,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, BudgetExceededError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _EmptyMatch:

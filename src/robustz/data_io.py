@@ -25,11 +25,13 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .matching import CovariateRule, MatchingError
-from .oracle import DEFAULT_BUDGET as DEFAULT_ORACLE_BUDGET
 
 _COMPARE = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
             ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 _OPS = tuple(_COMPARE)
+
+# assignments the oracle may evaluate unless the configuration says otherwise
+DEFAULT_ORACLE_BUDGET = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -297,7 +299,6 @@ def load_dataset(csv_path, config: RunConfig) -> Dataset:
     ``Dataset.excluded``); a row matching both predicates is an error.
     """
     rule = config.treatment_rule
-    covariate_cols = [r.column for r in config.covariate_rules]
     with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -312,6 +313,11 @@ def load_dataset(csv_path, config: RunConfig) -> Dataset:
                 raise DataError(f"{csv_path}: column {col!r} appears {header.count(col)} "
                                 f"times in the header")
 
+        t_at, y_at = index[rule.column], index[config.outcome_column]
+        covariates_at = [(r.column, index[r.column]) for r in config.covariate_rules]
+        # a predicate reads only the raw cell, so each distinct value is
+        # classified once, at its first row: (is_treated, is_control)
+        sides = {}
         units = []
         excluded = 0
         for row_no, row in enumerate(reader, start=1):
@@ -320,34 +326,32 @@ def load_dataset(csv_path, config: RunConfig) -> Dataset:
             if len(row) != len(header):
                 raise DataError(f"{csv_path} row {row_no}: expected {len(header)} fields, "
                                 f"got {len(row)}")
-            raw_t = row[index[rule.column]]
-            is_treated = rule.treated_predicate.matches(raw_t, rule.column)
-            is_control = rule.control_predicate.matches(raw_t, rule.column)
-            if is_treated and is_control:
-                raise DataError(
-                    f"{csv_path} row {row_no}: satisfies both treated and control predicates"
-                )
+            raw_t = row[t_at]
+            side = sides.get(raw_t)
+            if side is None:
+                side = sides[raw_t] = (rule.treated_predicate.matches(raw_t, rule.column),
+                                       rule.control_predicate.matches(raw_t, rule.column))
+                if all(side):
+                    raise DataError(
+                        f"{csv_path} row {row_no}: satisfies both treated and control predicates"
+                    )
+            is_treated, is_control = side
             if not is_treated and not is_control:
                 excluded += 1
                 continue
-            raw_y = row[index[config.outcome_column]]
+            raw_y = row[y_at]
             outcome = _as_number(raw_y)
             if outcome is None:
                 raise DataError(f"{csv_path} row {row_no}: non-numeric outcome {raw_y!r}")
             if not math.isfinite(outcome):
                 raise DataError(f"{csv_path} row {row_no}: non-finite outcome {raw_y!r}")
             covariates = {}
-            for col in covariate_cols:
-                raw = row[index[col]]
+            for col, at in covariates_at:
+                raw = row[at]
                 if raw == "":
                     raise DataError(f"{csv_path} row {row_no}: missing value in column {col!r}")
                 num = _as_number(raw)
                 covariates[col] = num if num is not None else raw
-            units.append(Unit(
-                id=str(row_no),
-                covariates=covariates,
-                treatment=is_treated,
-                outcome=outcome,
-            ))
+            units.append(Unit(str(row_no), covariates, is_treated, outcome))
 
     return Dataset(units=tuple(units), excluded=excluded)

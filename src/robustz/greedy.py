@@ -8,7 +8,9 @@ on the ascending effect list:
   the most negative remaining entry; infeasible as soon as the smallest
   remaining effect is positive. A used row or column is never freed, so
   the smallest remaining entry only moves forward and one scan of the
-  list finds every pick.
+  list finds every pick. No pick depends on n, so the scan is one walk
+  kept with the list: the picks at n are its first n, and a larger n
+  walks on from where the last call stopped.
 * minimization, case 1 (level >= 0, effect sum >= 0): build couples.
   Each round picks an anchor (the most negative entry if its magnitude
   is covered by the most positive one, otherwise the most positive) and
@@ -22,13 +24,13 @@ of the negated effects and its case 2 their case 1, and ``reflect``
 renames the case and negates the effect sum back. The sorted list does
 not depend on n, so it is built once per effect matrix (the negated
 matrix keeps its own) and shared by every later solve. It is sorted
-lazily: only as far as a reader has read, which for a case-2 scan is a
-little more than n entries and for case 1 the whole list, and what was
-sorted is kept for every later n as one read-only head. The value order
-and its (i, j) tie rule live here. Every selection removes all entries
-sharing the chosen row or column, so the output is always a valid
-one-to-one assignment, and its Z statistic is the level the case
-reaches.
+lazily: only as far as a reader has read, which for the case-2 walk is
+a little more than the largest n it was asked for and for case 1 the
+whole list, and what was sorted is kept for every later n as one
+read-only head. The value order and its (i, j) tie rule live here.
+Every selection removes all entries sharing the chosen row or column,
+so the output is always a valid one-to-one assignment, and its Z
+statistic is the level the case reaches.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class SortedEffectList:
     and the head is always the head of the one stable order.
 
     The head's arrays are read-only: one list is shared by every n solved
-    on its matrix, and a growth replaces them.
+    on its matrix, and a growth replaces them. ``case2`` is the list's
+    case-2 walk, shared the same way.
     """
 
     def __init__(self, effects: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -68,6 +71,7 @@ class SortedEffectList:
         self._effects, self._rows, self._cols = effects, rows, cols
         self._head = tuple(_read_only(a[:0]) for a in (effects, rows, cols))
         self._bound = -math.inf  # every entry at or below it is in the head
+        self.case2 = _Case2Walk(n_treated, n_control)
 
     def __len__(self) -> int:
         return len(self._effects)
@@ -222,30 +226,64 @@ def _partner(state: _ListState, threshold: float, anchor: int):
     return None
 
 
-def _min_case2(ylist: SortedEffectList, n: int):
-    """Case 2 as one scan: the first n assignable entries in list order.
+class _Case2Walk:
+    """Case 2's scan of one sorted list, kept for every n solved on it.
 
-    The scan reads a prefix of about 2n entries; when that runs out first,
-    it asks for a longer one and resumes where it stopped.
+    The scan takes the first assignable entry in list order until one is
+    positive or the list ends, and no decision depends on n: the picks at
+    n are the first n picks of one walk. ``pairs`` and ``values`` hold the
+    picks in list order and ``reason`` why the walk stopped, once it has.
+    ``entries`` is the unread rest of the sorted head the walk last
+    asked for, which ends at list position ``read``; a ``for`` over it
+    resumes where the last one broke off.
     """
-    row_used, col_used = bytearray(ylist.n_treated), bytearray(ylist.n_control)
-    pairs, picked = [], []
-    start = 0
-    while start < len(ylist):
-        values, rows, cols = _views(ylist, max(2 * n, start + 1))
-        for v, i, j in zip(values[start:], rows[start:], cols[start:]):
-            if row_used[i] or col_used[j]:
-                continue
-            if v > 0.0:
-                return Attempt("min_case2", reason="smallest remaining effect is positive")
-            row_used[i] = col_used[j] = 1
-            pairs.append((i, j))
-            picked.append(v)
-            if len(pairs) == n:
-                return Attempt("min_case2", Assignment(pairs=frozenset(pairs)),
-                               stats_from_values(picked))
-        start = len(values)
-    return Attempt("min_case2", reason="eligible pairs exhausted before n assignments")
+
+    __slots__ = ("row_used", "col_used", "pairs", "values", "entries", "read", "reason")
+
+    def __init__(self, n_treated: int, n_control: int):
+        self.row_used, self.col_used = bytearray(n_treated), bytearray(n_control)
+        self.pairs: list[tuple[int, int]] = []
+        self.values: list[float] = []
+        self.entries = iter(())
+        self.read = 0
+        self.reason: str | None = None
+
+    def reach(self, ylist: SortedEffectList, n: int) -> None:
+        """Walk on until there are n picks or the walk stops.
+
+        A head of about 2n entries is asked for at a time; when that runs
+        out first, a longer one is asked for and the walk resumes at ``read``.
+        """
+        row_used, col_used, pairs, picked = self.row_used, self.col_used, self.pairs, self.values
+        while len(pairs) < n and self.reason is None:
+            for v, i, j in self.entries:
+                if row_used[i] or col_used[j]:
+                    continue
+                if v > 0.0:
+                    self.reason = "smallest remaining effect is positive"
+                    return
+                row_used[i] = col_used[j] = 1
+                pairs.append((i, j))
+                picked.append(v)
+                if len(pairs) == n:
+                    return
+            start = self.read
+            if start == len(ylist):
+                self.reason = "eligible pairs exhausted before n assignments"
+                return
+            values, rows, cols = _views(ylist, max(2 * n, start + 1))
+            self.entries = zip(values[start:], rows[start:], cols[start:])
+            self.read = len(values)
+
+
+def _min_case2(ylist: SortedEffectList, n: int):
+    """Case 2 at n: the first n picks of the list's walk, or why it stopped short."""
+    walk = ylist.case2
+    walk.reach(ylist, n)
+    if len(walk.pairs) < n:
+        return Attempt("min_case2", reason=walk.reason)
+    return Attempt("min_case2", Assignment(pairs=frozenset(walk.pairs[:n])),
+                   stats_from_values(walk.values[:n]))
 
 
 def _min_case1(state: _ListState, n: int):

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .data_io import DEFAULT_ORACLE_BUDGET
 from .matching import EffectMatrix
 from .statistic import Assignment, stats_from_values, z_statistic
-
-DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -51,7 +50,7 @@ def _assignments(rows, start, n, picked, used):
 
 
 def enumerate_extrema(em: EffectMatrix, n: int,
-                      budget: int = DEFAULT_BUDGET) -> OracleResult:
+                      budget: int = DEFAULT_ORACLE_BUDGET) -> OracleResult:
     """Exact max/min Z over all n-pair assignments within the eligibility set."""
     if n < 2:
         raise ValueError(f"oracle needs n >= 2, got n={n}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -142,6 +141,10 @@ def normal_upper_tail(z: float) -> float:
 
 def normal_upper_tail_inverse(p: float) -> float:
     """z with normal_upper_tail(z) = p."""
+    # imported here, its only reader: ``statistics`` pulls in ``fractions``
+    # and ``decimal``, which would cost every start of the package
+    from statistics import NormalDist
+
     if not 0.0 < p < 1.0:
         raise ValueError(f"tail probability must be in (0, 1), got {p!r}")
     return -NormalDist().inv_cdf(p)

@@ -1,9 +1,13 @@
 """CLI tests: exit codes, JSON/CSV report schemas, golden comparisons."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import robustz
 from robustz.cli import _emit, main
 from robustz.data_io import ConfigError, load_config
 
@@ -335,6 +339,9 @@ class TestOracle:
     def test_budget_refusal_exit_1(self, negative_fixture, capsys):
         assert main(["oracle", "--config", str(negative_fixture), "--n", "2",
                      "--oracle-budget", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: enumeration exceeded the budget of 1 assignments\n"
+        assert captured.out == ""
 
     def test_too_large_n_exit_3(self, negative_fixture, capsys):
         assert main(["oracle", "--config", str(negative_fixture), "--n", "3"]) == 3
@@ -527,3 +534,57 @@ class TestRunRequest:
         assert captured.err.startswith("usage error:")
         assert captured.out == ""
         assert list(out_dir.iterdir()) == []
+
+
+def run_fresh(*args, cwd=None):
+    """``python *args`` in a new interpreter that imports this checkout's robustz."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(robustz.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=120)
+
+
+class TestColdStart:
+    """A start imports only what its command runs; the rest loads on first use."""
+
+    LAZY = {"BudgetExceededError": "oracle", "OracleResult": "oracle",
+            "enumerate_extrema": "oracle", "ModelSpec": "qip_export",
+            "export_ilp": "qip_export", "export_qip": "qip_export",
+            "read_solution": "qip_export", "solution_to_values": "qip_export"}
+
+    def test_cli_import_leaves_the_unused_modules_out(self):
+        unused = ["statistics", "decimal", "fractions", "robustz.oracle", "robustz.qip_export"]
+        proc = run_fresh("-c", f"import sys, robustz.cli; "
+                               f"print([m for m in {unused!r} if m in sys.modules])")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_lazy_names_import_from_the_package(self):
+        names = ", ".join(self.LAZY)
+        proc = run_fresh("-c", f"import json, sys; from robustz import {names}; "
+                               f"print(json.dumps(sorted(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert {"robustz.oracle", "robustz.qip_export"} <= set(json.loads(proc.stdout))
+        for name, module in self.LAZY.items():
+            value = getattr(robustz, name)
+            assert value is vars(sys.modules[f"robustz.{module}"])[name]
+            assert name in dir(robustz)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'robustz' has no attribute 'nope'"):
+            robustz.nope
+        with pytest.raises(ImportError, match="cannot import name 'nope'"):
+            from robustz import nope  # noqa: F401
+
+    def test_oracle_and_export_from_a_fresh_start(self, negative_fixture, tmp_path):
+        proc = run_fresh("-m", "robustz", "oracle", "--config", str(negative_fixture), "--n", "2",
+                         "--oracle-budget", "1")
+        assert proc.returncode == 1
+        assert proc.stderr == "error: enumeration exceeded the budget of 1 assignments\n"
+        assert proc.stdout == ""
+        proc = run_fresh("-m", "robustz", "export", "--config", str(negative_fixture), "--n", "2",
+                         "--kind", "qip", "--direction", "min", "--case", "case1",
+                         "--out", str(tmp_path / "model"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["variables"] == 4
+        assert (tmp_path / "model.lp").exists() and (tmp_path / "model.json").exists()

@@ -202,6 +202,68 @@ class TestLoadDataset:
         assert sum(not u.treatment for u in ds.units) == 1
         assert ds.excluded == 1
 
+    @staticmethod
+    def treatment_config(tmp_path, treated, control):
+        return load_config(write_config(tmp_path, {
+            "data_path": "data.csv",
+            "treatment_rule": {"column": "x", "treated_predicate": treated,
+                               "control_predicate": control},
+            "outcome_column": "y",
+            "covariate_rules": [{"column": "c", "kind": "exact"}],
+        }))
+
+    # each distinct treatment value is classified once, at its first row:
+    # these pin that a value seen again gets the same class and that the
+    # errors name the same rows
+    @pytest.mark.parametrize("treated, control, values, bad", [
+        ({"op": ">=", "value": 24.5}, {"op": "==", "value": 0},
+         ["30", "0", "30", "none", "0", "none"], "predicate >= 24.5"),
+        ({"op": "==", "value": 1}, {"op": "<=", "value": 0},
+         ["1", "-1", "1", "x", "1", "x"], "predicate <= 0"),
+        ([{"op": "!=", "value": "skip"}, {"op": ">=", "value": 10}],
+         [{"op": "!=", "value": "skip"}, {"op": "<", "value": 10}],
+         ["skip", "12", "skip", "5", "bad", "skip", "bad"], "predicate >= 10"),
+    ], ids=["treated_ordering", "control_ordering", "conjunction"])
+    def test_text_under_an_ordering_predicate(self, tmp_path, treated, control, values, bad):
+        config = self.treatment_config(tmp_path, treated, control)
+        first_text = next(k for k, x in enumerate(values) if x[0].isalpha() and x != "skip")
+        # every row from the first text value on has a non-numeric outcome, so
+        # an error raised at a later row would name that row's outcome
+        outcomes = [str(k) if k < first_text else "late" for k in range(len(values))]
+        write_csv(tmp_path, "x,c,y\n" + "".join(f"{x},a,{y}\n" for x, y in zip(values, outcomes)))
+        message = f"{bad} on column 'x' needs numeric values, got '{values[first_text]}'"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            load_dataset(config.data_path, config)
+
+    def test_both_names_the_first_such_row(self, tmp_path):
+        config = self.treatment_config(tmp_path, {"op": ">=", "value": 10},
+                                       {"op": "<=", "value": 20})
+        write_csv(tmp_path, "x,c,y\n30,a,1\n5,a,2\n30,a,3\n15,a,4\n5,a,5\n15.0,a,6\n15,a,7\n")
+        with pytest.raises(DataError, match="row 4: satisfies both treated and control"):
+            load_dataset(config.data_path, config)
+
+    def test_repeated_values_keep_their_class(self, tmp_path):
+        config = self.treatment_config(tmp_path, {"op": ">=", "value": 10},
+                                       {"op": "==", "value": 0})
+        values = ["12", "0", "5", "12", "0.0", "5", "7", "12", "5", "0", "12.0", "5.0"]
+        write_csv(tmp_path, "x,c,y\n" + "".join(f"{x},{k % 2},{k}\n"
+                                                for k, x in enumerate(values)))
+        ds = load_dataset(config.data_path, config)
+        treated, control = {"12", "12.0"}, {"0", "0.0"}
+        assert ds.excluded == 5
+        assert ds.units == tuple(Unit(str(k + 1), {"c": float(k % 2)}, x in treated, float(k))
+                                 for k, x in enumerate(values) if x in treated | control)
+
+    def test_text_values_keep_their_class(self, tmp_path):
+        config = self.treatment_config(tmp_path, {"op": "==", "value": "t"},
+                                       {"op": "==", "value": "c"})
+        values = ["t", "c", "u", "t", "c", "c", "u", "t"]
+        write_csv(tmp_path, "x,c,y\n" + "".join(f"{x},a,{k}\n" for k, x in enumerate(values)))
+        ds = load_dataset(config.data_path, config)
+        assert ds.excluded == 2
+        assert [(u.id, u.treatment) for u in ds.units] == [
+            (str(k + 1), x == "t") for k, x in enumerate(values) if x != "u"]
+
 
 class TestLoadConfig:
     def test_alpha_defaults(self, tmp_path):

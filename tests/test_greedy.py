@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import weakref
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from robustz.greedy import (
     stable_order,
 )
 from robustz.matching import EffectMatrix, MatchMatrix
+from robustz.orchestrator import iter_sweep
 from robustz.statistic import stats_from_values, validate_assignment, z_statistic
 
 from conftest import brute_force_extrema, make_em, random_instance
@@ -353,6 +355,91 @@ class TestLazyList:
         greedy_max(em, 6, "case2")
         for lst in (yl, neg):
             assert len(lst.prefix(0)[0]) == len(lst) == 1_600
+
+
+def fresh_list(em):
+    """A new sorted list of ``em``'s effects, sharing no walk with ``build_sorted_list(em)``."""
+    return greedy.SortedEffectList(em.values, em.match.rows, em.match.cols,
+                                   em.n_treated, em.n_control)
+
+
+def logged_entries(view, start, log):
+    """The entries of ``view`` (a slice that starts at list position ``start``), logging each read."""
+    for position, value in enumerate(view, start):
+        log.append(position)
+        yield value
+
+
+class TestCase2Walk:
+    KINDS = {
+        "uniform": lambda rng: rng.uniform(-10.0, 10.0),
+        "integer_ties": lambda rng: float(rng.randint(-3, 3)),
+        "signed_zeros": lambda rng: rng.choice((-1.0, -0.0, 0.0, 1.0, 2.0)),
+    }
+
+    def test_every_n_order_equals_a_fresh_list(self):
+        rng = random.Random(39)
+        seen = {"picked": 0, "positive": 0, "exhausted": 0}
+        for draw in self.KINDS.values():
+            for trial in range(8):
+                nt, nc = rng.randint(4, 24), rng.randint(4, 24)
+                density = rng.uniform(0.15, 0.9)
+                effects = {(i, j): draw(rng) for i in range(nt) for j in range(nc)
+                           if rng.random() < density}
+                if trial % 2:  # no positive entry: the min walk runs out of pairs
+                    effects = {k: -abs(v) for k, v in effects.items()}
+                em = make_em(effects, nt, nc)
+                ns = list(range(2, min(nt, nc) + 3))
+                shuffled = rng.sample(ns, len(ns))
+                for side in (em, em.negated()):
+                    want = {n: greedy_min(fresh_list(side), n, "case2") for n in ns}
+                    for order in (ns, ns[::-1], [n for n in ns for _ in (0, 1)], shuffled):
+                        lst = fresh_list(side)
+                        for n in order:
+                            got = greedy_min(lst, n, "case2")
+                            assert got == want[n], (n, order)
+                            assert repr(got.stats) == repr(want[n].stats)
+                    for got in want.values():
+                        key = ("picked" if got.reason is None else
+                               "positive" if "positive" in got.reason else "exhausted")
+                        seen[key] += 1
+        # 427, 148 and 65 at this seed
+        assert seen["picked"] > 300 and seen["positive"] > 100 and seen["exhausted"] > 40, seen
+
+    def test_a_sweep_reads_each_entry_once(self, monkeypatch):
+        reads = defaultdict(list)  # list position of every entry the walk read, per list
+        views = greedy._views
+
+        class Logged:
+            def __init__(self, view, log):
+                self.view, self.log = view, log
+
+            def __len__(self):
+                return len(self.view)
+
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    return logged_entries(self.view[key], key.indices(len(self.view))[0],
+                                          self.log)
+                return self.view[key]
+
+        def logged_views(ylist, k):
+            values, rows, cols = views(ylist, k)
+            return Logged(values, reads[id(ylist)]), rows, cols
+
+        monkeypatch.setattr(greedy, "_views", logged_views)
+        rng = np.random.default_rng(39)
+        effects = dict(zip(((i, j) for i in range(60) for j in range(60)),
+                           rng.uniform(-10.0, 10.0, size=3600).tolist()))
+        em = make_em(effects, 60, 60)
+        rows = list(iter_sweep(em, range(4, 41, 4), alpha=0.05))
+        assert [(r.result.case_used_min, r.result.case_used_max) for r in rows] == [
+            ("min_case2", "max_case1")] * 10
+        lists = (build_sorted_list(em), build_sorted_list(em.negated()))
+        assert sorted(reads) == sorted(map(id, lists))
+        for lst in lists:
+            log = reads[id(lst)]
+            assert log == list(range(len(log))), "an entry was read twice"
 
 
 class TestGreedyMinCase1:
